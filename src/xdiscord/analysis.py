@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import (
-    REGIME_AFTER,
-    REGIME_BEFORE,
-    REGIME_NONE,
-    classical_correlation_value,
-)
+from .discord import REGIME_AFTER, _measurement_branch, classical_correlation_value
 from .errors import DomainError, RootFindError
 from .evolution import EvolvedXState
 from .reservoir import ReservoirConfig, decay_factors
@@ -47,10 +42,6 @@ class CriticTimeResult:
     @property
     def never_crosses(self) -> bool:
         return self.tc is None
-
-
-def _equatorial_spread0(params: XStateParams) -> float:
-    return 0.5 * (abs(params.c1 - params.c2) + abs(params.c1 + params.c2))
 
 
 def critic_time(
@@ -90,16 +81,17 @@ def critic_time(
         f = decay_factors(t, qubits, res, method, large_detuning_limit)
         return 0.5 * (k_outer * f.gamma1 + k_inner * f.gamma2) - pole
 
-    hi = 1.0 / res.omega_c
-    lo = 0.0
-    while gap(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > t_max:
+    # double the bracket from 1/w_c, never past t_max
+    lo, hi = 0.0, min(1.0 / res.omega_c, t_max)
+    excess = gap(hi)
+    while excess > 0.0:
+        if hi >= t_max:
             raise RootFindError(
-                f"no sign change up to t_max={t_max:.3e}; last value "
-                f"{gap(lo) + pole:.6e} still above |c3|={pole:.6e}"
+                f"no sign change up to t_max={t_max:.3e}; value "
+                f"{excess + pole:.6e} at t={hi:.3e} still above |c3|={pole:.6e}"
             )
+        lo, hi = hi, min(2.0 * hi, t_max)
+        excess = gap(hi)
     while hi - lo > _BISECT_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
@@ -149,21 +141,23 @@ def critic_time_closed_form_detuned(
     return math.sqrt(c ** (-2.0 / (eta * omega_a**2)) - 1.0) / omega_c
 
 
-def _check_family_parameter(c1: float):
-    if not (0.0 < c1 <= 2.0 / 3.0):
-        raise DomainError(
-            f"c1={c1!r} outside (0, 2/3]; the 2 c3 = c1 family is only a "
-            "state there"
-        )
+def _check_family_parameter(c1):
+    # c1 is a float or an array of them; its extremes decide
+    for v in (float(np.min(c1)), float(np.max(c1))):
+        if not (0.0 < v <= 2.0 / 3.0):
+            raise DomainError(
+                f"c1={v!r} outside (0, 2/3]; the 2 c3 = c1 family is only a "
+                "state there"
+            )
 
 
-def asymptotic_discord_identical(c1: float) -> float:
+def asymptotic_discord_identical(c1):
     """Late-time discord of the stable family (c2 = 0, 2 c3 = c1, r = 1):
 
         D(inf) = (2+c1)/8 log2(2+c1) - (2-c1)/4 log2(2-c1)
                  + (2-3c1)/8 log2(2-3c1).
 
-    Equals 1/3 exactly at c1 = 2/3.
+    Equals 1/3 exactly at c1 = 2/3. Takes a float or an array of c1.
     """
     _check_family_parameter(c1)
     return (
@@ -171,7 +165,7 @@ def asymptotic_discord_identical(c1: float) -> float:
     ) / 8.0
 
 
-def initial_discord_identical(c1: float) -> float:
+def initial_discord_identical(c1):
     """Initial discord of the same family:
 
         D(0) = -1 + [ (2-c1) log2(2-c1) + (2+c1) log2(2+c1)
@@ -209,10 +203,6 @@ def amplification_rate(c1: float) -> AmplificationReport:
     return AmplificationReport(c1=c1, initial=d0, asymptotic=dinf, rate=dinf / d0)
 
 
-def _xlog2_arr(v: np.ndarray) -> np.ndarray:
-    return np.where(v > 0.0, v * np.log2(np.maximum(v, 1e-300)), 0.0)
-
-
 @dataclass(frozen=True)
 class AmplificationScan:
     """Amplification rate over a c1 grid plus the refined maximum."""
@@ -235,20 +225,8 @@ def scan_amplification_rate(
         )
     c = np.arange(c1_min, c1_max - step / 2.0, step)
     c = np.append(c, c1_max)
-    dinf = (
-        _xlog2_arr(2.0 + c) - 2.0 * _xlog2_arr(2.0 - c) + _xlog2_arr(2.0 - 3.0 * c)
-    ) / 8.0
-    d0 = (
-        -1.0
-        + (
-            _xlog2_arr(2.0 - c)
-            + _xlog2_arr(2.0 + c)
-            + _xlog2_arr(2.0 + 3.0 * c)
-            + _xlog2_arr(2.0 - 3.0 * c)
-        )
-        / 8.0
-        - (_xlog2_arr(1.0 + c) + _xlog2_arr(1.0 - c)) / 2.0
-    )
+    dinf = asymptotic_discord_identical(c)
+    d0 = initial_discord_identical(c)
     rate = dinf / d0
     i = int(np.argmax(rate))
     best_c, best_rate = float(c[i]), float(rate[i])
@@ -328,22 +306,7 @@ def amplification_indicator(
     g_value = 0.25 * (params.c1 - params.c2) * math.log2(
         (1.0 + c3 + mu) / (1.0 + c3 - mu)
     ) + 0.25 * h * math.log2((1.0 - c3 + nu) / (1.0 - c3 - nu))
-
-    pole = abs(c3)
-    equator = 0.5 * (abs(mu) + abs(nu))
-    if tc_regime == "before":
-        regime = REGIME_BEFORE
-    elif tc_regime == "after":
-        regime = REGIME_AFTER
-    elif tc_regime == "unknown":
-        if pole <= 1e-14:
-            regime = REGIME_NONE
-        else:
-            regime = REGIME_BEFORE if equator > pole else REGIME_AFTER
-    else:
-        raise DomainError(
-            f"tc_regime={tc_regime!r}; expected 'before', 'after' or 'unknown'"
-        )
+    _, regime = _measurement_branch(c3, mu, nu, tc_regime)
     slope = f_value + g_value if regime != REGIME_AFTER else g_value
     if x.t == 0.0:
         time_sign = 0

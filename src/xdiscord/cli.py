@@ -21,8 +21,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import typing
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,49 +41,13 @@ from .errors import (
     QuadratureError,
     RootFindError,
 )
-from .evolution import assemble_density, evolve_x_state
+from .evolution import assemble_density, x_state_from_factors
 from .reservoir import ReservoirConfig, decay_factors
 from .states import QubitPairConfig, XStateParams
-
-_DEFAULTS = {
-    "c1": 0.6,
-    "c2": 0.0,
-    "c3": 0.3,
-    "eta": 1.0,
-    "omega_c": 1.0,
-    "temperature": 0.0,
-    "t_min": 0.0,
-    "t_max": 10.0,
-    "points": 400,
-    "spacing": "linear",
-    "large_detuning": False,
-    "method": "auto",
-    "output": None,
-}
 
 # either give both absolute frequencies, or a reference omega_b plus ratio
 _FREQ_ABSOLUTE = ("omega_a", "omega_b")
 _FREQ_RELATIVE = ("omega", "ratio")
-
-_KEY_TYPES = {
-    "c1": float,
-    "c2": float,
-    "c3": float,
-    "omega_a": float,
-    "omega_b": float,
-    "omega": float,
-    "ratio": float,
-    "eta": float,
-    "omega_c": float,
-    "temperature": float,
-    "t_min": float,
-    "t_max": float,
-    "points": int,
-    "spacing": str,
-    "large_detuning": bool,
-    "method": str,
-    "output": str,
-}
 
 _SPACINGS = ("linear", "log")
 _METHODS = ("auto", "quadrature", "low-temperature")
@@ -90,23 +55,27 @@ _METHODS = ("auto", "quadrature", "low-temperature")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters; every field already validated."""
+    """Fully resolved run parameters; every field already validated.
 
-    c1: float
-    c2: float
-    c3: float
-    omega_a: float
-    omega_b: float
-    eta: float
-    omega_c: float
-    temperature: float
-    t_min: float
-    t_max: float
-    points: int
-    spacing: str
-    large_detuning: bool
-    method: str
-    output: str | None
+    The field defaults are the command-line defaults, and each field's type
+    is the type its config-file value is parsed into.
+    """
+
+    c1: float = 0.6
+    c2: float = 0.0
+    c3: float = 0.3
+    omega_a: float = 1.0
+    omega_b: float = 1.0
+    eta: float = 1.0
+    omega_c: float = 1.0
+    temperature: float = 0.0
+    t_min: float = 0.0
+    t_max: float = 10.0
+    points: int = 400
+    spacing: str = "linear"
+    large_detuning: bool = False
+    method: str = "auto"
+    output: str | None = None
 
     def state_params(self) -> XStateParams:
         return XStateParams(self.c1, self.c2, self.c3)
@@ -122,6 +91,19 @@ class RunConfig:
         if self.spacing == "linear":
             return np.linspace(self.t_min, self.t_max, self.points)
         return np.geomspace(self.t_min, self.t_max, self.points)
+
+
+# the frequencies are resolved from either style by _resolve_frequencies
+_DEFAULTS = {
+    f.name: f.default for f in fields(RunConfig) if f.name not in _FREQ_ABSOLUTE
+}
+# `str | None` parses as str
+_KEY_TYPES = {
+    name: (typing.get_args(hint) or (hint,))[0]
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+_KEY_TYPES.update(dict.fromkeys(_FREQ_RELATIVE, float))
+_STAMP_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name != "output")
 
 
 def _parse_bool(text: str) -> bool:
@@ -200,10 +182,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             given[key] = flag_value
 
     omega_a, omega_b = _resolve_frequencies(given)
-    merged = dict(_DEFAULTS)
-    for key in _DEFAULTS:
-        if key in given:
-            merged[key] = given[key]
+    merged = {key: given.get(key, default) for key, default in _DEFAULTS.items()}
 
     if merged["spacing"] not in _SPACINGS:
         raise ConfigError(
@@ -214,21 +193,12 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             f"method={merged['method']!r}; expected one of {_METHODS}"
         )
     cfg = RunConfig(
-        c1=float(merged["c1"]),
-        c2=float(merged["c2"]),
-        c3=float(merged["c3"]),
         omega_a=omega_a,
         omega_b=omega_b,
-        eta=float(merged["eta"]),
-        omega_c=float(merged["omega_c"]),
-        temperature=float(merged["temperature"]),
-        t_min=float(merged["t_min"]),
-        t_max=float(merged["t_max"]),
-        points=int(merged["points"]),
-        spacing=str(merged["spacing"]),
-        large_detuning=bool(merged["large_detuning"]),
-        method=str(merged["method"]),
-        output=merged["output"],
+        **{
+            key: value if value is None else _KEY_TYPES[key](value)
+            for key, value in merged.items()
+        },
     )
     # re-run the module-level validations now so bad values exit with code 2
     try:
@@ -261,12 +231,8 @@ def _format_value(v) -> str:
         return "-"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    x = float(v)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    # prints nan, inf and -inf as they are
+    return format(float(v), ".17g")
 
 
 class _CsvWriter:
@@ -278,24 +244,6 @@ class _CsvWriter:
 
     def row(self, values):
         self.stream.write(",".join(_format_value(v) for v in values) + "\n")
-
-
-_STAMP_FIELDS = (
-    "c1",
-    "c2",
-    "c3",
-    "omega_a",
-    "omega_b",
-    "eta",
-    "omega_c",
-    "temperature",
-    "t_min",
-    "t_max",
-    "points",
-    "spacing",
-    "large_detuning",
-    "method",
-)
 
 
 def _stamp(w: _CsvWriter, command: str, cfg: RunConfig, extra=()):
@@ -322,14 +270,11 @@ _SERIES_HEADER = (
 
 def _series_row(cfg: RunConfig, params, qubits, res, tau: float, oracle: bool = False):
     t = tau / cfg.omega_c
-    x = evolve_x_state(
-        params, t, qubits, res,
-        method=cfg.method, large_detuning_limit=cfg.large_detuning,
-    )
     f = decay_factors(
         t, qubits, res,
         method=cfg.method, large_detuning_limit=cfg.large_detuning,
     )
+    x = x_state_from_factors(params, t, qubits, f)
     b = discord_analytic(x)
     row = [
         tau, f.gamma1, f.gamma2, x.mu, x.nu, b.chi,

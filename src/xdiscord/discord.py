@@ -23,6 +23,7 @@ from .evolution import EvolvedXState
 from .states import (
     EIGENVALUE_FLOOR,
     TwoQubitDensity,
+    _x_spectrum,
     entropy_bits,
     partial_trace,
     von_neumann_entropy,
@@ -97,14 +98,7 @@ class DiscordBreakdown:
 
 def x_state_eigenvalues(x: EvolvedXState) -> np.ndarray:
     """Spectrum (1 + c3 -/+ mu)/4, (1 - c3 -/+ nu)/4 of the evolved X matrix."""
-    lam = np.array(
-        [
-            (1.0 + x.c3 - x.mu) / 4.0,
-            (1.0 + x.c3 + x.mu) / 4.0,
-            (1.0 - x.c3 - x.nu) / 4.0,
-            (1.0 - x.c3 + x.nu) / 4.0,
-        ]
-    )
+    lam = np.array(_x_spectrum(x.mu, x.nu, x.c3))
     if lam.min() < EIGENVALUE_FLOOR:
         raise InvalidStateError(
             f"evolved state has negative eigenvalue {lam.min():.6e}"
@@ -135,9 +129,34 @@ def measurement_spread(basis: MeasurementBasis, x: EvolvedXState) -> float:
     return math.sqrt(max(val, 0.0))
 
 
+def _measurement_branch(c3, mu, nu, tc_regime: str = "unknown"):
+    """Spread chi and regime label of the measurement branch tc_regime picks.
+
+    The pole spread is |c3| and the equatorial spread (|mu| + |nu|)/2.
+    "before" takes the equatorial branch, "after" the pole branch, and
+    "unknown" the larger of the two, labeled by which one wins; ties are
+    after-critic, and a vanishing pole means there is no critic time.
+    """
+    pole = abs(c3)
+    equator = 0.5 * (abs(mu) + abs(nu))
+    if tc_regime == "before":
+        return equator, REGIME_BEFORE
+    if tc_regime == "after":
+        return pole, REGIME_AFTER
+    if tc_regime != "unknown":
+        raise DomainError(
+            f"tc_regime={tc_regime!r}; expected 'before', 'after' or 'unknown'"
+        )
+    if pole <= _REGIME_ZERO:
+        regime = REGIME_NONE
+    else:
+        regime = REGIME_BEFORE if equator > pole else REGIME_AFTER
+    return max(pole, equator), regime
+
+
 def optimal_measurement_spread(x: EvolvedXState) -> float:
     """chi = max(|c3|, (|mu| + |nu|)/2), the spread at the best basis."""
-    return max(abs(x.c3), 0.5 * (abs(x.mu) + abs(x.nu)))
+    return _measurement_branch(x.c3, x.mu, x.nu)[0]
 
 
 def classical_correlation_value(chi: float) -> float:
@@ -156,12 +175,6 @@ def classical_correlation(x: EvolvedXState) -> float:
     return classical_correlation_value(optimal_measurement_spread(x))
 
 
-def _regime_label(pole: float, equator: float) -> str:
-    if pole <= _REGIME_ZERO:
-        return REGIME_NONE
-    return REGIME_BEFORE if equator > pole else REGIME_AFTER
-
-
 def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBreakdown:
     """Closed-form discord D = I - C of an evolved X state.
 
@@ -171,21 +184,7 @@ def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBre
     after-critic.
     """
     info = mutual_information(x)
-    pole = abs(x.c3)
-    equator = 0.5 * (abs(x.mu) + abs(x.nu))
-    if tc_regime == "before":
-        chi = equator
-        regime = REGIME_BEFORE
-    elif tc_regime == "after":
-        chi = pole
-        regime = REGIME_AFTER
-    elif tc_regime == "unknown":
-        chi = max(pole, equator)
-        regime = _regime_label(pole, equator)
-    else:
-        raise DomainError(
-            f"tc_regime={tc_regime!r}; expected 'before', 'after' or 'unknown'"
-        )
+    chi, regime = _measurement_branch(x.c3, x.mu, x.nu, tc_regime)
     cc = classical_correlation_value(chi)
     return DiscordBreakdown(
         mutual_information=info,
@@ -194,16 +193,6 @@ def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBre
         chi=chi,
         regime=regime,
     )
-
-
-def _vec_xlog2(z: np.ndarray) -> np.ndarray:
-    bad = z < EIGENVALUE_FLOOR
-    if bad.any():
-        raise InvalidStateError(
-            f"conditional eigenvalue {z[bad].min():.6e} is negative beyond tolerance"
-        )
-    zc = np.maximum(z, 0.0)
-    return np.where(zc > 0.0, zc * np.log2(np.maximum(zc, 1e-300)), 0.0)
 
 
 def _conditional_entropies(r4: np.ndarray, thetas: np.ndarray, phis: np.ndarray):
@@ -229,7 +218,7 @@ def _conditional_entropies(r4: np.ndarray, thetas: np.ndarray, phis: np.ndarray)
         safe = np.maximum(p, 1e-300)
         z1 = (mid - half_gap) / safe
         z2 = (mid + half_gap) / safe
-        ent = -(_vec_xlog2(z1) + _vec_xlog2(z2))
+        ent = -(xlog2(z1) + xlog2(z2))
         ent = np.where(p > 1e-15, ent, 0.0)
         out.append((p, ent))
     (p_par, s_par), (p_perp, s_perp) = out
@@ -319,14 +308,16 @@ def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown
     cc = s_a - best_val
     # spread of the conditional state at the optimum, for the chi field
     chi = _conditional_spread(r4, best_theta, best_phi)
-    pole = abs((m[0, 0] + m[3, 3] - m[1, 1] - m[2, 2]).real)
-    equator = 2.0 * (abs(m[0, 3]) + abs(m[1, 2]))
+    # the X parameters c3, mu, nu read off the matrix entries
+    _, regime = _measurement_branch(
+        (m[0, 0] + m[3, 3] - m[1, 1] - m[2, 2]).real, 4.0 * m[0, 3], 4.0 * m[1, 2]
+    )
     breakdown = DiscordBreakdown(
         mutual_information=info,
         classical_correlation=cc,
         discord=info - cc,
         chi=chi,
-        regime=_regime_label(pole, equator),
+        regime=regime,
     )
     if not converged:
         raise ConvergenceError(

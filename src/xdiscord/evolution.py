@@ -1,64 +1,43 @@
 """Exact reduced dynamics under the shared dephasing coupling.
 
 The coupling commutes with the free Hamiltonian, so populations are frozen
-and every coherence evolves independently:
+and every coherence evolves independently. With the bare level energies
+E = (w_a + w_b, w_a - w_b, -(w_a - w_b), -(w_a + w_b))/2 of |00>, |01>,
+|10>, |11>, the whole map is one elementwise mask:
 
-    rho_{l'l}(t) = rho_{l'l}(0)
-                   * exp[-i (E'^2 - E^2) P(t)]   (bath-induced phase)
-                   * exp[-(E' - E)^2 Q(t)]       (decay)
-                   * exp[-i (E' - E) t]          (free precession)
+    rho_{ll'}(t) = rho_{ll'}(0)
+                   * exp[-i (E_l - E_l') t]          (free precession)
+                   * exp[-i (E_l^2 - E_l'^2) P(t)]   (bath-induced phase)
+                   * exp[-(E_l - E_l')^2 Q(t)]       (decay)
 
-with E the bare level energies and P, Q the reservoir integrals. For X
-states only the two antidiagonal coherences survive, and E'^2 = E^2 on
-both, so the bath phase drops out of the fast path.
+with P, Q the reservoir integrals. For X states only the two antidiagonal
+coherences survive, and E_l^2 = E_l'^2 on both, so the bath phase drops
+out of the fast path and the decays are the factors gamma1, gamma2.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStateError
 from .reservoir import (
+    DecayFactors,
     ReservoirConfig,
     bath_phase_integral,
     decay_factors,
     dephasing_exponent,
 )
 from .states import (
-    BASIS_LABELS,
     EIGENVALUE_FLOOR,
     QubitPairConfig,
     TwoQubitDensity,
     XStateParams,
+    _x_form_density,
     _x_spectrum,
 )
-
-
-def level_energy(label, qubits: QubitPairConfig) -> float:
-    """Bare energy of |l_A l_B>: ((-1)^l_A w_a + (-1)^l_B w_b)/2."""
-    l_a, l_b = label
-    if l_a not in (0, 1) or l_b not in (0, 1):
-        raise InvalidStateError(f"labels must be 0 or 1, got {label!r}")
-    sa = 1.0 if l_a == 0 else -1.0
-    sb = 1.0 if l_b == 0 else -1.0
-    return (sa * qubits.omega_a + sb * qubits.omega_b) / 2.0
-
-
-@dataclass(frozen=True)
-class LevelPair:
-    """Bra and ket labels addressing one density-matrix element."""
-
-    bra: tuple
-    ket: tuple
-
-    def __post_init__(self):
-        for side in (self.bra, self.ket):
-            if tuple(side) not in BASIS_LABELS:
-                raise InvalidStateError(f"unknown basis label {side!r}")
 
 
 @dataclass(frozen=True)
@@ -89,52 +68,6 @@ class EvolvedXState:
             )
 
 
-def evolve_element(
-    initial: complex,
-    pair: LevelPair,
-    t: float,
-    qubits: QubitPairConfig,
-    res: ReservoirConfig,
-    method: str = "auto",
-    large_detuning_limit: bool = False,
-) -> complex:
-    """Evolve one density-matrix element for an arbitrary initial state."""
-    if t < 0.0:
-        raise InvalidStateError(f"t={t!r} must be nonnegative")
-    if pair.bra == pair.ket:
-        return complex(initial)
-    e_bra = level_energy(pair.bra, qubits)
-    e_ket = level_energy(pair.ket, qubits)
-    diff = e_bra - e_ket
-    if large_detuning_limit:
-        # every coherence is forced onto the w_a^2 exponent, even ones a
-        # degeneracy would otherwise freeze; the limit mode is only
-        # meaningful for the X antidiagonals
-        out = complex(initial) * cmath.exp(-1j * diff * t)
-        sq_diff = e_bra * e_bra - e_ket * e_ket
-        if sq_diff != 0.0:
-            out *= cmath.exp(-1j * sq_diff * bath_phase_integral(t, res))
-        factors = decay_factors(t, qubits, res, method, large_detuning_limit)
-        return out * factors.gamma1
-    if diff == 0.0:
-        return complex(initial)
-    out = complex(initial) * cmath.exp(-1j * diff * t)
-    sq_diff = e_bra * e_bra - e_ket * e_ket
-    if sq_diff != 0.0:
-        out *= cmath.exp(-1j * sq_diff * bath_phase_integral(t, res))
-    factors = decay_factors(t, qubits, res, method, large_detuning_limit)
-    s = qubits.omega_a + qubits.omega_b
-    d = qubits.omega_a - qubits.omega_b
-    if diff * diff == s * s:
-        out *= factors.gamma1
-    elif diff * diff == d * d:
-        out *= factors.gamma2
-    else:
-        # single-qubit coherences decay with their own squared gap
-        out *= math.exp(-diff * diff * dephasing_exponent(t, res, method))
-    return out
-
-
 def evolve_x_state(
     params: XStateParams,
     t: float,
@@ -147,6 +80,13 @@ def evolve_x_state(
     if t < 0.0:
         raise InvalidStateError(f"t={t!r} must be nonnegative")
     factors = decay_factors(t, qubits, res, method, large_detuning_limit)
+    return x_state_from_factors(params, t, qubits, factors)
+
+
+def x_state_from_factors(
+    params: XStateParams, t: float, qubits: QubitPairConfig, factors: DecayFactors
+) -> EvolvedXState:
+    """X state at time t from decay factors already evaluated at t."""
     return EvolvedXState(
         mu=(params.c1 - params.c2) * factors.gamma1,
         nu=(params.c1 + params.c2) * factors.gamma2,
@@ -162,22 +102,13 @@ def assemble_density(x: EvolvedXState) -> TwoQubitDensity:
 
     The surviving coherences sit on the antidiagonal with the precession
     phases: entry (|00>, |11>) is (mu/4) e^{-i delta1} and entry
-    (|01>, |10>) is (nu/4) e^{-i delta2}, matching elementwise evolution.
+    (|01>, |10>) is (nu/4) e^{-i delta2}, matching evolve_density.
     """
-    dp = (1.0 + x.c3) / 4.0
-    dm = (1.0 - x.c3) / 4.0
-    outer = 0.25 * x.mu * cmath.exp(-1j * x.delta1)
-    inner = 0.25 * x.nu * cmath.exp(-1j * x.delta2)
-    m = np.array(
-        [
-            [dp, 0.0, 0.0, outer],
-            [0.0, dm, inner, 0.0],
-            [0.0, inner.conjugate(), dm, 0.0],
-            [outer.conjugate(), 0.0, 0.0, dp],
-        ],
-        dtype=complex,
+    return _x_form_density(
+        x.c3,
+        0.25 * x.mu * cmath.exp(-1j * x.delta1),
+        0.25 * x.nu * cmath.exp(-1j * x.delta2),
     )
-    return TwoQubitDensity(m)
 
 
 def evolve_density(
@@ -188,17 +119,26 @@ def evolve_density(
     method: str = "auto",
     large_detuning_limit: bool = False,
 ) -> TwoQubitDensity:
-    """Elementwise evolution of an arbitrary initial density matrix."""
-    out = np.empty((4, 4), dtype=complex)
-    for i, bra in enumerate(BASIS_LABELS):
-        for j, ket in enumerate(BASIS_LABELS):
-            out[i, j] = evolve_element(
-                rho0.entries[i, j],
-                LevelPair(bra, ket),
-                t,
-                qubits,
-                res,
-                method,
-                large_detuning_limit,
-            )
-    return TwoQubitDensity(out)
+    """Evolution of an arbitrary initial density matrix by the one-mask map.
+
+    rho(t) = rho(0) * exp(-i dE t - i d(E^2) P(t) - dE^2 Q(t)) elementwise,
+    with dE_{ll'} = E_l - E_l'. With large_detuning_limit set, every
+    off-diagonal element decays by the limit gamma1 instead, even one a
+    degeneracy would otherwise freeze; the limit mode is only meaningful
+    for the X antidiagonals.
+    """
+    if t < 0.0:
+        raise InvalidStateError(f"t={t!r} must be nonnegative")
+    s = 0.5 * (qubits.omega_a + qubits.omega_b)
+    d = 0.5 * (qubits.omega_a - qubits.omega_b)
+    energy = np.array([s, d, -d, -s])
+    gap = energy[:, None] - energy[None, :]
+    sq_gap = (energy * energy)[:, None] - (energy * energy)[None, :]
+    phase = gap * t + sq_gap * bath_phase_integral(t, res)
+    if large_detuning_limit:
+        factors = decay_factors(t, qubits, res, method, large_detuning_limit)
+        mask = np.exp(-1j * phase) * factors.gamma1
+        np.fill_diagonal(mask, 1.0)
+    else:
+        mask = np.exp(-1j * phase - gap * gap * dephasing_exponent(t, res, method))
+    return TwoQubitDensity(rho0.entries * mask)

@@ -24,12 +24,21 @@ EIGENVALUE_FLOOR = -1e-10
 BASIS_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def xlog2(x: float) -> float:
-    """x * log2(x) with the 0 * log(0) = 0 convention.
+def xlog2(x):
+    """x * log2(x) with the 0 * log(0) = 0 convention, for a float or an array.
 
     Small negative inputs (roundoff from eigensolvers) are clipped to zero;
-    anything below EIGENVALUE_FLOOR raises.
+    anything below EIGENVALUE_FLOOR raises. Floats go through math.log2,
+    ndarrays elementwise through np.log2.
     """
+    if isinstance(x, np.ndarray):
+        bad = x < EIGENVALUE_FLOOR
+        if bad.any():
+            raise InvalidStateError(
+                f"weight {x[bad].min():.6e} is negative beyond tolerance"
+            )
+        xc = np.maximum(x, 0.0)
+        return np.where(xc > 0.0, xc * np.log2(np.maximum(xc, 1e-300)), 0.0)
     if x > 0.0:
         return x * math.log2(x)
     if x >= EIGENVALUE_FLOOR:
@@ -134,27 +143,35 @@ class TwoQubitDensity:
         object.__setattr__(self, "entries", m)
 
 
-def x_state_density(params: XStateParams) -> TwoQubitDensity:
-    """Density matrix induced by X-state parameters.
+def _x_form_density(c3: float, outer: complex, inner: complex) -> TwoQubitDensity:
+    """Density matrix of X form.
 
-    Diagonal (1 + c3)/4, (1 - c3)/4, (1 - c3)/4, (1 + c3)/4; corner
-    antidiagonal (c1 - c2)/4; inner antidiagonal (c1 + c2)/4.
+    Diagonal (1 + c3)/4, (1 - c3)/4, (1 - c3)/4, (1 + c3)/4; entry
+    (|00>, |11>) is outer and entry (|01>, |10>) is inner, with their
+    conjugates below the diagonal.
     """
-    c1, c2, c3 = params.c1, params.c2, params.c3
-    outer = (c1 - c2) / 4.0
-    inner = (c1 + c2) / 4.0
     dp = (1.0 + c3) / 4.0
     dm = (1.0 - c3) / 4.0
     m = np.array(
         [
             [dp, 0.0, 0.0, outer],
             [0.0, dm, inner, 0.0],
-            [0.0, inner, dm, 0.0],
-            [outer, 0.0, 0.0, dp],
+            [0.0, np.conj(inner), dm, 0.0],
+            [np.conj(outer), 0.0, 0.0, dp],
         ],
         dtype=complex,
     )
     return TwoQubitDensity(m)
+
+
+def x_state_density(params: XStateParams) -> TwoQubitDensity:
+    """Density matrix induced by X-state parameters.
+
+    Diagonal (1 + c3)/4, (1 - c3)/4, (1 - c3)/4, (1 + c3)/4; corner
+    antidiagonal (c1 - c2)/4; inner antidiagonal (c1 + c2)/4.
+    """
+    c1, c2 = params.c1, params.c2
+    return _x_form_density(params.c3, (c1 - c2) / 4.0, (c1 + c2) / 4.0)
 
 
 def partial_trace(rho: TwoQubitDensity, keep: str) -> np.ndarray:

@@ -105,6 +105,29 @@ def test_critic_time_unreachable_within_horizon():
         critic_time(XStateParams(0.4, 0.0, 0.3999), DETUNED, feeble)
 
 
+def test_critic_time_searches_up_to_the_horizon():
+    # the doubling bracket passes 2^19 / w_c; a crossing at 7e5 / w_c lies
+    # beyond it but inside the default horizon t_max = 1e6 / w_c
+    params = XStateParams(1.0, -0.5, 0.5)
+
+    def eta_crossing_at(omega_c_tc):
+        return 2.0 * math.log(2.0) / math.log1p(omega_c_tc**2)
+
+    eta = eta_crossing_at(7e5)
+    want = critic_time_closed_form_detuned(0.5, eta, 1.0, 1.0)
+    assert want == pytest.approx(7e5, rel=1e-9)
+    got = critic_time(
+        params, IDENTICAL, ReservoirConfig(eta, 1.0, 0.0), large_detuning_limit=True
+    )
+    assert got.tc == pytest.approx(want, rel=1e-9)
+    # and no further
+    late = ReservoirConfig(eta_crossing_at(1.1e6), 1.0, 0.0)
+    with pytest.raises(RootFindError):
+        critic_time(params, IDENTICAL, late, large_detuning_limit=True)
+    with pytest.raises(RootFindError):
+        critic_time(XStateParams(0.6, 0.0, 0.3), DETUNED, RES0, t_max=0.5)
+
+
 def test_closed_form_identical_domain():
     with pytest.raises(DomainError):
         critic_time_closed_form_identical(0.0, 0.0, 1.0, 1.0, 1.0)

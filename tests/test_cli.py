@@ -133,6 +133,26 @@ def test_config_file_merge_and_flag_override(tmp_path):
     assert stamps["large_detuning"] == "true"
 
 
+def test_config_stamp_round_trip(tmp_path):
+    # the stamp of a run, read back as a config file, reproduces the run
+    first = tmp_path / "first.csv"
+    assert run([
+        "evolve", "--c1", "0.3", "--c2", "-0.1", "--c3", "0.2", "--ratio", "2.5",
+        "--eta", "0.7", "--omega-c", "1.3", "-T", "0.05", "--method",
+        "low-temperature", "--t-min", "0.01", "--t-max", "4", "--points", "25",
+        "--spacing", "log", "--large-detuning", "-o", str(first),
+    ]) == 0
+    stamp = [
+        line[2:] for line in first.read_text().splitlines()
+        if line.startswith("# ") and not line.startswith("# command = ")
+    ]
+    cfg = tmp_path / "stamp.cfg"
+    cfg.write_text("\n".join(stamp) + "\n")
+    again = tmp_path / "again.csv"
+    assert run(["evolve", "--config", str(cfg), "-o", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -7,18 +7,16 @@ import pytest
 from xdiscord import (
     EvolvedXState,
     InvalidStateError,
-    LevelPair,
     QubitPairConfig,
     ReservoirConfig,
+    TwoQubitDensity,
     XStateParams,
     assemble_density,
     bath_phase_integral,
     decay_factors,
     dephasing_exponent,
     evolve_density,
-    evolve_element,
     evolve_x_state,
-    level_energy,
     x_state_density,
 )
 
@@ -27,58 +25,43 @@ from helpers import sample_x_params
 RES0 = ReservoirConfig(1.0, 1.0, 0.0)
 
 
-def test_level_energy_anchors():
-    q = QubitPairConfig(2.0, 1.0)
-    assert level_energy((0, 0), q) == pytest.approx(1.5)
-    assert level_energy((0, 1), q) == pytest.approx(0.5)
-    assert level_energy((1, 0), q) == pytest.approx(-0.5)
-    assert level_energy((1, 1), q) == pytest.approx(-1.5)
-
-
-def test_level_energy_rejects_bad_labels():
-    with pytest.raises(InvalidStateError):
-        level_energy((0, 2), QubitPairConfig(1.0, 1.0))
-
-
-def test_level_pair_validation():
-    LevelPair((0, 0), (1, 1))
-    with pytest.raises(InvalidStateError):
-        LevelPair((0, 3), (1, 1))
+def product_density():
+    """Full-rank product state rho_A (x) rho_B; all 16 entries are nonzero."""
+    rho_a = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
+    rho_b = np.array([[0.7, 0.15 - 0.05j], [0.15 + 0.05j, 0.3]])
+    return TwoQubitDensity(np.kron(rho_a, rho_b))
 
 
 def test_populations_are_frozen():
-    q = QubitPairConfig(1.7, 1.0)
-    for label in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        pair = LevelPair(label, label)
-        assert evolve_element(0.37 + 0j, pair, 2.9, q, RES0) == 0.37 + 0j
+    rho0 = product_density()
+    out = evolve_density(rho0, 2.9, QubitPairConfig(1.7, 1.0), RES0)
+    assert np.array_equal(np.diag(out.entries), np.diag(rho0.entries))
 
 
 def test_degenerate_coherence_survives_for_identical_qubits():
-    # the (0,1)-(1,0) coherence connects equal energies when r = 1
-    q = QubitPairConfig(1.0, 1.0)
-    pair = LevelPair((0, 1), (1, 0))
-    z = 0.2 + 0.1j
-    assert evolve_element(z, pair, 5.0, q, RES0) == z
+    # the |01>-|10> coherence connects equal energies when r = 1
+    rho0 = product_density()
+    out = evolve_density(rho0, 5.0, QubitPairConfig(1.0, 1.0), RES0)
+    assert out.entries[1, 2] == rho0.entries[1, 2]
 
 
 def test_outer_coherence_decay_magnitude():
     q = QubitPairConfig(2.0, 1.0)
     t = 1.4
-    pair = LevelPair((0, 0), (1, 1))
-    z = 0.11 * cmath.exp(0.3j)
-    out = evolve_element(z, pair, t, q, RES0)
-    want = abs(z) * math.exp(-(3.0**2) * dephasing_exponent(t, RES0))
+    rho0 = product_density()
+    out = evolve_density(rho0, t, q, RES0).entries[0, 3]
+    want = abs(rho0.entries[0, 3]) * math.exp(-(3.0**2) * dephasing_exponent(t, RES0))
     assert abs(out) == pytest.approx(want, rel=1e-12)
 
 
 def test_outer_coherence_has_no_lamb_phase():
-    # bra and ket energies are opposite, so the squared energies cancel and
-    # only the bare rotation e^{-i (E'-E) t} remains
+    # the two level energies are opposite, so the squared energies cancel
+    # and only the bare rotation e^{-i (E - E') t} remains
     q = QubitPairConfig(2.0, 1.0)
     t = 0.9
-    pair = LevelPair((0, 0), (1, 1))
-    out = evolve_element(1.0 + 0j, pair, t, q, RES0)
-    assert cmath.phase(out) == pytest.approx(
+    rho0 = product_density()
+    out = evolve_density(rho0, t, q, RES0).entries[0, 3]
+    assert cmath.phase(out / rho0.entries[0, 3]) == pytest.approx(
         math.remainder(-3.0 * t, 2.0 * math.pi), abs=1e-12
     )
 
@@ -86,17 +69,17 @@ def test_outer_coherence_has_no_lamb_phase():
 def test_single_qubit_coherence_phase_includes_bath_contribution():
     q = QubitPairConfig(2.0, 1.0)
     t = 0.9
-    # (0,0) vs (0,1): E'^2 - E^2 = omega_a * omega_b
-    pair = LevelPair((0, 0), (0, 1))
-    out = evolve_element(1.0 + 0j, pair, t, q, RES0)
+    rho0 = product_density()
+    # |00> vs |01>: E^2 - E'^2 = omega_a * omega_b
+    out = evolve_density(rho0, t, q, RES0).entries[0, 1]
     p = bath_phase_integral(t, RES0)
     want = math.remainder(-(2.0 * p) - 1.0 * t, 2.0 * math.pi)
-    assert cmath.phase(out) == pytest.approx(want, abs=1e-12)
+    assert cmath.phase(out / rho0.entries[0, 1]) == pytest.approx(want, abs=1e-12)
 
 
-def test_evolve_element_rejects_negative_time():
+def test_evolve_density_rejects_negative_time():
     with pytest.raises(InvalidStateError):
-        evolve_element(0.1, LevelPair((0, 0), (1, 1)), -1.0, QubitPairConfig(1, 1), RES0)
+        evolve_density(product_density(), -1.0, QubitPairConfig(1, 1), RES0)
 
 
 def test_evolved_x_state_validation():
