@@ -48,7 +48,6 @@ def critic_time(
     params: XStateParams,
     qubits: QubitPairConfig,
     res: ReservoirConfig,
-    method: str = "auto",
     large_detuning_limit: bool = False,
     t_max: float = None,
 ) -> CriticTimeResult:
@@ -78,7 +77,7 @@ def critic_time(
         return CriticTimeResult(tc=math.inf, method="root-find")
 
     def gap(t):
-        f = decay_factors(t, qubits, res, method, large_detuning_limit)
+        f = decay_factors(t, qubits, res, large_detuning_limit)
         return 0.5 * (k_outer * f.gamma1 + k_inner * f.gamma2) - pole
 
     # double the bracket from 1/w_c, never past t_max
@@ -275,12 +274,11 @@ def amplification_indicator(
     params: XStateParams,
     qubits: QubitPairConfig,
     res: ReservoirConfig,
-    method: str = "auto",
     large_detuning_limit: bool = False,
     tc_regime: str = "unknown",
 ) -> AmplificationIndicator:
     """Analytic slope of the discord with respect to gamma1 at x.t."""
-    factors = decay_factors(x.t, qubits, res, method, large_detuning_limit)
+    factors = decay_factors(x.t, qubits, res, large_detuning_limit)
     gamma1 = factors.gamma1
     if gamma1 <= 0.0:
         raise DomainError(

@@ -50,7 +50,6 @@ _FREQ_ABSOLUTE = ("omega_a", "omega_b")
 _FREQ_RELATIVE = ("omega", "ratio")
 
 _SPACINGS = ("linear", "log")
-_METHODS = ("auto", "quadrature", "low-temperature")
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class RunConfig:
     points: int = 400
     spacing: str = "linear"
     large_detuning: bool = False
-    method: str = "auto"
     output: str | None = None
 
     def state_params(self) -> XStateParams:
@@ -188,10 +186,6 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"spacing={merged['spacing']!r}; expected one of {_SPACINGS}"
         )
-    if merged["method"] not in _METHODS:
-        raise ConfigError(
-            f"method={merged['method']!r}; expected one of {_METHODS}"
-        )
     cfg = RunConfig(
         omega_a=omega_a,
         omega_b=omega_b,
@@ -270,10 +264,7 @@ _SERIES_HEADER = (
 
 def _series_row(cfg: RunConfig, params, qubits, res, tau: float, oracle: bool = False):
     t = tau / cfg.omega_c
-    f = decay_factors(
-        t, qubits, res,
-        method=cfg.method, large_detuning_limit=cfg.large_detuning,
-    )
+    f = decay_factors(t, qubits, res, large_detuning_limit=cfg.large_detuning)
     x = x_state_from_factors(params, t, qubits, f)
     b = discord_analytic(x)
     row = [
@@ -312,7 +303,7 @@ def cmd_critic_time(cfg: RunConfig, args, w: _CsvWriter) -> int:
     _stamp(w, "critic-time", cfg)
     result = critic_time(
         cfg.state_params(), cfg.qubits(), cfg.reservoir(),
-        method=cfg.method, large_detuning_limit=cfg.large_detuning,
+        large_detuning_limit=cfg.large_detuning,
     )
     w.row(("omega_c_tc", "status", "method"))
     if result.never_crosses:
@@ -469,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--large-detuning", action="store_const", const=True,
                        dest="large_detuning",
                        help="force both decay factors onto the gamma1 exponent")
-        p.add_argument("--method", choices=_METHODS,
-                       help="decay-exponent evaluation (default auto)")
         p.add_argument("--output", "-o", metavar="FILE",
                        help="write CSV here instead of stdout")
         p.add_argument("--gnuplot", metavar="FILE",
@@ -559,7 +548,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, RootFindError, ConvergenceError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        best = getattr(exc, "best_so_far", None)
+        found = "" if best is None else f"; best discord found {best.discord:.17g}"
+        print(f"numeric failure: {exc}{found}", file=sys.stderr)
         return 3
     except (DomainError, InvalidStateError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)

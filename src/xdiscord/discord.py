@@ -189,7 +189,9 @@ def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBre
     return DiscordBreakdown(
         mutual_information=info,
         classical_correlation=cc,
-        discord=info - cc,
+        # D >= 0 on either measurement branch, so a negative I - C is
+        # rounding (-1.9e-16 once mu = nu = 0 on the after-critic branch)
+        discord=max(info - cc, 0.0),
         chi=chi,
         regime=regime,
     )

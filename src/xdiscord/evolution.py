@@ -10,7 +10,7 @@ E = (w_a + w_b, w_a - w_b, -(w_a - w_b), -(w_a + w_b))/2 of |00>, |01>,
                    * exp[-i (E_l^2 - E_l'^2) P(t)]   (bath-induced phase)
                    * exp[-(E_l - E_l')^2 Q(t)]       (decay)
 
-with P, Q the reservoir integrals. For X states only the two antidiagonal
+with P, Q the reservoir kernels. For X states only the two antidiagonal
 coherences survive, and E_l^2 = E_l'^2 on both, so the bath phase drops
 out of the fast path and the decays are the factors gamma1, gamma2.
 """
@@ -26,9 +26,9 @@ from .errors import InvalidStateError
 from .reservoir import (
     DecayFactors,
     ReservoirConfig,
-    bath_phase_integral,
     decay_factors,
     dephasing_exponent,
+    phase_exponent,
 )
 from .states import (
     EIGENVALUE_FLOOR,
@@ -73,13 +73,12 @@ def evolve_x_state(
     t: float,
     qubits: QubitPairConfig,
     res: ReservoirConfig,
-    method: str = "auto",
     large_detuning_limit: bool = False,
 ) -> EvolvedXState:
     """Fast path for X states: mu = (c1 - c2) gamma1, nu = (c1 + c2) gamma2."""
     if t < 0.0:
         raise InvalidStateError(f"t={t!r} must be nonnegative")
-    factors = decay_factors(t, qubits, res, method, large_detuning_limit)
+    factors = decay_factors(t, qubits, res, large_detuning_limit)
     return x_state_from_factors(params, t, qubits, factors)
 
 
@@ -116,7 +115,6 @@ def evolve_density(
     t: float,
     qubits: QubitPairConfig,
     res: ReservoirConfig,
-    method: str = "auto",
     large_detuning_limit: bool = False,
 ) -> TwoQubitDensity:
     """Evolution of an arbitrary initial density matrix by the one-mask map.
@@ -134,11 +132,11 @@ def evolve_density(
     energy = np.array([s, d, -d, -s])
     gap = energy[:, None] - energy[None, :]
     sq_gap = (energy * energy)[:, None] - (energy * energy)[None, :]
-    phase = gap * t + sq_gap * bath_phase_integral(t, res)
+    phase = gap * t + sq_gap * phase_exponent(t, res)
     if large_detuning_limit:
-        factors = decay_factors(t, qubits, res, method, large_detuning_limit)
+        factors = decay_factors(t, qubits, res, large_detuning_limit)
         mask = np.exp(-1j * phase) * factors.gamma1
         np.fill_diagonal(mask, 1.0)
     else:
-        mask = np.exp(-1j * phase - gap * gap * dephasing_exponent(t, res, method))
+        mask = np.exp(-1j * phase - gap * gap * dephasing_exponent(t, res))
     return TwoQubitDensity(rho0.entries * mask)

@@ -1,26 +1,31 @@
-"""Ohmic reservoir integrals and the dephasing decay factors.
+"""Ohmic reservoir kernels and the dephasing decay factors.
 
 The bath enters the reduced dynamics only through two time integrals over
 the spectral density with exponential cutoff: an imaginary-phase kernel
 
-    P(t) = int_0^inf dw (eta/w) e^{-w/w_c} sin(w t)          [= eta*atan(w_c t)]
+    P(t) = int_0^inf dw (eta/w) e^{-w/w_c} sin(w t)          = eta atan(w_c t)
 
 and the dephasing exponent
 
-    Q(t) = 2 int_0^inf dw (eta/w) e^{-w/w_c} sin^2(w t/2) coth(w/(2T)).
+    Q(t) = 2 int_0^inf dw (eta/w) e^{-w/w_c} sin^2(w t/2) coth(w/(2T))
+         = eta [ (1/2) ln(1 + (w_c t)^2)
+                 + 2 ln G(1 + T/w_c) - 2 Re ln G(1 + T/w_c + i T t) ],
 
-Both are evaluated by adaptive quadrature; T = 0 is an exact mode where
-coth -> 1 and Q has the closed form (eta/2) ln(1 + (w_c t)^2). Units have
-hbar = k_B = 1, so beta = 1/T.
+with G the Gamma function (Palma, Suominen & Ekert, Proc. R. Soc. A 452,
+567 (1996)). phase_exponent and dephasing_exponent evaluate these closed
+forms at every temperature; they are the only production route. The
+adaptive quadratures bath_phase_integral and bath_dephasing_integral
+evaluate the integrals themselves and, with the T << w_c form
+bath_dephasing_low_temperature, serve only as oracles for the tests. Units
+have hbar = k_B = 1, so beta = 1/T.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from scipy.integrate import quad
+from scipy.special import loggamma, polygamma
 
 from .errors import DomainError, InvalidStateError, QuadratureError
 from .states import QubitPairConfig
@@ -36,7 +41,11 @@ _ACCEPT_REL = 1e-9
 # to the weighted (QAWO) rule; the thermal 1/w^2 bulk lives in this region
 _DIRECT_ZEROS = 20
 
-_Q2_MODES = ("auto", "quadrature", "low-temperature")
+# below y = T t = _SERIES_Y * (1 + T/w_c) the two log-Gamma values in Q
+# cancel to rounding noise, so the thermal term is taken from its Taylor
+# series in y; the cut keeps both routes within 1e-9 relative for T/w_c up
+# to 1e8 (the series converges for y < 1 + T/w_c)
+_SERIES_Y = 3e-3
 
 
 @dataclass(frozen=True)
@@ -103,13 +112,10 @@ def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def _upper_cutoff(res: ReservoirConfig) -> float:
-    # e^{-W/w_c} tail below 1e-17 of the integrand scale; the thermal factor
-    # coth(W/2T) is within 1e-17 of 1 once W > 40 T as well
-    return 40.0 * res.omega_c + 40.0 * res.temperature
-
-
 def _quad_checked(fn, lo, hi, what, **kw):
+    # imported here: only the test oracles integrate, and the import is slow
+    from scipy.integrate import quad
+
     out = quad(fn, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, full_output=1, **kw)
     val, err = out[0], out[1]
     if err > max(_ACCEPT_ABS, abs(val) * _ACCEPT_REL):
@@ -137,7 +143,14 @@ def _direct_edges(t: float, upper: float, spacing: float):
     return edges
 
 
-def _phase_integral(t: float, eta: float, omega_c: float) -> float:
+def bath_phase_integral(t: float, res: ReservoirConfig) -> float:
+    """Imaginary-phase kernel P(t) by quadrature; an oracle for phase_exponent."""
+    if t < 0.0:
+        raise DomainError(f"t={t!r} must be nonnegative")
+    if t == 0.0:
+        return 0.0
+    eta, omega_c = res.eta, res.omega_c
+
     def f(w):
         if w == 0.0:
             return eta * t
@@ -159,25 +172,18 @@ def _phase_integral(t: float, eta: float, omega_c: float) -> float:
     return total
 
 
-@lru_cache(maxsize=4096)
-def _phase_integral_cached(t, eta, omega_c):
-    return _phase_integral(t, eta, omega_c)
+def bath_dephasing_integral(t: float, res: ReservoirConfig) -> float:
+    """Dephasing exponent Q(t) by quadrature; an oracle for dephasing_exponent.
 
-
-def bath_phase_integral(t: float, res: ReservoirConfig) -> float:
-    """Imaginary-phase kernel P(t); equals eta * atan(omega_c * t).
-
-    Evaluated by quadrature. The closed form is kept out of this path so it
-    can serve as an independent check.
+    At T = 0 the integrand uses coth -> 1 exactly; the result then matches
+    (eta/2) ln(1 + (omega_c t)^2) to quadrature accuracy.
     """
     if t < 0.0:
         raise DomainError(f"t={t!r} must be nonnegative")
     if t == 0.0:
         return 0.0
-    return _phase_integral_cached(float(t), res.eta, res.omega_c)
+    eta, omega_c, T = res.eta, res.omega_c, res.temperature
 
-
-def _dephasing_quadrature(t: float, eta: float, omega_c: float, T: float) -> float:
     def g(w):
         c = _coth(w / (2.0 * T)) if T > 0.0 else 1.0
         return 2.0 * eta / w * math.exp(-w / omega_c) * c
@@ -189,6 +195,8 @@ def _dephasing_quadrature(t: float, eta: float, omega_c: float, T: float) -> flo
         s = math.sin(0.5 * w * t)
         return g(w) * s * s
 
+    # e^{-W/w_c} tail below 1e-17 of the integrand scale; the thermal factor
+    # coth(W/2T) is within 1e-17 of 1 once W > 40 T as well
     upper = 40.0 * omega_c + 40.0 * T
     edges = _direct_edges(t, upper, 2.0 * math.pi)
     total = math.fsum(
@@ -216,26 +224,6 @@ def _dephasing_quadrature(t: float, eta: float, omega_c: float, T: float) -> flo
     return total
 
 
-@lru_cache(maxsize=4096)
-def _dephasing_quadrature_cached(t, eta, omega_c, T):
-    return _dephasing_quadrature(t, eta, omega_c, T)
-
-
-def bath_dephasing_integral(t: float, res: ReservoirConfig) -> float:
-    """Dephasing exponent Q(t) by adaptive quadrature.
-
-    At T = 0 the integrand uses coth -> 1 exactly; the result then matches
-    (eta/2) ln(1 + (omega_c t)^2) to quadrature accuracy.
-    """
-    if t < 0.0:
-        raise DomainError(f"t={t!r} must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    return _dephasing_quadrature_cached(
-        float(t), res.eta, res.omega_c, res.temperature
-    )
-
-
 def _log_sinhc(x: float) -> float:
     # log(sinh(x)/x), stable from 0 through overflow range
     if x < 1e-4:
@@ -247,7 +235,11 @@ def _log_sinhc(x: float) -> float:
 
 
 def _dephasing_zero_temperature(t: float, eta: float, omega_c: float) -> float:
-    return 0.5 * eta * math.log1p((omega_c * t) ** 2)
+    try:
+        return 0.5 * eta * math.log1p((omega_c * t) ** 2)
+    except OverflowError:
+        # (w_c t)^2 > 1.8e308, where log1p(u^2) = 2 ln u to double precision
+        return eta * math.log(omega_c * t)
 
 
 def bath_dephasing_low_temperature(t: float, res: ReservoirConfig) -> float:
@@ -268,31 +260,44 @@ def bath_dephasing_low_temperature(t: float, res: ReservoirConfig) -> float:
     return vacuum + res.eta * _log_sinhc(math.pi * t * res.temperature)
 
 
-def dephasing_exponent(t: float, res: ReservoirConfig, method: str = "auto") -> float:
-    """Q(t) through one of the evaluation routes.
+def phase_exponent(t: float, res: ReservoirConfig) -> float:
+    """Imaginary-phase kernel P(t) = eta * atan(omega_c * t); it does not depend on T."""
+    return res.eta * math.atan(res.omega_c * t)
 
-    "auto" uses the exact closed form at T = 0 and quadrature otherwise;
-    "quadrature" forces quadrature; "low-temperature" uses the T << omega_c
-    closed form.
+
+def dephasing_exponent(t: float, res: ReservoirConfig) -> float:
+    """Dephasing exponent Q(t) in closed form at every temperature.
+
+    At T = 0 it is (eta/2) ln(1 + (omega_c t)^2). Above, the log-Gamma
+    thermal term of the module docstring is added, or, where its two
+    log-Gamma values would cancel, its Taylor series
+    y^2 psi'(1+x) - y^4 psi'''(1+x)/12 with x = T/omega_c and y = T t.
+    Q(inf) = inf.
     """
-    if method not in _Q2_MODES:
-        raise DomainError(f"unknown dephasing method {method!r}; use one of {_Q2_MODES}")
     if t < 0.0:
         raise DomainError(f"t={t!r} must be nonnegative")
     if t == 0.0:
         return 0.0
-    if method == "low-temperature":
-        return bath_dephasing_low_temperature(t, res)
-    if method == "auto" and res.is_zero_temperature:
-        return _dephasing_zero_temperature(t, res.eta, res.omega_c)
-    return bath_dephasing_integral(t, res)
+    vacuum = _dephasing_zero_temperature(t, res.eta, res.omega_c)
+    if res.is_zero_temperature:
+        return vacuum
+    x = res.temperature / res.omega_c
+    y = res.temperature * t
+    if y == math.inf:
+        # loggamma(1 + x + i inf) is nan, but the thermal term diverges
+        return math.inf
+    if y < _SERIES_Y * (1.0 + x):
+        y2 = y * y
+        thermal = y2 * polygamma(1, 1.0 + x) - y2 * y2 * polygamma(3, 1.0 + x) / 12.0
+    else:
+        thermal = 2.0 * (loggamma(1.0 + x) - loggamma(complex(1.0 + x, y)).real)
+    return vacuum + res.eta * float(thermal)
 
 
 def decay_factors(
     t: float,
     qubits: QubitPairConfig,
     res: ReservoirConfig,
-    method: str = "auto",
     large_detuning_limit: bool = False,
 ) -> DecayFactors:
     """Coherence decay factors at time t.
@@ -303,7 +308,7 @@ def decay_factors(
     large_detuning_limit set, both exponents collapse to w_a^2, the exact
     r >> 1 limit in which gamma2 = gamma1.
     """
-    q2 = dephasing_exponent(t, res, method)
+    q2 = dephasing_exponent(t, res)
     if large_detuning_limit:
         a = qubits.omega_a**2
         g = math.exp(-a * q2)

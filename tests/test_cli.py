@@ -1,9 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from xdiscord import (
+    ConvergenceError,
+    DiscordBreakdown,
     DomainError,
     QubitPairConfig,
     ReservoirConfig,
@@ -18,6 +24,15 @@ from xdiscord import (
 
 def run(args):
     return cli.main(list(args))
+
+
+def run_fresh(args):
+    """Run python with args in a new interpreter that imports this xdiscord."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
 
 
 def split_output(text):
@@ -50,7 +65,7 @@ def test_evolve_defaults(tmp_path):
     out = tmp_path / "series.csv"
     assert run(["evolve", "-o", str(out)]) == 0
     comments, header, data = parse_rows(out.read_text())
-    assert len(comments) == 15
+    assert len(comments) == 14
     assert header == list(cli._SERIES_HEADER)
     assert len(data) == 400
     # defaults are stamped at full precision
@@ -138,8 +153,8 @@ def test_config_stamp_round_trip(tmp_path):
     first = tmp_path / "first.csv"
     assert run([
         "evolve", "--c1", "0.3", "--c2", "-0.1", "--c3", "0.2", "--ratio", "2.5",
-        "--eta", "0.7", "--omega-c", "1.3", "-T", "0.05", "--method",
-        "low-temperature", "--t-min", "0.01", "--t-max", "4", "--points", "25",
+        "--eta", "0.7", "--omega-c", "1.3", "-T", "0.05",
+        "--t-min", "0.01", "--t-max", "4", "--points", "25",
         "--spacing", "log", "--large-detuning", "-o", str(first),
     ]) == 0
     stamp = [
@@ -179,6 +194,10 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert run(["evolve", "--config", str(bad)]) == 2
     assert "unknown key" in capsys.readouterr().err
 
+    bad.write_text("method = auto\n")  # stamps of older CSV files carry it
+    assert run(["evolve", "--config", str(bad)]) == 2
+    assert "unknown key 'method'" in capsys.readouterr().err
+
     bad.write_text("c1 = abc\n")
     assert run(["evolve", "--config", str(bad)]) == 2
     assert "not a valid float" in capsys.readouterr().err
@@ -210,6 +229,36 @@ def test_discord_oracle_column(capsys):
     analytic = float(row[header.index("discord")])
     oracle = float(row[header.index("discord_bruteforce")])
     assert oracle == pytest.approx(analytic, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", "--eta", "2", "--omega", "6", "--ratio", "2", "--t-max", "100",
+         "--points", "3"],
+        ["discord", "--time", "inf", "--ratio", "2"],
+    ],
+)
+def test_discord_is_never_negative(args, capsys):
+    # after the critic time with mu = nu = 0, I - C rounds to -1.9e-16
+    assert run(args) == 0
+    _, header, data = parse_rows(capsys.readouterr().out)
+    discord = [float(row[header.index("discord")]) for row in data]
+    assert min(discord) == 0.0
+
+
+@pytest.mark.parametrize("time", ["1e300", "inf"])
+def test_extreme_times_at_finite_temperature(time):
+    # in a subprocess with a timeout, so a kernel that never returns at
+    # t = inf fails the test instead of hanging the suite
+    done = run_fresh(["-m", "xdiscord.cli", "discord", "--time", time, "-T", "0.5",
+                      "--ratio", "2"])
+    assert done.returncode == 0, done.stderr
+    _, header, data = parse_rows(done.stdout)
+    row = data[0]
+    assert float(row[header.index("gamma1")]) == 0.0
+    assert float(row[header.index("gamma2")]) == 0.0
+    assert float(row[header.index("discord")]) >= 0.0
 
 
 def test_critic_time_statuses(capsys):
@@ -314,3 +363,23 @@ def test_root_find_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "critic_time", boom)
     assert run(["critic-time"]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_convergence_error_shows_best_discord(monkeypatch, capsys):
+    best = DiscordBreakdown(0.5, 0.25, 0.25, 0.6, "before-critic")
+
+    def boom(*args, **kwargs):
+        raise ConvergenceError("forced for the exit-code contract", best_so_far=best)
+
+    monkeypatch.setattr(cli, "discord_bruteforce", boom)
+    assert run(["discord", "--oracle"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: forced" in err
+    assert "best discord found 0.25" in err
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate adds about 0.6 s to every start; only the test oracles use it
+    code = "import sys, xdiscord.cli; sys.exit('scipy.integrate' in sys.modules)"
+    done = run_fresh(["-c", code])
+    assert done.returncode == 0, done.stderr

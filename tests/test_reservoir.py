@@ -15,6 +15,7 @@ from xdiscord import (
     bath_phase_integral,
     decay_factors,
     dephasing_exponent,
+    phase_exponent,
     spectral_weight,
 )
 
@@ -69,6 +70,7 @@ def test_phase_integral_matches_arctan():
         got = bath_phase_integral(float(t), res)
         want = 0.7 * math.atan(1.4 * float(t))
         assert got == pytest.approx(want, rel=1e-10)
+        assert phase_exponent(float(t), res) == want
 
 
 def test_phase_integral_edges():
@@ -120,21 +122,36 @@ def test_dephasing_low_temperature_reduces_to_vacuum_at_zero():
     assert bath_dephasing_low_temperature(t, res) == pytest.approx(want, rel=1e-14)
 
 
-def test_dephasing_edges_and_methods():
-    res = ReservoirConfig(1.0, 1.0, 0.0)
-    for method in ("auto", "quadrature", "low-temperature"):
-        assert dephasing_exponent(0.0, res, method) == 0.0
-    with pytest.raises(DomainError):
-        dephasing_exponent(-1.0, res)
-    with pytest.raises(DomainError):
-        dephasing_exponent(1.0, res, "closed-form")
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+def test_kernel_edges(temperature):
+    res = ReservoirConfig(1.0, 1.0, temperature)
+    kernels = (
+        dephasing_exponent, bath_dephasing_integral,
+        bath_dephasing_low_temperature, bath_phase_integral,
+    )
+    for kernel in kernels:
+        assert kernel(0.0, res) == 0.0
+        with pytest.raises(DomainError):
+            kernel(-1.0, res)
+    assert dephasing_exponent(math.inf, res) == math.inf
 
 
-def test_dephasing_auto_uses_exact_form_at_zero_temperature():
+def test_dephasing_exponent_keeps_the_vacuum_expression():
     res = ReservoirConfig(0.6, 2.0, 0.0)
     t = 1.9
-    want = 0.3 * math.log1p((2.0 * t) ** 2)
-    assert dephasing_exponent(t, res, "auto") == pytest.approx(want, rel=1e-15)
+    assert dephasing_exponent(t, res) == 0.5 * 0.6 * math.log1p((2.0 * t) ** 2)
+
+
+@pytest.mark.parametrize("temperature", [0.01, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize("omega_c", [1.0, 3.0])
+def test_dephasing_exponent_matches_quadrature(temperature, omega_c):
+    # from t = 1e-12, where the two log-Gamma values cancel, to the tail
+    res = ReservoirConfig(0.9, omega_c, temperature)
+    for t in np.geomspace(1e-12, 1e3, 61):
+        got = dephasing_exponent(float(t), res)
+        want = bath_dephasing_integral(float(t), res)
+        assert got >= 0.0
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_decay_factors_power_identity(rng):
@@ -178,7 +195,7 @@ def test_decay_factors_validation():
         DecayFactors(gamma1=-0.1, gamma2=0.5)
 
 
-def test_quadrature_results_are_cached_deterministically():
+def test_quadrature_results_are_deterministic():
     res = ReservoirConfig(1.0, 1.0, 0.3)
     a = bath_dephasing_integral(1.234, res)
     b = bath_dephasing_integral(1.234, res)
