@@ -9,7 +9,9 @@ Output contract: a leading `#` comment block with the fully resolved
 configuration, one header row, then comma-separated values with 17
 significant digits and LF line endings. Infinite values are emitted as
 `inf`, invalid surface cells as `nan`. Runs with identical configuration
-produce byte-identical output.
+produce byte-identical output. A run that fails with exit code 3 or 4
+writes only the comment block, which names its inputs, and no header or
+rows.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure
 (quadrature, root finding, grid refinement), 4 domain error during
@@ -19,11 +21,12 @@ computation.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import typing
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from itertools import takewhile
 
 import numpy as np
 
@@ -289,7 +292,7 @@ def cmd_evolve(cfg: RunConfig, args, w: _CsvWriter) -> int:
 
 def cmd_discord(cfg: RunConfig, args, w: _CsvWriter) -> int:
     tau = float(args.time)
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ConfigError(f"--time {tau!r} must be nonnegative")
     _stamp(w, "discord", cfg, extra=(("time", tau), ("oracle", bool(args.oracle))))
     params = cfg.state_params()
@@ -528,6 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(output: str | None, text: str):
+    if output:
+        with open(output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -535,12 +546,17 @@ def main(argv=None) -> int:
         cfg = parse_config(args)
         if args.gnuplot and not cfg.output:
             raise ConfigError("--gnuplot needs --output so the script has a file to read")
-        if cfg.output:
-            sink = open(cfg.output, "w", encoding="utf-8", newline="\n")
-        else:
-            sink = nullcontext(sys.stdout)
-        with sink as stream:
-            code = args.func(cfg, args, _CsvWriter(stream))
+        buffer = io.StringIO()
+        try:
+            code = args.func(cfg, args, _CsvWriter(buffer))
+        except (QuadratureError, RootFindError, ConvergenceError,
+                DomainError, InvalidStateError):
+            # only the stamp, so the inputs are on record but no header
+            # row lets the output pass for an empty result
+            lines = buffer.getvalue().splitlines(keepends=True)
+            _emit(cfg.output, "".join(takewhile(lambda line: line.startswith("#"), lines)))
+            raise
+        _emit(cfg.output, buffer.getvalue())
         if args.gnuplot:
             _write_gnuplot(args.gnuplot, args.command, cfg.output)
         return code

@@ -14,18 +14,21 @@ and the dephasing exponent
 with G the Gamma function (Palma, Suominen & Ekert, Proc. R. Soc. A 452,
 567 (1996)). phase_exponent and dephasing_exponent evaluate these closed
 forms at every temperature; they are the only production route. The
-adaptive quadratures bath_phase_integral and bath_dephasing_integral
-evaluate the integrals themselves and, with the T << w_c form
-bath_dephasing_low_temperature, serve only as oracles for the tests. Units
-have hbar = k_B = 1, so beta = 1/T.
+thermal part ln |G(w)/G(w + i y)|^2 is never formed as a difference of two
+log-Gamma values, which would cancel for small y: the recurrence
+|G(w)/G(w + i y)|^2 = (1 + y^2/w^2) |G(w+1)/G(w+1 + i y)|^2 shifts w to
+at least 12, and Stirling's series (Abramowitz & Stegun 6.1.40) gives the
+rest in terms that each vanish with y. The adaptive quadratures
+bath_phase_integral and bath_dephasing_integral evaluate the integrals
+themselves and, with the T << w_c form bath_dephasing_low_temperature,
+serve only as oracles for the tests. Units have hbar = k_B = 1, so
+beta = 1/T.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import loggamma, polygamma
 
 from .errors import DomainError, InvalidStateError, QuadratureError
 from .states import QubitPairConfig
@@ -41,11 +44,12 @@ _ACCEPT_REL = 1e-9
 # to the weighted (QAWO) rule; the thermal 1/w^2 bulk lives in this region
 _DIRECT_ZEROS = 20
 
-# below y = T t = _SERIES_Y * (1 + T/w_c) the two log-Gamma values in Q
-# cancel to rounding noise, so the thermal term is taken from its Taylor
-# series in y; the cut keeps both routes within 1e-9 relative for T/w_c up
-# to 1e8 (the series converges for y < 1 + T/w_c)
-_SERIES_Y = 3e-3
+# Stirling coefficients B_2k / (2k (2k-1)), k = 1..7, of
+# ln G(z) ~ (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k c_k z^(1-2k); from
+# Re z >= _STIRLING_MIN_W on, the first omitted term is below 5e-17 of the
+# thermal exponent
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_STIRLING_MIN_W = 12.0
 
 
 @dataclass(frozen=True)
@@ -265,14 +269,45 @@ def phase_exponent(t: float, res: ReservoirConfig) -> float:
     return res.eta * math.atan(res.omega_c * t)
 
 
+def _log1p_square(s: float) -> float:
+    # ln(1 + s^2); s^2 overflows above 1.3e154, where ln(1 + s^2) = 2 ln s
+    return math.log1p(s * s) if s < 1e150 else 2.0 * math.log(s)
+
+
+def _thermal_exponent(w: float, y: float) -> float:
+    """ln |G(w)/G(w + i y)|^2 = 2 [ln G(w) - Re ln G(w + i y)] for w >= 1, 0 <= y < inf.
+
+    Each term vanishes with y on its own, so no two large values cancel.
+    """
+    total = 0.0
+    while w < _STIRLING_MIN_W:
+        total += _log1p_square(y / w)
+        w += 1.0
+    # with z = w (1 + i s): Re ln G(z) - ln G(w) = (w - 1/2) ln|1 + i s| - y atan(s)
+    # + sum_k c_k w^(-m) [Re (1 + i s)^(-m) - 1], m = 2k - 1, where
+    # Re (1 + i s)^(-m) - 1 = (r - 1) - 2 sin^2(m theta/2) r, r = |1 + i s|^(-m)
+    s = y / w
+    log_mod = 0.5 * _log1p_square(s)
+    theta = math.atan(s)
+    inner = (w - 0.5) * log_mod - y * theta
+    w_pow = 1.0 / w
+    inv_w2 = w_pow * w_pow
+    for m, c in zip(range(1, 2 * len(_STIRLING), 2), _STIRLING):
+        r_minus_1 = math.expm1(-m * log_mod)
+        h = math.sin(0.5 * m * theta)
+        inner += c * w_pow * (r_minus_1 - 2.0 * h * h * (r_minus_1 + 1.0))
+        w_pow *= inv_w2
+    return total - 2.0 * inner
+
+
 def dephasing_exponent(t: float, res: ReservoirConfig) -> float:
     """Dephasing exponent Q(t) in closed form at every temperature.
 
-    At T = 0 it is (eta/2) ln(1 + (omega_c t)^2). Above, the log-Gamma
-    thermal term of the module docstring is added, or, where its two
-    log-Gamma values would cancel, its Taylor series
-    y^2 psi'(1+x) - y^4 psi'''(1+x)/12 with x = T/omega_c and y = T t.
-    Q(inf) = inf.
+    At T = 0 it is (eta/2) ln(1 + (omega_c t)^2). Above, eta times the
+    thermal term 2 ln G(1+x) - 2 Re ln G(1+x+iy), x = T/omega_c and y = T t,
+    is added. That term is summed as sum_n<N ln(1 + y^2/(1+x+n)^2) plus
+    Stirling's series at 1+x+N >= 12, without a difference of log-Gamma
+    values, to about 1e-15 relative for every y. Q(inf) = inf.
     """
     if t < 0.0:
         raise DomainError(f"t={t!r} must be nonnegative")
@@ -281,17 +316,11 @@ def dephasing_exponent(t: float, res: ReservoirConfig) -> float:
     vacuum = _dephasing_zero_temperature(t, res.eta, res.omega_c)
     if res.is_zero_temperature:
         return vacuum
-    x = res.temperature / res.omega_c
     y = res.temperature * t
     if y == math.inf:
-        # loggamma(1 + x + i inf) is nan, but the thermal term diverges
+        # the thermal series would read inf - inf
         return math.inf
-    if y < _SERIES_Y * (1.0 + x):
-        y2 = y * y
-        thermal = y2 * polygamma(1, 1.0 + x) - y2 * y2 * polygamma(3, 1.0 + x) / 12.0
-    else:
-        thermal = 2.0 * (loggamma(1.0 + x) - loggamma(complex(1.0 + x, y)).real)
-    return vacuum + res.eta * float(thermal)
+    return vacuum + res.eta * _thermal_exponent(1.0 + res.temperature / res.omega_c, y)
 
 
 def decay_factors(
@@ -310,12 +339,14 @@ def decay_factors(
     """
     q2 = dephasing_exponent(t, res)
     if large_detuning_limit:
-        a = qubits.omega_a**2
-        g = math.exp(-a * q2)
+        g = _decay(qubits.omega_a**2, q2)
         return DecayFactors(gamma1=g, gamma2=g)
-    a_sum = (qubits.omega_a + qubits.omega_b) ** 2
-    a_diff = (qubits.omega_a - qubits.omega_b) ** 2
     return DecayFactors(
-        gamma1=math.exp(-a_sum * q2),
-        gamma2=math.exp(-a_diff * q2),
+        gamma1=_decay((qubits.omega_a + qubits.omega_b) ** 2, q2),
+        gamma2=_decay((qubits.omega_a - qubits.omega_b) ** 2, q2),
     )
+
+
+def _decay(a: float, q2: float) -> float:
+    # a zero coefficient keeps the coherence at Q = inf too, where a * Q is nan
+    return 1.0 if a == 0.0 else math.exp(-a * q2)

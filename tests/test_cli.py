@@ -11,6 +11,7 @@ from xdiscord import (
     ConvergenceError,
     DiscordBreakdown,
     DomainError,
+    QuadratureError,
     QubitPairConfig,
     ReservoirConfig,
     RootFindError,
@@ -335,6 +336,24 @@ def test_gnuplot_rejected_for_critic_time(tmp_path, capsys):
     assert "not available" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("temperature", ["0", "0.5"])
+def test_identical_qubits_keep_inner_coherence_at_infinite_time(temperature, capsys):
+    # (w_a - w_b)^2 Q(inf) is 0 * inf; the inner coherence never decays
+    assert run(["discord", "--time", "inf", "-T", temperature]) == 0
+    _, header, data = parse_rows(capsys.readouterr().out)
+    row = data[0]
+    assert float(row[header.index("gamma1")]) == 0.0
+    assert float(row[header.index("gamma2")]) == 1.0
+    assert float(row[header.index("discord")]) >= 0.0
+
+
+def test_time_nan_is_a_configuration_error(capsys):
+    assert run(["discord", "--time", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "--time nan" in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------- failure paths
 
 
@@ -378,8 +397,34 @@ def test_convergence_error_shows_best_discord(monkeypatch, capsys):
     assert "best discord found 0.25" in err
 
 
-def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate adds about 0.6 s to every start; only the test oracles use it
-    code = "import sys, xdiscord.cli; sys.exit('scipy.integrate' in sys.modules)"
+@pytest.mark.parametrize("error, code", [(DomainError, 4), (QuadratureError, 3)])
+def test_failed_run_writes_only_the_stamp(error, code, monkeypatch, tmp_path, capsys):
+    # no header row, so a failed run cannot pass for an empty result
+    def boom(*args, **kwargs):
+        raise error("forced for the exit-code contract")
+
+    monkeypatch.setattr(cli, "decay_factors", boom)
+    out = tmp_path / "series.csv"
+    assert run(["evolve", "--points", "3", "-o", str(out)]) == code
+    comments, rows = split_output(out.read_text())
+    assert stamp_dict(comments)["command"] == "evolve"
+    assert rows == []
+    assert run(["discord", "--time", "1"]) == code
+    comments, rows = split_output(capsys.readouterr().out)
+    assert stamp_dict(comments)["command"] == "discord"
+    assert rows == []
+
+
+def test_import_leaves_quadrature_unloaded(tmp_path):
+    # SciPy adds about 0.4 s to every start; only the test oracles use it,
+    # and a finite-temperature run must not load it either
+    out = tmp_path / "series.csv"
+    code = (
+        "import sys, xdiscord.cli\n"
+        f"code = xdiscord.cli.main(['evolve', '-T', '0.5', '--points', '50', '-o', {str(out)!r}])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "sys.exit(code or (f'loaded {loaded[:5]}' if loaded else 0))\n"
+    )
     done = run_fresh(["-c", code])
     assert done.returncode == 0, done.stderr
+    assert len(out.read_text().splitlines()) == 14 + 1 + 50

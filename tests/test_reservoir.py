@@ -154,6 +154,43 @@ def test_dephasing_exponent_matches_quadrature(temperature, omega_c):
         assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_dephasing_exponent_matches_high_precision_referee(rng):
+    # x = T/w_c over 1e-6..1e8 and y = T t over 1e-12..1e10: the thermal
+    # term spans tiny y, where two log-Gamma values agree to 40 digits, to
+    # y >> x, so the referee works at 90 digits
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 90
+    worst = 0.0
+    for _ in range(300):
+        x = 10.0 ** rng.uniform(-6.0, 8.0)
+        y = 10.0 ** rng.uniform(-12.0, 10.0)
+        eta, omega_c = rng.uniform(0.1, 2.0), 10.0 ** rng.uniform(-1.0, 1.0)
+        res = ReservoirConfig(float(eta), float(omega_c), float(x * omega_c))
+        t = float(y / res.temperature)
+        got = dephasing_exponent(t, res)
+        w = 1 + mp.mpf(res.temperature) / mp.mpf(res.omega_c)
+        yy = mp.mpf(res.temperature) * mp.mpf(t)
+        want = res.eta * (
+            mp.log1p((mp.mpf(res.omega_c) * t) ** 2) / 2
+            + 2 * (mp.loggamma(w) - mp.re(mp.loggamma(mp.mpc(w, yy))))
+        )
+        worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("temperature", [1e-6, 1e-2, 1.0, 1e3, 1e8])
+def test_dephasing_exponent_is_monotone_up_to_huge_times(temperature):
+    res = ReservoirConfig(0.7, 1.0, temperature)
+    times = [float(t) for t in np.geomspace(1e-12, 1e300, 3000)]
+    q = [dephasing_exponent(t, res) for t in times]
+    for t, value in zip(times, q):
+        # the thermal term grows like pi T t and leaves the float range there
+        assert math.isfinite(value) or math.pi * temperature * t > 1.7e308
+        assert value >= 0.0
+    assert all(b >= a for a, b in zip(q, q[1:]))
+
+
 def test_decay_factors_power_identity(rng):
     res = ReservoirConfig(0.8, 1.3, 0.0)
     for _ in range(25):
