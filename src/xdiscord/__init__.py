@@ -9,6 +9,8 @@ measurement minimizer), analysis (critic times, amplification,
 protection), cli (CSV sweeps).
 """
 
+import types
+
 from .analysis import (
     AmplificationIndicator,
     AmplificationReport,
@@ -78,61 +80,8 @@ from .states import (
     xlog2,
 )
 
-__all__ = [
-    "AmplificationIndicator",
-    "AmplificationReport",
-    "AmplificationScan",
-    "BASIS_LABELS",
-    "ConfigError",
-    "ConvergenceError",
-    "CriticTimeResult",
-    "DecayFactors",
-    "DiscordBreakdown",
-    "DomainError",
-    "EvolvedXState",
-    "InvalidStateError",
-    "MeasurementBasis",
-    "ProtectedDiscord",
-    "QuadratureError",
-    "QubitPairConfig",
-    "REGIME_AFTER",
-    "REGIME_BEFORE",
-    "REGIME_NONE",
-    "ReservoirConfig",
-    "RootFindError",
-    "TwoQubitDensity",
-    "XStateParams",
-    "amplification_indicator",
-    "amplification_rate",
-    "assemble_density",
-    "asymptotic_discord_identical",
-    "bath_dephasing_integral",
-    "bath_dephasing_low_temperature",
-    "bath_phase_integral",
-    "classical_correlation",
-    "classical_correlation_value",
-    "critic_time",
-    "critic_time_closed_form_detuned",
-    "critic_time_closed_form_identical",
-    "decay_factors",
-    "dephasing_exponent",
-    "discord_analytic",
-    "discord_bruteforce",
-    "entropy_bits",
-    "evolve_density",
-    "evolve_x_state",
-    "initial_discord_identical",
-    "measurement_spread",
-    "mutual_information",
-    "optimal_measurement_spread",
-    "partial_trace",
-    "phase_exponent",
-    "protected_discord",
-    "scan_amplification_rate",
-    "spectral_weight",
-    "von_neumann_entropy",
-    "x_state_density",
-    "x_state_eigenvalues",
-    "x_state_from_factors",
-    "xlog2",
-]
+# every name imported above, and nothing else
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -21,12 +21,12 @@ computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
 import typing
 from dataclasses import dataclass, fields
-from itertools import takewhile
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     QuadratureError,
     RootFindError,
 )
-from .evolution import assemble_density, x_state_from_factors
+from .evolution import EvolvedXState, assemble_density, x_state_from_factors
 from .reservoir import ReservoirConfig, decay_factors
 from .states import QubitPairConfig, XStateParams
 
@@ -222,14 +222,10 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, str):
-        return v
-    if v is None:
-        return "-"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, (int, str)):
+        return str(v)
     # prints nan, inf and -inf as they are
-    return format(float(v), ".17g")
+    return format(v, ".17g")
 
 
 class _CsvWriter:
@@ -239,8 +235,14 @@ class _CsvWriter:
     def comment(self, text: str):
         self.stream.write(f"# {text}\n")
 
-    def row(self, values):
-        self.stream.write(",".join(_format_value(v) for v in values) + "\n")
+    def table(self, header, formats, rows):
+        """The header line, then each row through one %-format per column.
+
+        '%.17g' prints a float as format(x, '.17g') does, nan, inf and -0
+        included; labels use '%s'.
+        """
+        line = ",".join(formats) + "\n"
+        self.stream.write(",".join(header) + "\n" + "".join([line % row for row in rows]))
 
 
 def _stamp(w: _CsvWriter, command: str, cfg: RunConfig, extra=()):
@@ -265,28 +267,31 @@ _SERIES_HEADER = (
 )
 
 
-def _series_row(cfg: RunConfig, params, qubits, res, tau: float, oracle: bool = False):
-    t = tau / cfg.omega_c
-    f = decay_factors(t, qubits, res, large_detuning_limit=cfg.large_detuning)
-    x = x_state_from_factors(params, t, qubits, f)
-    b = discord_analytic(x)
-    row = [
+_FLOAT = ("%.17g",)
+_SERIES_FORMATS = _FLOAT * 9 + ("%s",)
+
+
+def _series(cfg: RunConfig, tau: np.ndarray):
+    """The evolved state and the table columns at the omega_c t values tau."""
+    qubits = cfg.qubits()
+    # quiet, as float arithmetic is: a huge tau overflows to inf, and identical
+    # qubits at t = inf have delta2 = 0 * inf = nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = tau / cfg.omega_c
+        f = decay_factors(t, qubits, cfg.reservoir(), large_detuning_limit=cfg.large_detuning)
+        x = x_state_from_factors(cfg.state_params(), t, qubits, f)
+        b = discord_analytic(x)
+    columns = [
         tau, f.gamma1, f.gamma2, x.mu, x.nu, b.chi,
         b.mutual_information, b.classical_correlation, b.discord, b.regime,
     ]
-    if oracle:
-        row.append(discord_bruteforce(assemble_density(x)).discord)
-    return row
+    return x, [c.tolist() for c in columns]
 
 
 def cmd_evolve(cfg: RunConfig, args, w: _CsvWriter) -> int:
     _stamp(w, "evolve", cfg)
-    params = cfg.state_params()
-    qubits = cfg.qubits()
-    res = cfg.reservoir()
-    w.row(_SERIES_HEADER)
-    for tau in cfg.time_grid():
-        w.row(_series_row(cfg, params, qubits, res, float(tau)))
+    _, columns = _series(cfg, cfg.time_grid())
+    w.table(_SERIES_HEADER, _SERIES_FORMATS, zip(*columns))
     return 0
 
 
@@ -295,10 +300,14 @@ def cmd_discord(cfg: RunConfig, args, w: _CsvWriter) -> int:
     if not tau >= 0.0:
         raise ConfigError(f"--time {tau!r} must be nonnegative")
     _stamp(w, "discord", cfg, extra=(("time", tau), ("oracle", bool(args.oracle))))
-    params = cfg.state_params()
-    header = _SERIES_HEADER + ("discord_bruteforce",) if args.oracle else _SERIES_HEADER
-    w.row(header)
-    w.row(_series_row(cfg, params, cfg.qubits(), cfg.reservoir(), tau, oracle=args.oracle))
+    x, columns = _series(cfg, np.array([tau]))
+    header, formats = _SERIES_HEADER, _SERIES_FORMATS
+    if args.oracle:
+        point = EvolvedXState(x.mu.item(), x.nu.item(), x.delta1.item(), x.delta2.item(),
+                              x.c3, x.t.item())
+        columns.append([discord_bruteforce(assemble_density(point)).discord])
+        header, formats = header + ("discord_bruteforce",), formats + _FLOAT
+    w.table(header, formats, zip(*columns))
     return 0
 
 
@@ -308,13 +317,13 @@ def cmd_critic_time(cfg: RunConfig, args, w: _CsvWriter) -> int:
         cfg.state_params(), cfg.qubits(), cfg.reservoir(),
         large_detuning_limit=cfg.large_detuning,
     )
-    w.row(("omega_c_tc", "status", "method"))
     if result.never_crosses:
-        w.row((math.nan, "no-crossing", result.method))
+        row = (math.nan, "no-crossing", result.method)
     elif result.is_infinite:
-        w.row((math.inf, "infinite", result.method))
+        row = (math.inf, "infinite", result.method)
     else:
-        w.row((cfg.omega_c * result.tc, "finite", result.method))
+        row = (cfg.omega_c * result.tc, "finite", result.method)
+    w.table(("omega_c_tc", "status", "method"), _FLOAT + ("%s", "%s"), [row])
     return 0
 
 
@@ -335,33 +344,28 @@ def cmd_critic_surface(cfg: RunConfig, args, w: _CsvWriter) -> int:
             raise ConfigError(f"{name}_points={n} must be at least 1")
     if args.coupling_min <= 0.0:
         raise ConfigError("coupling (eta * omega^2) must be positive")
-    extra = (
-        ("coupling_min", args.coupling_min),
-        ("coupling_max", args.coupling_max),
-        ("coupling_points", args.coupling_points),
-        ("fraction_min", args.fraction_min),
-        ("fraction_max", args.fraction_max),
-        ("fraction_points", args.fraction_points),
-    )
+    extra = [(f"{name}_{end}", getattr(args, f"{name}_{end}"))
+             for name in ("coupling", "fraction") for end in ("min", "max", "points")]
     _stamp(w, "critic-surface", cfg, extra=extra)
     couplings = np.linspace(args.coupling_min, args.coupling_max, args.coupling_points)
     fractions = np.linspace(args.fraction_min, args.fraction_max, args.fraction_points)
-    w.row(("eta_omega_sq", "c3_over_c1", "omega_c_tc"))
-    for coupling in couplings:
-        for fraction in fractions:
+    rows = []
+    for coupling in couplings.tolist():
+        for fraction in fractions.tolist():
             try:
                 # only c3/c1 and eta*omega^2 enter; c1 = 1/2 is representative
                 tc = critic_time_closed_form_identical(
                     c1=0.5,
-                    c3=0.5 * float(fraction),
-                    eta=float(coupling),
+                    c3=0.5 * fraction,
+                    eta=coupling,
                     omega=1.0,
                     omega_c=cfg.omega_c,
                 )
                 scaled = cfg.omega_c * tc
             except DomainError:
                 scaled = math.nan
-            w.row((float(coupling), float(fraction), scaled))
+            rows.append((coupling, fraction, scaled))
+    w.table(("eta_omega_sq", "c3_over_c1", "omega_c_tc"), _FLOAT * 3, rows)
     return 0
 
 
@@ -376,16 +380,9 @@ def cmd_amplification(cfg: RunConfig, args, w: _CsvWriter) -> int:
     extra = (("c1_min", lo), ("c1_max", hi), ("c1_step", step))
     _stamp(w, "amplification", cfg, extra=extra)
     scan = scan_amplification_rate(lo, hi, step)
-    w.row(("c1", "initial_discord", "asymptotic_discord", "rate"))
-    for i in range(len(scan.c1)):
-        w.row(
-            (
-                float(scan.c1[i]),
-                float(scan.initial[i]),
-                float(scan.asymptotic[i]),
-                float(scan.rate[i]),
-            )
-        )
+    columns = (scan.c1, scan.initial, scan.asymptotic, scan.rate)
+    w.table(("c1", "initial_discord", "asymptotic_discord", "rate"), _FLOAT * 4,
+            zip(*(c.tolist() for c in columns)))
     w.comment(
         f"rate_max = {_format_value(scan.rate_max)} "
         f"at c1 = {_format_value(scan.c1_at_max)}"
@@ -431,7 +428,9 @@ def _write_gnuplot(path: str, command: str, csv_path: str):
         fh.write(body)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="xdiscord",
         description=(
@@ -551,10 +550,9 @@ def main(argv=None) -> int:
             code = args.func(cfg, args, _CsvWriter(buffer))
         except (QuadratureError, RootFindError, ConvergenceError,
                 DomainError, InvalidStateError):
-            # only the stamp, so the inputs are on record but no header
-            # row lets the output pass for an empty result
-            lines = buffer.getvalue().splitlines(keepends=True)
-            _emit(cfg.output, "".join(takewhile(lambda line: line.startswith("#"), lines)))
+            # tables are written once computed, so this is the stamp alone: the
+            # inputs are on record, but no header row lets it pass for an empty result
+            _emit(cfg.output, buffer.getvalue())
             raise
         _emit(cfg.output, buffer.getvalue())
         if args.gnuplot:

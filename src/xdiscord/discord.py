@@ -23,6 +23,8 @@ from .evolution import EvolvedXState
 from .states import (
     EIGENVALUE_FLOOR,
     TwoQubitDensity,
+    _reject,
+    _where,
     _x_spectrum,
     entropy_bits,
     partial_trace,
@@ -78,31 +80,35 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class DiscordBreakdown:
-    """Mutual information, classical correlation, and their difference."""
+    """Mutual information, classical correlation, and their difference.
+
+    Each field is a float (regime a str), or an array over the time grid t.
+    """
 
     mutual_information: float
     classical_correlation: float
     discord: float
     chi: float
     regime: str
+    t: float | None = None
 
     def __post_init__(self):
-        if abs(self.discord - (self.mutual_information - self.classical_correlation)) > 1e-12:
-            raise InvalidStateError("discord must equal I - C")
-        if not (-1e-10 <= self.classical_correlation <= self.mutual_information + 1e-10):
-            raise InvalidStateError(
-                f"classical correlation {self.classical_correlation!r} outside "
-                f"[0, I={self.mutual_information!r}]"
-            )
+        info, cc, d = self.mutual_information, self.classical_correlation, self.discord
+        _reject(abs(d - (info - cc)) > 1e-12,
+                "discord %r must equal I - C = %r", d, info - cc, t=self.t)
+        _reject(np.logical_not((-1e-10 <= cc) & (cc <= info + 1e-10)),
+                "classical correlation %r outside [0, I=%r]", cc, info, t=self.t)
 
 
 def x_state_eigenvalues(x: EvolvedXState) -> np.ndarray:
-    """Spectrum (1 + c3 -/+ mu)/4, (1 - c3 -/+ nu)/4 of the evolved X matrix."""
+    """Spectrum (1 + c3 -/+ mu)/4, (1 - c3 -/+ nu)/4 of the evolved X matrix.
+
+    Shape (4,) for a state at one time, (4, n) over a grid of n times.
+    """
     lam = np.array(_x_spectrum(x.mu, x.nu, x.c3))
-    if lam.min() < EIGENVALUE_FLOOR:
-        raise InvalidStateError(
-            f"evolved state has negative eigenvalue {lam.min():.6e}"
-        )
+    worst = lam.min(axis=0)
+    _reject(worst < EIGENVALUE_FLOOR, "evolved state has negative eigenvalue %.6e", worst,
+            t=x.t)
     return lam
 
 
@@ -136,22 +142,24 @@ def _measurement_branch(c3, mu, nu, tc_regime: str = "unknown"):
     "before" takes the equatorial branch, "after" the pole branch, and
     "unknown" the larger of the two, labeled by which one wins; ties are
     after-critic, and a vanishing pole means there is no critic time.
+    mu and nu may be arrays over a grid; chi and the labels then are too.
     """
-    pole = abs(c3)
-    equator = 0.5 * (abs(mu) + abs(nu))
-    if tc_regime == "before":
-        return equator, REGIME_BEFORE
-    if tc_regime == "after":
-        return pole, REGIME_AFTER
-    if tc_regime != "unknown":
+    if tc_regime not in ("before", "after", "unknown"):
         raise DomainError(
             f"tc_regime={tc_regime!r}; expected 'before', 'after' or 'unknown'"
         )
-    if pole <= _REGIME_ZERO:
-        regime = REGIME_NONE
+    pole = abs(c3)
+    equator = 0.5 * (abs(mu) + abs(nu))
+    if tc_regime == "unknown":
+        before = equator > pole
     else:
-        regime = REGIME_BEFORE if equator > pole else REGIME_AFTER
-    return max(pole, equator), regime
+        # [()]: a bool for one point, an array over a grid
+        before = np.full(np.shape(equator), tc_regime == "before")[()]
+    if tc_regime == "unknown" and pole <= _REGIME_ZERO:
+        labels = (REGIME_NONE, REGIME_NONE)
+    else:
+        labels = (REGIME_BEFORE, REGIME_AFTER)
+    return _where(before, equator, pole), _where(before, *labels)
 
 
 def optimal_measurement_spread(x: EvolvedXState) -> float:
@@ -162,8 +170,11 @@ def optimal_measurement_spread(x: EvolvedXState) -> float:
 def classical_correlation_value(chi: float) -> float:
     """C at a given optimal spread: sum_n (1 + (-1)^n chi)/2 log2(1 + (-1)^n chi).
 
-    Equals 1 - h2((1 + chi)/2) with h2 the binary entropy.
+    Equals 1 - h2((1 + chi)/2) with h2 the binary entropy. An array of
+    spreads is mapped element by element, so grid and float give the same bits.
     """
+    if isinstance(chi, np.ndarray):
+        return np.array([classical_correlation_value(c) for c in chi.tolist()])
     if chi < 0.0 or chi > 1.0 + 1e-12:
         raise InvalidStateError(f"spread chi={chi!r} outside [0, 1]")
     chi = min(chi, 1.0)
@@ -181,19 +192,21 @@ def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBre
     tc_regime may force the branch ("before" uses the equatorial spread,
     "after" the pole spread); "unknown" takes the larger spread, which is
     the correct minimizing branch at any instant. Ties are labeled
-    after-critic.
+    after-critic. An x over a time grid gives a breakdown of arrays.
     """
     info = mutual_information(x)
     chi, regime = _measurement_branch(x.c3, x.mu, x.nu, tc_regime)
     cc = classical_correlation_value(chi)
+    d = info - cc
     return DiscordBreakdown(
         mutual_information=info,
         classical_correlation=cc,
         # D >= 0 on either measurement branch, so a negative I - C is
         # rounding (-1.9e-16 once mu = nu = 0 on the after-critic branch)
-        discord=max(info - cc, 0.0),
+        discord=_where(d < 0.0, 0.0, d),
         chi=chi,
         regime=regime,
+        t=x.t,
     )
 
 

@@ -35,6 +35,8 @@ from .states import (
     QubitPairConfig,
     TwoQubitDensity,
     XStateParams,
+    _reject,
+    _where,
     _x_form_density,
     _x_spectrum,
 )
@@ -47,7 +49,8 @@ class EvolvedXState:
     mu and nu are the decayed outer and inner antidiagonal amplitudes
     (4 * the matrix entries), delta1/delta2 the accumulated precession
     phases (w_a + w_b) t and (w_a - w_b) t, c3 the frozen population
-    parameter.
+    parameter. t, mu, nu, delta1 and delta2 are floats, or arrays over a
+    time grid.
     """
 
     mu: float
@@ -58,34 +61,37 @@ class EvolvedXState:
     t: float
 
     def __post_init__(self):
-        if self.t < 0.0:
-            raise InvalidStateError(f"t={self.t!r} must be nonnegative")
-        worst = min(_x_spectrum(abs(self.mu), abs(self.nu), self.c3))
-        if worst < EIGENVALUE_FLOOR:
-            raise InvalidStateError(
-                f"(mu, nu, c3)=({self.mu!r}, {self.nu!r}, {self.c3!r}) "
-                f"induce a negative eigenvalue {worst:.6e}"
-            )
+        _reject(self.t < 0.0, "t=%r must be nonnegative", self.t)
+        outer, _, inner, _ = _x_spectrum(abs(self.mu), abs(self.nu), self.c3)
+        # the builtin min of the four, nan cases included: the others are never lower
+        worst = _where(inner < outer, inner, outer)
+        _reject(
+            worst < EIGENVALUE_FLOOR,
+            "(mu, nu, c3)=(%r, %r, %r) induce a negative eigenvalue %.6e",
+            self.mu, self.nu, self.c3, worst, t=self.t,
+        )
 
 
 def evolve_x_state(
     params: XStateParams,
-    t: float,
+    t,
     qubits: QubitPairConfig,
     res: ReservoirConfig,
     large_detuning_limit: bool = False,
 ) -> EvolvedXState:
-    """Fast path for X states: mu = (c1 - c2) gamma1, nu = (c1 + c2) gamma2."""
-    if t < 0.0:
-        raise InvalidStateError(f"t={t!r} must be nonnegative")
+    """Fast path for X states: mu = (c1 - c2) gamma1, nu = (c1 + c2) gamma2.
+
+    t is a float or a 1-D array of times.
+    """
+    _reject(t < 0.0, "t=%r must be nonnegative", t)
     factors = decay_factors(t, qubits, res, large_detuning_limit)
     return x_state_from_factors(params, t, qubits, factors)
 
 
 def x_state_from_factors(
-    params: XStateParams, t: float, qubits: QubitPairConfig, factors: DecayFactors
+    params: XStateParams, t, qubits: QubitPairConfig, factors: DecayFactors
 ) -> EvolvedXState:
-    """X state at time t from decay factors already evaluated at t."""
+    """X state at time t (a float or an array) from decay factors evaluated at t."""
     return EvolvedXState(
         mu=(params.c1 - params.c2) * factors.gamma1,
         nu=(params.c1 + params.c2) * factors.gamma2,

@@ -28,10 +28,12 @@ beta = 1/T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import DomainError, InvalidStateError, QuadratureError
-from .states import QubitPairConfig
+from .states import QubitPairConfig, _reject
 
 # requested per-piece quadrature tolerances; the compound results are
 # checked against the looser acceptance bounds below before returning
@@ -79,25 +81,27 @@ class ReservoirConfig:
         return math.inf if self.temperature == 0.0 else 1.0 / self.temperature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: critic_time builds one per bisection step
 class DecayFactors:
     """Coherence survival factors of the two antidiagonals.
 
     gamma1 damps the outer (double-flip) coherence, gamma2 the inner
     (exchange) coherence. Both lie in [0, 1]; gamma1 <= gamma2 because the
     outer coherence couples to the sum frequency. Exact zero is allowed,
-    it is the underflow of e^{-x} for large exponents.
+    it is the underflow of e^{-x} for large exponents. Each field is a
+    float, or an array over the time grid t.
     """
 
     gamma1: float
     gamma2: float
+    t: float | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma1 <= self.gamma2 <= 1.0):
-            raise InvalidStateError(
-                f"decay factors ({self.gamma1!r}, {self.gamma2!r}) violate "
-                "0 <= gamma1 <= gamma2 <= 1"
-            )
+        g1, g2 = self.gamma1, self.gamma2
+        # the chained test alone is the fast path for floats
+        if not (type(g1) is float and 0.0 <= g1 <= g2 <= 1.0):
+            _reject(np.logical_not((0.0 <= g1) & (g1 <= g2) & (g2 <= 1.0)), "decay factors "
+                    "(%r, %r) violate 0 <= gamma1 <= gamma2 <= 1", g1, g2, t=self.t)
 
 
 def spectral_weight(omega: float, res: ReservoirConfig) -> float:
@@ -238,14 +242,6 @@ def _log_sinhc(x: float) -> float:
     return math.log(math.sinh(x) / x)
 
 
-def _dephasing_zero_temperature(t: float, eta: float, omega_c: float) -> float:
-    try:
-        return 0.5 * eta * math.log1p((omega_c * t) ** 2)
-    except OverflowError:
-        # (w_c t)^2 > 1.8e308, where log1p(u^2) = 2 ln u to double precision
-        return eta * math.log(omega_c * t)
-
-
 def bath_dephasing_low_temperature(t: float, res: ReservoirConfig) -> float:
     """Closed-form Q(t) valid for T << omega_c:
 
@@ -254,12 +250,8 @@ def bath_dephasing_low_temperature(t: float, res: ReservoirConfig) -> float:
     The thermal term goes to zero both as t -> 0 and as T -> 0, so the
     expression degrades gracefully to the exact zero-temperature form.
     """
-    if t < 0.0:
-        raise DomainError(f"t={t!r} must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    vacuum = _dephasing_zero_temperature(t, res.eta, res.omega_c)
-    if res.temperature == 0.0:
+    vacuum = dephasing_exponent(t, replace(res, temperature=0.0))
+    if t == 0.0 or res.temperature == 0.0:
         return vacuum
     return vacuum + res.eta * _log_sinhc(math.pi * t * res.temperature)
 
@@ -313,38 +305,50 @@ def dephasing_exponent(t: float, res: ReservoirConfig) -> float:
         raise DomainError(f"t={t!r} must be nonnegative")
     if t == 0.0:
         return 0.0
-    vacuum = _dephasing_zero_temperature(t, res.eta, res.omega_c)
-    if res.is_zero_temperature:
+    try:
+        vacuum = 0.5 * res.eta * math.log1p((res.omega_c * t) ** 2)
+    except OverflowError:
+        # (w_c t)^2 > 1.8e308, where log1p(u^2) = 2 ln u to double precision
+        vacuum = res.eta * math.log(res.omega_c * t)
+    temperature = res.temperature
+    if temperature == 0.0:
         return vacuum
-    y = res.temperature * t
+    y = temperature * t
     if y == math.inf:
         # the thermal series would read inf - inf
         return math.inf
-    return vacuum + res.eta * _thermal_exponent(1.0 + res.temperature / res.omega_c, y)
+    return vacuum + res.eta * _thermal_exponent(1.0 + temperature / res.omega_c, y)
 
 
 def decay_factors(
-    t: float,
+    t,
     qubits: QubitPairConfig,
     res: ReservoirConfig,
     large_detuning_limit: bool = False,
 ) -> DecayFactors:
-    """Coherence decay factors at time t.
+    """Coherence decay factors at time t, a float or a 1-D array of times.
 
         gamma1 = exp[-(w_a + w_b)^2 Q(t)],  gamma2 = exp[-(w_a - w_b)^2 Q(t)]
 
     so ln(gamma2)/ln(gamma1) = ((r-1)/(r+1))^2 with r = w_a/w_b. With
     large_detuning_limit set, both exponents collapse to w_a^2, the exact
-    r >> 1 limit in which gamma2 = gamma1.
+    r >> 1 limit in which gamma2 = gamma1. An array of times gives arrays
+    of factors, each element computed as for a float.
     """
-    q2 = dephasing_exponent(t, res)
     if large_detuning_limit:
-        g = _decay(qubits.omega_a**2, q2)
-        return DecayFactors(gamma1=g, gamma2=g)
-    return DecayFactors(
-        gamma1=_decay((qubits.omega_a + qubits.omega_b) ** 2, q2),
-        gamma2=_decay((qubits.omega_a - qubits.omega_b) ** 2, q2),
-    )
+        a1 = a2 = qubits.omega_a**2
+    else:
+        a1 = (qubits.omega_a + qubits.omega_b) ** 2
+        a2 = (qubits.omega_a - qubits.omega_b) ** 2
+    if type(t) is np.ndarray:
+        q2 = [dephasing_exponent(v, res) for v in t.tolist()]
+        return DecayFactors(
+            np.array([_decay(a1, q) for q in q2]), np.array([_decay(a2, q) for q in q2]), t
+        )
+    # positional arguments: critic_time's bisection makes this call in a loop
+    q2 = dephasing_exponent(t, res)
+    gamma1 = _decay(a1, q2)
+    return DecayFactors(gamma1, gamma1 if large_detuning_limit else _decay(a2, q2), t)
 
 
 def _decay(a: float, q2: float) -> float:

@@ -47,8 +47,32 @@ def xlog2(x):
 
 
 def entropy_bits(weights) -> float:
-    """Shannon entropy, in bits, of a set of nonnegative weights."""
+    """Shannon entropy, in bits, of nonnegative weights; per column of a 2-D array."""
+    if isinstance(weights, np.ndarray) and weights.ndim == 2:
+        return np.array([entropy_bits(w) for w in weights.T.tolist()])
     return -math.fsum(xlog2(w) for w in weights)
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b) over a grid; a plain `a if cond else b` for one point."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _reject(bad, message: str, *values, t=None):
+    """Raise InvalidStateError if bad, a bool or a bool array over a grid, holds anywhere.
+
+    The message is %-formatted with the values at the first bad point, and
+    names that point's t when t is given.
+    """
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+        return
+    i = int(np.argmax(bad)) if np.ndim(bad) else ()
+
+    def at(v):
+        return np.asarray(v, dtype=float)[i if np.ndim(v) else ()].item()
+
+    where = "" if t is None else f" at t={at(t)!r}"
+    raise InvalidStateError(message % tuple(map(at, values)) + where)
 
 
 def _x_spectrum(mu: float, nu: float, c3: float):
@@ -100,6 +124,11 @@ class QubitPairConfig:
             v = float(getattr(self, name))
             if not math.isfinite(v) or v <= 0.0:
                 raise InvalidStateError(f"{name}={v!r} must be positive")
+        total = self.omega_a + self.omega_b
+        if not math.isfinite(total * total):  # gamma1 = exp(-(w_a + w_b)^2 Q) needs it
+            raise InvalidStateError(
+                f"(omega_a, omega_b)=({self.omega_a!r}, {self.omega_b!r}): "
+                "(omega_a + omega_b)^2 overflows a float")
 
     @property
     def r(self) -> float:

@@ -347,6 +347,34 @@ def test_identical_qubits_keep_inner_coherence_at_infinite_time(temperature, cap
     assert float(row[header.index("discord")]) >= 0.0
 
 
+@pytest.mark.parametrize(
+    "args, shown",
+    [
+        (["discord", "--time", "1", "--omega", "1e200"], "(1e+200, 1e+200)"),
+        (["discord", "--time", "0", "--omega", "1e160", "--ratio", "2"], "(2e+160, 1e+160)"),
+    ],
+)
+def test_overflowing_frequencies_are_configuration_errors(args, shown, capsys):
+    # (omega_a + omega_b)^2 must be a float for gamma1 to exist
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert f"(omega_a, omega_b)={shown}" in captured.err
+    assert captured.out == ""
+
+
+def test_successive_runs_in_one_process_share_no_options(capsys):
+    # the parser is built once per process; each run must still start clean
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["discord", "--oracle"]) == 0
+    assert parse_rows(capsys.readouterr().out)[1][-1] == "discord_bruteforce"
+    assert run(["discord"]) == 0
+    assert parse_rows(capsys.readouterr().out)[1] == list(cli._SERIES_HEADER)
+    assert run(["evolve", "--points", "3"]) == 0
+    assert len(parse_rows(capsys.readouterr().out)[2]) == 3
+    assert run(["evolve"]) == 0
+    assert len(parse_rows(capsys.readouterr().out)[2]) == 400
+
+
 def test_time_nan_is_a_configuration_error(capsys):
     assert run(["discord", "--time", "nan"]) == 2
     captured = capsys.readouterr()

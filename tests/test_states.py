@@ -83,6 +83,14 @@ def test_qubit_pair_config_rejects_nonpositive():
         QubitPairConfig(1.0, -2.0)
 
 
+def test_qubit_pair_config_rejects_overflowing_sum():
+    with pytest.raises(InvalidStateError, match=r"\(1e\+200, 1\.0\)"):
+        QubitPairConfig(1e200, 1.0)
+    with pytest.raises(InvalidStateError):
+        QubitPairConfig.from_ratio(1e160, 2.0)
+    QubitPairConfig(1e150, 1e150)  # (2e150)^2 = 4e300 is still a float
+
+
 def test_x_state_density_entries():
     rho = x_state_density(XStateParams(0.6, 0.2, 0.1)).entries
     assert rho[0, 0] == pytest.approx((1 + 0.1) / 4)
