@@ -47,7 +47,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InvalidStateError,
-    QuadratureError,
     RootFindError,
 )
 from .evolution import (
@@ -60,13 +59,9 @@ from .evolution import (
 from .reservoir import (
     DecayFactors,
     ReservoirConfig,
-    bath_dephasing_integral,
-    bath_dephasing_low_temperature,
-    bath_phase_integral,
     decay_factors,
     dephasing_exponent,
     phase_exponent,
-    spectral_weight,
 )
 from .states import (
     BASIS_LABELS,

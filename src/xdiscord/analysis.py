@@ -121,7 +121,7 @@ def critic_time_closed_form_identical(
     xi = 2.0 * c3 / c1 - 1.0
     if xi == 0.0:
         return math.inf
-    return math.sqrt(xi ** (-1.0 / (2.0 * eta * omega**2)) - 1.0) / omega_c
+    return _crossing_time(xi, -1.0 / (2.0 * eta * omega**2), omega_c)
 
 
 def critic_time_closed_form_detuned(
@@ -137,7 +137,16 @@ def critic_time_closed_form_detuned(
             raise DomainError(f"{name}={v!r} must be positive")
     if not (0.0 < c < 1.0):
         raise DomainError(f"c={c!r} outside (0, 1)")
-    return math.sqrt(c ** (-2.0 / (eta * omega_a**2)) - 1.0) / omega_c
+    return _crossing_time(c, -2.0 / (eta * omega_a**2), omega_c)
+
+
+def _crossing_time(base: float, power: float, omega_c: float) -> float:
+    """(1/w_c) sqrt(base^power - 1), or math.inf where base^power overflows a float."""
+    try:
+        return math.sqrt(base**power - 1.0) / omega_c
+    except OverflowError:
+        # w_c t_c is beyond the float range; inf is the IEEE overflow result
+        return math.inf
 
 
 def _check_family_parameter(c1):

@@ -8,14 +8,14 @@ and discord (single-point queries).
 Output contract: a leading `#` comment block with the fully resolved
 configuration, one header row, then comma-separated values with 17
 significant digits and LF line endings. Infinite values are emitted as
-`inf`, invalid surface cells as `nan`. Runs with identical configuration
+`inf`, invalid surface cells as `nan`; a surface cell whose omega_c t_c
+overflows a float reads `inf`. Runs with identical configuration
 produce byte-identical output. A run that fails with exit code 3 or 4
 writes only the comment block, which names its inputs, and no header or
 rows.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure
-(quadrature, root finding, grid refinement), 4 domain error during
-computation.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (root
+finding, grid refinement), 4 domain error during computation.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InvalidStateError,
-    QuadratureError,
     RootFindError,
 )
 from .evolution import EvolvedXState, assemble_density, x_state_from_factors
@@ -274,9 +273,9 @@ _SERIES_FORMATS = _FLOAT * 9 + ("%s",)
 def _series(cfg: RunConfig, tau: np.ndarray):
     """The evolved state and the table columns at the omega_c t values tau."""
     qubits = cfg.qubits()
-    # quiet, as float arithmetic is: a huge tau overflows to inf, and identical
-    # qubits at t = inf have delta2 = 0 * inf = nan
-    with np.errstate(over="ignore", invalid="ignore"):
+    # quiet, as float arithmetic is: a huge tau / omega_c or (omega_a + omega_b) t
+    # overflows to inf
+    with np.errstate(over="ignore"):
         t = tau / cfg.omega_c
         f = decay_factors(t, qubits, cfg.reservoir(), large_detuning_limit=cfg.large_detuning)
         x = x_state_from_factors(cfg.state_params(), t, qubits, f)
@@ -548,8 +547,7 @@ def main(argv=None) -> int:
         buffer = io.StringIO()
         try:
             code = args.func(cfg, args, _CsvWriter(buffer))
-        except (QuadratureError, RootFindError, ConvergenceError,
-                DomainError, InvalidStateError):
+        except (RootFindError, ConvergenceError, DomainError, InvalidStateError):
             # tables are written once computed, so this is the stamp alone: the
             # inputs are on record, but no header row lets it pass for an empty result
             _emit(cfg.output, buffer.getvalue())
@@ -561,7 +559,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, RootFindError, ConvergenceError) as exc:
+    except (RootFindError, ConvergenceError) as exc:
         best = getattr(exc, "best_so_far", None)
         found = "" if best is None else f"; best discord found {best.discord:.17g}"
         print(f"numeric failure: {exc}{found}", file=sys.stderr)

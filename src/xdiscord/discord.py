@@ -330,7 +330,9 @@ def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown
     breakdown = DiscordBreakdown(
         mutual_information=info,
         classical_correlation=cc,
-        discord=info - cc,
+        # clamped as in discord_analytic: a negative I - C is rounding, -4.4e-16
+        # once the coherences have decayed
+        discord=max(info - cc, 0.0),
         chi=chi,
         regime=regime,
     )

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes, so computational code should
-raise the most specific one that applies rather than bare ValueError.
+raise the most specific one that applies rather than bare ValueError:
+ConfigError exits 2, RootFindError and ConvergenceError exit 3, and
+DomainError and InvalidStateError exit 4.
 """
 
 
@@ -15,10 +17,6 @@ class InvalidStateError(ValueError):
 
 class DomainError(ValueError):
     """Inputs fall outside the validity window of a closed-form expression."""
-
-
-class QuadratureError(RuntimeError):
-    """Numerical integration did not reach the requested tolerance."""
 
 
 class RootFindError(RuntimeError):

@@ -96,10 +96,22 @@ def x_state_from_factors(
         mu=(params.c1 - params.c2) * factors.gamma1,
         nu=(params.c1 + params.c2) * factors.gamma2,
         delta1=(qubits.omega_a + qubits.omega_b) * t,
-        delta2=(qubits.omega_a - qubits.omega_b) * t,
+        delta2=_precession(qubits.omega_a - qubits.omega_b, t),
         c3=params.c3,
         t=t,
     )
+
+
+def _precession(omega: float, t):
+    # a zero frequency keeps a zero phase at t = inf too, where omega * t is nan
+    if omega != 0.0:
+        return omega * t
+    return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
+
+
+def _coherence(amplitude: float, phase: float) -> complex:
+    # a zero amplitude is a zero entry at every phase, where 0 * e^{-i inf} is nan
+    return 0.0 if amplitude == 0.0 else 0.25 * amplitude * cmath.exp(-1j * phase)
 
 
 def assemble_density(x: EvolvedXState) -> TwoQubitDensity:
@@ -109,11 +121,7 @@ def assemble_density(x: EvolvedXState) -> TwoQubitDensity:
     phases: entry (|00>, |11>) is (mu/4) e^{-i delta1} and entry
     (|01>, |10>) is (nu/4) e^{-i delta2}, matching evolve_density.
     """
-    return _x_form_density(
-        x.c3,
-        0.25 * x.mu * cmath.exp(-1j * x.delta1),
-        0.25 * x.nu * cmath.exp(-1j * x.delta2),
-    )
+    return _x_form_density(x.c3, _coherence(x.mu, x.delta1), _coherence(x.nu, x.delta2))
 
 
 def evolve_density(

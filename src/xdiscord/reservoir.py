@@ -18,33 +18,20 @@ thermal part ln |G(w)/G(w + i y)|^2 is never formed as a difference of two
 log-Gamma values, which would cancel for small y: the recurrence
 |G(w)/G(w + i y)|^2 = (1 + y^2/w^2) |G(w+1)/G(w+1 + i y)|^2 shifts w to
 at least 12, and Stirling's series (Abramowitz & Stegun 6.1.40) gives the
-rest in terms that each vanish with y. The adaptive quadratures
-bath_phase_integral and bath_dephasing_integral evaluate the integrals
-themselves and, with the T << w_c form bath_dephasing_low_temperature,
-serve only as oracles for the tests. Units have hbar = k_B = 1, so
-beta = 1/T.
+rest in terms that each vanish with y. The package carries no quadrature:
+the tests integrate both kernels numerically as independent oracles.
+Units have hbar = k_B = 1, so beta = 1/T.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidStateError, QuadratureError
+from .errors import DomainError, InvalidStateError
 from .states import QubitPairConfig, _reject
-
-# requested per-piece quadrature tolerances; the compound results are
-# checked against the looser acceptance bounds below before returning
-_EPSABS = 1e-14
-_EPSREL = 1e-11
-_ACCEPT_ABS = 1e-11
-_ACCEPT_REL = 1e-9
-
-# number of leading half-oscillations integrated directly before switching
-# to the weighted (QAWO) rule; the thermal 1/w^2 bulk lives in this region
-_DIRECT_ZEROS = 20
 
 # Stirling coefficients B_2k / (2k (2k-1)), k = 1..7, of
 # ln G(z) ~ (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k c_k z^(1-2k); from
@@ -102,158 +89,6 @@ class DecayFactors:
         if not (type(g1) is float and 0.0 <= g1 <= g2 <= 1.0):
             _reject(np.logical_not((0.0 <= g1) & (g1 <= g2) & (g2 <= 1.0)), "decay factors "
                     "(%r, %r) violate 0 <= gamma1 <= gamma2 <= 1", g1, g2, t=self.t)
-
-
-def spectral_weight(omega: float, res: ReservoirConfig) -> float:
-    """Effective coupling density eta * omega * exp(-omega/omega_c)."""
-    if omega < 0.0:
-        raise DomainError(f"omega={omega!r} must be nonnegative")
-    return res.eta * omega * math.exp(-omega / res.omega_c)
-
-
-def _coth(x: float) -> float:
-    # x > 0; series below 1e-6 avoids 1/tanh noise, saturation above 20
-    if x > 20.0:
-        return 1.0
-    if x < 1e-6:
-        return 1.0 / x + x / 3.0
-    return 1.0 / math.tanh(x)
-
-
-def _quad_checked(fn, lo, hi, what, **kw):
-    # imported here: only the test oracles integrate, and the import is slow
-    from scipy.integrate import quad
-
-    out = quad(fn, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, full_output=1, **kw)
-    val, err = out[0], out[1]
-    if err > max(_ACCEPT_ABS, abs(val) * _ACCEPT_REL):
-        raise QuadratureError(
-            f"{what}: achieved abs error {err:.3e} on [{lo:.3e}, {hi:.3e}] "
-            f"exceeds tolerance (value {val:.6e})"
-        )
-    return val
-
-
-def _direct_edges(t: float, upper: float, spacing: float):
-    """Chunk edges [0, spacing/t, 2*spacing/t, ...] capped at upper.
-
-    The last edge equals upper only when the chunks reach the cutoff on
-    their own; otherwise the caller owns [last edge, upper] and must treat
-    it with an oscillation-aware rule, never a plain adaptive pass.
-    """
-    edges = [0.0]
-    for k in range(1, _DIRECT_ZEROS + 1):
-        e = k * spacing / t
-        if e >= upper:
-            edges.append(upper)
-            break
-        edges.append(e)
-    return edges
-
-
-def bath_phase_integral(t: float, res: ReservoirConfig) -> float:
-    """Imaginary-phase kernel P(t) by quadrature; an oracle for phase_exponent."""
-    if t < 0.0:
-        raise DomainError(f"t={t!r} must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    eta, omega_c = res.eta, res.omega_c
-
-    def f(w):
-        if w == 0.0:
-            return eta * t
-        return eta / w * math.exp(-w / omega_c) * math.sin(w * t)
-
-    upper = 40.0 * omega_c
-    edges = _direct_edges(t, upper, math.pi)
-    total = math.fsum(
-        _quad_checked(f, lo, hi, "phase integral", limit=200)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    )
-    b1 = edges[-1]
-    if b1 < upper:
-        g = lambda w: eta / w * math.exp(-w / omega_c)
-        total += _quad_checked(
-            g, b1, upper, "phase integral (oscillatory tail)",
-            weight="sin", wvar=t, limit=500,
-        )
-    return total
-
-
-def bath_dephasing_integral(t: float, res: ReservoirConfig) -> float:
-    """Dephasing exponent Q(t) by quadrature; an oracle for dephasing_exponent.
-
-    At T = 0 the integrand uses coth -> 1 exactly; the result then matches
-    (eta/2) ln(1 + (omega_c t)^2) to quadrature accuracy.
-    """
-    if t < 0.0:
-        raise DomainError(f"t={t!r} must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    eta, omega_c, T = res.eta, res.omega_c, res.temperature
-
-    def g(w):
-        c = _coth(w / (2.0 * T)) if T > 0.0 else 1.0
-        return 2.0 * eta / w * math.exp(-w / omega_c) * c
-
-    def f(w):
-        # stable form of g * (1 - cos(w t)); finite limit at w -> 0
-        if w == 0.0:
-            return eta * t * t * T
-        s = math.sin(0.5 * w * t)
-        return g(w) * s * s
-
-    # e^{-W/w_c} tail below 1e-17 of the integrand scale; the thermal factor
-    # coth(W/2T) is within 1e-17 of 1 once W > 40 T as well
-    upper = 40.0 * omega_c + 40.0 * T
-    edges = _direct_edges(t, upper, 2.0 * math.pi)
-    total = math.fsum(
-        _quad_checked(f, lo, hi, "dephasing integral", limit=200)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    )
-    b1 = edges[-1]
-    if b1 < upper:
-        # remainder: g sin^2 = g/2 - (g/2) cos. Geometric breakpoints tame
-        # the 1/w^2 thermal rise of g toward the lower end.
-        pts = []
-        p = 4.0 * b1
-        while p < upper:
-            pts.append(p)
-            p *= 4.0
-        smooth = _quad_checked(
-            g, b1, upper, "dephasing integral (smooth tail)",
-            points=pts or None, limit=300,
-        )
-        osc = _quad_checked(
-            g, b1, upper, "dephasing integral (oscillatory tail)",
-            weight="cos", wvar=t, limit=500,
-        )
-        total += 0.5 * (smooth - osc)
-    return total
-
-
-def _log_sinhc(x: float) -> float:
-    # log(sinh(x)/x), stable from 0 through overflow range
-    if x < 1e-4:
-        x2 = x * x
-        return x2 / 6.0 - x2 * x2 / 180.0
-    if x > 30.0:
-        return x - math.log(2.0 * x) + math.log1p(-math.exp(-2.0 * x))
-    return math.log(math.sinh(x) / x)
-
-
-def bath_dephasing_low_temperature(t: float, res: ReservoirConfig) -> float:
-    """Closed-form Q(t) valid for T << omega_c:
-
-        eta * { (1/2) ln[1 + (w_c t)^2] + ln[ sinh(pi t T) / (pi t T) ] }.
-
-    The thermal term goes to zero both as t -> 0 and as T -> 0, so the
-    expression degrades gracefully to the exact zero-temperature form.
-    """
-    vacuum = dephasing_exponent(t, replace(res, temperature=0.0))
-    if t == 0.0 or res.temperature == 0.0:
-        return vacuum
-    return vacuum + res.eta * _log_sinhc(math.pi * t * res.temperature)
 
 
 def phase_exponent(t: float, res: ReservoirConfig) -> float:

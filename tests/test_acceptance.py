@@ -22,9 +22,6 @@ from xdiscord import (
     amplification_indicator,
     assemble_density,
     asymptotic_discord_identical,
-    bath_dephasing_integral,
-    bath_dephasing_low_temperature,
-    bath_phase_integral,
     classical_correlation_value,
     critic_time,
     critic_time_closed_form_detuned,
@@ -41,6 +38,11 @@ from xdiscord import (
 )
 
 from helpers import sample_slope_params, sample_x_params
+from oracles import (
+    bath_dephasing_integral,
+    bath_dephasing_low_temperature,
+    bath_phase_integral,
+)
 
 
 def _report(capsys, ok: bool, label: str, detail: str):

@@ -146,6 +146,15 @@ def test_closed_form_identical_boundaries():
     assert critic_time_closed_form_identical(0.6, 0.6, 1.0, 1.0, 1.0) == 0.0
 
 
+def test_closed_forms_overflow_to_inf_at_weak_coupling():
+    # omega_c t_c = sqrt(base^power - 1) leaves the float range; inf, not OverflowError
+    assert critic_time_closed_form_identical(0.6, 0.45, 1e-4, 1.0, 1.0) == math.inf
+    assert critic_time_closed_form_detuned(0.5, 1e-3, 1.0, 1.0) == math.inf
+    assert critic_time_closed_form_identical(0.6, 0.45, 1e-3, 1.0, 1.0) == pytest.approx(
+        1.8092513943330656e75, rel=1e-12
+    )
+
+
 def test_closed_form_detuned_monotone_and_domain():
     grid = [0.1, 0.3, 0.5, 0.7, 0.9]
     tcs = [critic_time_closed_form_detuned(c, 1.0, 1.0, 1.0) for c in grid]

@@ -11,7 +11,6 @@ from xdiscord import (
     ConvergenceError,
     DiscordBreakdown,
     DomainError,
-    QuadratureError,
     QubitPairConfig,
     ReservoirConfig,
     RootFindError,
@@ -248,6 +247,26 @@ def test_discord_is_never_negative(args, capsys):
     assert min(discord) == 0.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--ratio", "2"],
+        ["--ratio", "1"],
+        ["--ratio", "1", "-T", "0.5"],
+        ["--ratio", "3", "--large-detuning"],
+        ["--c1", "0.5", "--c3", "0.25"],
+    ],
+)
+def test_oracle_at_infinite_time(args, capsys):
+    # a zero coherence stays zero at every phase, and identical qubits keep
+    # delta2 = 0; either nan would reach the brute-force eigensolver
+    assert run(["discord", "--time", "inf", "--oracle", *args]) == 0
+    _, header, data = parse_rows(capsys.readouterr().out)
+    analytic, oracle = (float(data[0][header.index(k)]) for k in ("discord", "discord_bruteforce"))
+    assert oracle >= 0.0
+    assert oracle == pytest.approx(analytic, abs=1e-12)
+
+
 @pytest.mark.parametrize("time", ["1e300", "inf"])
 def test_extreme_times_at_finite_temperature(time):
     # in a subprocess with a timeout, so a kernel that never returns at
@@ -292,6 +311,16 @@ def test_critic_surface_sentinels(capsys):
     assert cells[0.5] == "inf"      # boundary of the window
     assert float(cells[1.0]) == 0.0
     assert float(cells[0.75]) == pytest.approx(0.6435942529055827, rel=1e-9)
+
+
+def test_critic_surface_weak_coupling_reads_inf(capsys):
+    # at eta omega^2 = 1e-4 and c3/c1 = 3/4, omega_c t_c passes the float range
+    assert run([
+        "critic-surface", "--coupling-min", "1e-4", "--coupling-max", "2e-4",
+        "--coupling-points", "2", "--fraction-points", "3",
+    ]) == 0
+    _, _, data = parse_rows(capsys.readouterr().out)
+    assert [r[2] for r in data] == ["inf", "inf", "0"] * 2
 
 
 def test_amplification_footer(capsys):
@@ -425,7 +454,7 @@ def test_convergence_error_shows_best_discord(monkeypatch, capsys):
     assert "best discord found 0.25" in err
 
 
-@pytest.mark.parametrize("error, code", [(DomainError, 4), (QuadratureError, 3)])
+@pytest.mark.parametrize("error, code", [(DomainError, 4), (ConvergenceError, 3)])
 def test_failed_run_writes_only_the_stamp(error, code, monkeypatch, tmp_path, capsys):
     # no header row, so a failed run cannot pass for an empty result
     def boom(*args, **kwargs):
@@ -443,16 +472,32 @@ def test_failed_run_writes_only_the_stamp(error, code, monkeypatch, tmp_path, ca
     assert rows == []
 
 
-def test_import_leaves_quadrature_unloaded(tmp_path):
-    # SciPy adds about 0.4 s to every start; only the test oracles use it,
-    # and a finite-temperature run must not load it either
-    out = tmp_path / "series.csv"
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", "-T", "0.5", "--points", "50"],
+        ["discord", "--oracle"],
+        ["critic-time", "-T", "0.3"],
+        ["critic-surface"],
+        ["amplification"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_import_leaves_quadrature_unloaded(args, tmp_path):
+    # SciPy adds about 0.4 s to every start and is only a test dependency:
+    # every subcommand must run with it unimportable
+    out = tmp_path / "out.csv"
     code = (
-        "import sys, xdiscord.cli\n"
-        f"code = xdiscord.cli.main(['evolve', '-T', '0.5', '--points', '50', '-o', {str(out)!r}])\n"
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "sys.exit(code or (f'loaded {loaded[:5]}' if loaded else 0))\n"
+        "import sys\n"
+        "class BlockSciPy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockSciPy())\n"
+        "import xdiscord.cli\n"
+        f"sys.exit(xdiscord.cli.main({args + ['-o', str(out)]!r}))\n"
     )
     done = run_fresh(["-c", code])
     assert done.returncode == 0, done.stderr
-    assert len(out.read_text().splitlines()) == 14 + 1 + 50
+    _, header, data = parse_rows(out.read_text())
+    assert header and data

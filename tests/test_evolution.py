@@ -12,7 +12,6 @@ from xdiscord import (
     TwoQubitDensity,
     XStateParams,
     assemble_density,
-    bath_phase_integral,
     decay_factors,
     dephasing_exponent,
     evolve_density,
@@ -21,6 +20,7 @@ from xdiscord import (
 )
 
 from helpers import sample_x_params
+from oracles import bath_phase_integral
 
 RES0 = ReservoirConfig(1.0, 1.0, 0.0)
 

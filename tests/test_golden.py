@@ -1,9 +1,11 @@
 """Byte-exact CSV output for a fixed set of commands.
 
 Each tests/golden/<name>.csv is the `-o` output of the command listed
-under its name below, written by the row-by-row implementation that the
-time-grid pipeline replaced. A changed byte anywhere (a digit, a label,
-the stamp or a line ending) fails the test.
+under its name below. The evolve, discord, critic-surface and
+amplification files were written by the row-by-row implementation that
+the time-grid pipeline replaced; the critic-time files by the bracketing
+root finder, before any other critic-time route existed. A changed byte
+anywhere (a digit, a label, the stamp or a line ending) fails the test.
 """
 
 import math
@@ -38,6 +40,16 @@ GOLDEN = {
     "amplification_subrange": [
         "amplification", "--c1-min", "0.2", "--c1-max", "0.5", "--c1-step", "0.005",
     ],
+    # one critic time per status, from the bracketing root finder
+    "critic_time_finite": ["critic-time", "--ratio", "2"],
+    "critic_time_infinite": ["critic-time", "--c1", "0.5", "--c3", "0.25"],
+    "critic_time_no_crossing": ["critic-time", "--c1", "0.2", "--c3", "0.5"],
+    "critic_time_tie": ["critic-time", "--c1", "0.5", "--c3", "0.5"],
+    "critic_time_large_detuning": [
+        "critic-time", "--large-detuning", "--ratio", "3", "--c1", "1", "--c2", "-0.5",
+        "--c3", "0.5",
+    ],
+    "critic_time_thermal": ["critic-time", "-T", "0.3", "--ratio", "2"],
 }
 
 

@@ -35,11 +35,9 @@ PARAMS = XStateParams(0.6, 0.0, 0.3)
 
 
 def grid_route(params, t, qubits, res, large_detuning):
-    # identical qubits at t = inf have delta2 = 0 * inf = nan, as a float product gives
-    with np.errstate(invalid="ignore"):
-        f = decay_factors(t, qubits, res, large_detuning)
-        x = x_state_from_factors(params, t, qubits, f)
-        return f, x, discord_analytic(x)
+    f = decay_factors(t, qubits, res, large_detuning)
+    x = x_state_from_factors(params, t, qubits, f)
+    return f, x, discord_analytic(x)
 
 
 def cells(f, x, b):

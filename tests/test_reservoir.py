@@ -10,13 +10,15 @@ from xdiscord import (
     InvalidStateError,
     QubitPairConfig,
     ReservoirConfig,
-    bath_dephasing_integral,
-    bath_dephasing_low_temperature,
-    bath_phase_integral,
     decay_factors,
     dephasing_exponent,
     phase_exponent,
-    spectral_weight,
+)
+
+from oracles import (
+    bath_dephasing_integral,
+    bath_dephasing_low_temperature,
+    bath_phase_integral,
 )
 
 
@@ -52,16 +54,6 @@ def test_reservoir_config_beta():
     assert ReservoirConfig(1.0, 1.0, 0.0).beta == math.inf
     assert ReservoirConfig(1.0, 1.0, 0.5).beta == 2.0
     assert ReservoirConfig(1.0, 1.0, 0.0).is_zero_temperature
-
-
-def test_spectral_weight_shape():
-    res = ReservoirConfig(0.9, 1.5, 0.0)
-    peak = spectral_weight(1.5, res)
-    assert peak > spectral_weight(0.5, res)
-    assert peak > spectral_weight(4.0, res)
-    assert spectral_weight(0.0, res) == 0.0
-    with pytest.raises(DomainError):
-        spectral_weight(-1.0, res)
 
 
 def test_phase_integral_matches_arctan():
