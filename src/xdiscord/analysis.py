@@ -21,6 +21,8 @@ from .states import QubitPairConfig, XStateParams, xlog2
 
 # relative bisection tolerance on the critic time
 _BISECT_RTOL = 1e-12
+# the search horizon for the critic time, in omega_c t units
+_HORIZON_TAU = 1e6
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,6 @@ class CriticTimeResult:
     """
 
     tc: object
-    method: str
 
     @property
     def is_infinite(self) -> bool:
@@ -49,7 +50,6 @@ def critic_time(
     qubits: QubitPairConfig,
     res: ReservoirConfig,
     large_detuning_limit: bool = False,
-    t_max: float = None,
 ) -> CriticTimeResult:
     """Solve (|mu(t)| + |nu(t)|)/2 = |c3| by bracketing and bisection.
 
@@ -57,26 +57,30 @@ def critic_time(
     solution structure is decided up front: no crossing when |c3| exceeds
     the initial value, t = 0 on a tie, infinite when the left side never
     descends to |c3| (identical qubits keep the inner coherence alive), and
-    a unique finite root otherwise.
+    a unique finite root otherwise, searched for up to omega_c t = 1e6.
     """
-    if t_max is None:
-        t_max = 1e6 / res.omega_c
+    t_max = _HORIZON_TAU / res.omega_c
     pole = abs(params.c3)
     k_outer = abs(params.c1 - params.c2)
     k_inner = abs(params.c1 + params.c2)
     start = 0.5 * (k_outer + k_inner)
     if pole > start:
-        return CriticTimeResult(tc=None, method="root-find")
+        return CriticTimeResult(tc=None)
     if pole == start:
-        return CriticTimeResult(tc=0.0, method="root-find")
+        return CriticTimeResult(tc=0.0)
     if qubits.identical and not large_detuning_limit:
         floor = 0.5 * k_inner
     else:
         floor = 0.0
     if pole <= floor:
-        return CriticTimeResult(tc=math.inf, method="root-find")
+        return CriticTimeResult(tc=math.inf)
 
     def gap(t):
+        if t == math.inf:
+            raise RootFindError(
+                f"the bracket reached t = inf: at omega_c={res.omega_c!r} the "
+                "bare time passes the float range"
+            )
         f = decay_factors(t, qubits, res, large_detuning_limit)
         return 0.5 * (k_outer * f.gamma1 + k_inner * f.gamma2) - pole
 
@@ -97,7 +101,7 @@ def critic_time(
             lo = mid
         else:
             hi = mid
-    return CriticTimeResult(tc=0.5 * (lo + hi), method="root-find")
+    return CriticTimeResult(tc=0.5 * (lo + hi))
 
 
 def critic_time_closed_form_identical(

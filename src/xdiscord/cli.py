@@ -5,14 +5,23 @@ discord), critic-surface (scaled crossing time over coupling strength and
 c3/c1), amplification (late/initial discord ratio over c1), critic-time
 and discord (single-point queries).
 
+Parameters: RunConfig is the one table of them. Each field is both a
+config-file key and a flag, with its default, type and help text declared
+once; _COMMAND_KEYS names the keys that belong to one subcommand, and the
+rest are shared. A config file accepts the shared keys plus those of the
+subcommand it runs. The time grid keys are shared but flags of evolve only.
+
 Output contract: a leading `#` comment block with the fully resolved
 configuration, one header row, then comma-separated values with 17
 significant digits and LF line endings. Infinite values are emitted as
 `inf`, invalid surface cells as `nan`; a surface cell whose omega_c t_c
 overflows a float reads `inf`. Runs with identical configuration
-produce byte-identical output. A run that fails with exit code 3 or 4
-writes only the comment block, which names its inputs, and no header or
-rows.
+produce byte-identical output, and the comment block minus its
+`command` line, read back with --config, replays the run. In evolve and
+discord, a finite omega_c t whose bare time (omega_c t)/omega_c
+overflows a float is a configuration error. A run that fails with exit
+code 3 or 4 writes only the comment block, which names its inputs, and
+no header or rows.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (root
 finding, grid refinement), 4 domain error during computation.
@@ -26,7 +35,7 @@ import io
 import math
 import sys
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,33 +58,52 @@ from .states import QubitPairConfig, XStateParams
 
 # either give both absolute frequencies, or a reference omega_b plus ratio
 _FREQ_ABSOLUTE = ("omega_a", "omega_b")
-_FREQ_RELATIVE = ("omega", "ratio")
 
 _SPACINGS = ("linear", "log")
+
+
+def _key(default, help, *flags, **argparse_kw):
+    """A RunConfig field: its default, help text, the short aliases of its
+    flag and any further add_argument keywords."""
+    return field(default=default, metadata={"help": help, "flags": flags, "kw": argparse_kw})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run parameters; every field already validated.
 
-    The field defaults are the command-line defaults, and each field's type
-    is the type its config-file value is parsed into.
+    This is the parameter table of the command line. Each field is a
+    config-file key and a flag, --<key> with dashes for underscores; its
+    default is the default of both, and its type is the type a value is
+    parsed into. The fields that _COMMAND_KEYS names belong to one
+    subcommand; all others are shared.
     """
 
-    c1: float = 0.6
-    c2: float = 0.0
-    c3: float = 0.3
-    omega_a: float = 1.0
-    omega_b: float = 1.0
-    eta: float = 1.0
-    omega_c: float = 1.0
-    temperature: float = 0.0
-    t_min: float = 0.0
-    t_max: float = 10.0
-    points: int = 400
-    spacing: str = "linear"
-    large_detuning: bool = False
-    output: str | None = None
+    c1: float = _key(0.6, "initial Bloch tensor c1")
+    c2: float = _key(0.0, "initial Bloch tensor c2")
+    c3: float = _key(0.3, "initial Bloch tensor c3")
+    omega_a: float = _key(1.0, "qubit A level splitting (needs --omega-b)")
+    omega_b: float = _key(1.0, "qubit B level splitting (needs --omega-a)")
+    eta: float = _key(1.0, "Ohmic coupling strength")
+    omega_c: float = _key(1.0, "reservoir cutoff frequency")
+    temperature: float = _key(0.0, "reservoir temperature", "-T")
+    t_min: float = _key(0.0, "grid start in omega_c*t units")
+    t_max: float = _key(10.0, "grid end in omega_c*t units")
+    points: int = _key(400, "grid size")
+    spacing: str = _key("linear", "grid spacing", choices=_SPACINGS)
+    large_detuning: bool = _key(False, "force both decay factors onto the gamma1 exponent")
+    output: str | None = _key(None, "write CSV here instead of stdout", "-o", metavar="FILE")
+    time: float = _key(0.0, "query time in omega_c*t units", "-t")
+    oracle: bool = _key(False, "append a brute-force minimization column")
+    coupling_min: float = _key(0.25, "eta * omega^2 lower edge")
+    coupling_max: float = _key(2.5, "eta * omega^2 upper edge")
+    coupling_points: int = _key(100, "grid size along the coupling axis")
+    fraction_min: float = _key(0.5, "c3/c1 lower edge")
+    fraction_max: float = _key(1.0, "c3/c1 upper edge")
+    fraction_points: int = _key(100, "grid size along the c3/c1 axis")
+    c1_min: float = _key(1e-4, "scan start")
+    c1_max: float = _key(2.0 / 3.0, "scan end")
+    c1_step: float = _key(1e-4, "scan step")
 
     def state_params(self) -> XStateParams:
         return XStateParams(self.c1, self.c2, self.c3)
@@ -93,17 +121,39 @@ class RunConfig:
         return np.geomspace(self.t_min, self.t_max, self.points)
 
 
-# the frequencies are resolved from either style by _resolve_frequencies
-_DEFAULTS = {
-    f.name: f.default for f in fields(RunConfig) if f.name not in _FREQ_ABSOLUTE
+# keys that are no field: _resolve_frequencies turns them into omega_a, omega_b
+_FREQ_RELATIVE = {
+    "omega": _key(1.0, "reference splitting for qubit B"),
+    "ratio": _key(1.0, "frequency ratio omega_a / omega_b", "-r"),
 }
+_KEYS = {**{f.name: f for f in fields(RunConfig)}, **_FREQ_RELATIVE}
 # `str | None` parses as str
 _KEY_TYPES = {
     name: (typing.get_args(hint) or (hint,))[0]
     for name, hint in typing.get_type_hints(RunConfig).items()
 }
 _KEY_TYPES.update(dict.fromkeys(_FREQ_RELATIVE, float))
-_STAMP_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name != "output")
+# the frequencies are resolved from either style by _resolve_frequencies
+_DEFAULTS = {
+    f.name: f.default for f in fields(RunConfig) if f.name not in _FREQ_ABSOLUTE
+}
+
+# the keys each subcommand adds to the shared ones, in stamp order
+_COMMAND_KEYS = {
+    "evolve": (),
+    "discord": ("time", "oracle"),
+    "critic-time": (),
+    "critic-surface": tuple(
+        f"{axis}_{end}" for axis in ("coupling", "fraction") for end in ("min", "max", "points")
+    ),
+    "amplification": ("c1_min", "c1_max", "c1_step"),
+}
+_SHARED_KEYS = tuple(
+    key for key in _KEYS if not any(key in own for own in _COMMAND_KEYS.values())
+)
+# shared keys, and so in every stamp and config file, but flags of evolve only
+_GRID_KEYS = ("t_min", "t_max", "points", "spacing")
+_STAMP_FIELDS = tuple(k for k in _SHARED_KEYS if k not in (*_FREQ_RELATIVE, "output"))
 
 
 def _parse_bool(text: str) -> bool:
@@ -128,8 +178,9 @@ def _convert(key: str, raw: str, where: str):
         ) from None
 
 
-def read_config_file(path: str) -> dict:
-    """Parse a key=value config file; `#` lines and blanks are skipped."""
+def read_config_file(path: str, keys) -> dict:
+    """Parse a key=value config file of the given keys; `#` lines and blanks
+    are skipped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -144,7 +195,7 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, _, raw = text.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _KEY_TYPES:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _convert(key, raw.strip(), f"{path}:{lineno}")
     return values
@@ -166,17 +217,16 @@ def _resolve_frequencies(given: dict) -> tuple:
                 f"(missing {missing})"
             )
         return float(given["omega_a"]), float(given["omega_b"])
-    omega_b = float(given.get("omega", 1.0))
-    ratio = float(given.get("ratio", 1.0))
+    omega_b = float(given.get("omega", _FREQ_RELATIVE["omega"].default))
+    ratio = float(given.get("ratio", _FREQ_RELATIVE["ratio"].default))
     return ratio * omega_b, omega_b
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values, and flags (flags win)."""
-    given = {}
-    if getattr(args, "config", None):
-        given.update(read_config_file(args.config))
-    for key in _KEY_TYPES:
+    keys = _SHARED_KEYS + _COMMAND_KEYS[args.command]
+    given = read_config_file(args.config, keys) if args.config else {}
+    for key in keys:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             given[key] = flag_value
@@ -244,12 +294,10 @@ class _CsvWriter:
         self.stream.write(",".join(header) + "\n" + "".join([line % row for row in rows]))
 
 
-def _stamp(w: _CsvWriter, command: str, cfg: RunConfig, extra=()):
+def _stamp(w: _CsvWriter, command: str, cfg: RunConfig):
     w.comment(f"command = {command}")
-    for name in _STAMP_FIELDS:
+    for name in _STAMP_FIELDS + _COMMAND_KEYS[command]:
         w.comment(f"{name} = {_format_value(getattr(cfg, name))}")
-    for key, value in extra:
-        w.comment(f"{key} = {_format_value(value)}")
 
 
 _SERIES_HEADER = (
@@ -273,10 +321,16 @@ _SERIES_FORMATS = _FLOAT * 9 + ("%s",)
 def _series(cfg: RunConfig, tau: np.ndarray):
     """The evolved state and the table columns at the omega_c t values tau."""
     qubits = cfg.qubits()
-    # quiet, as float arithmetic is: a huge tau / omega_c or (omega_a + omega_b) t
-    # overflows to inf
+    # quiet, as float arithmetic is: a huge (omega_a + omega_b) t overflows to
+    # inf. A finite tau whose t does is refused: every decay factor would read 0
     with np.errstate(over="ignore"):
         t = tau / cfg.omega_c
+        past = np.isinf(t) & np.isfinite(tau)
+        if past.any():
+            raise ConfigError(
+                f"omega_c t={float(tau[past][0])!r} at omega_c={cfg.omega_c!r} "
+                "is a bare time t past the float range"
+            )
         f = decay_factors(t, qubits, cfg.reservoir(), large_detuning_limit=cfg.large_detuning)
         x = x_state_from_factors(cfg.state_params(), t, qubits, f)
         b = discord_analytic(x)
@@ -287,97 +341,83 @@ def _series(cfg: RunConfig, tau: np.ndarray):
     return x, [c.tolist() for c in columns]
 
 
-def cmd_evolve(cfg: RunConfig, args, w: _CsvWriter) -> int:
-    _stamp(w, "evolve", cfg)
+def cmd_evolve(cfg: RunConfig, w: _CsvWriter):
+    """time series of decay factors, correlations and discord"""
     _, columns = _series(cfg, cfg.time_grid())
     w.table(_SERIES_HEADER, _SERIES_FORMATS, zip(*columns))
-    return 0
 
 
-def cmd_discord(cfg: RunConfig, args, w: _CsvWriter) -> int:
-    tau = float(args.time)
-    if not tau >= 0.0:
-        raise ConfigError(f"--time {tau!r} must be nonnegative")
-    _stamp(w, "discord", cfg, extra=(("time", tau), ("oracle", bool(args.oracle))))
-    x, columns = _series(cfg, np.array([tau]))
+def cmd_discord(cfg: RunConfig, w: _CsvWriter):
+    """single-point discord query"""
+    if not cfg.time >= 0.0:
+        raise ConfigError(f"--time {cfg.time!r} must be nonnegative")
+    x, columns = _series(cfg, np.array([cfg.time]))
     header, formats = _SERIES_HEADER, _SERIES_FORMATS
-    if args.oracle:
+    if cfg.oracle:
         point = EvolvedXState(x.mu.item(), x.nu.item(), x.delta1.item(), x.delta2.item(),
                               x.c3, x.t.item())
         columns.append([discord_bruteforce(assemble_density(point)).discord])
         header, formats = header + ("discord_bruteforce",), formats + _FLOAT
     w.table(header, formats, zip(*columns))
-    return 0
 
 
-def cmd_critic_time(cfg: RunConfig, args, w: _CsvWriter) -> int:
-    _stamp(w, "critic-time", cfg)
+def cmd_critic_time(cfg: RunConfig, w: _CsvWriter):
+    """crossing time of the two branches"""
     result = critic_time(
         cfg.state_params(), cfg.qubits(), cfg.reservoir(),
         large_detuning_limit=cfg.large_detuning,
     )
     if result.never_crosses:
-        row = (math.nan, "no-crossing", result.method)
+        row = (math.nan, "no-crossing")
     elif result.is_infinite:
-        row = (math.inf, "infinite", result.method)
+        row = (math.inf, "infinite")
     else:
-        row = (cfg.omega_c * result.tc, "finite", result.method)
-    w.table(("omega_c_tc", "status", "method"), _FLOAT + ("%s", "%s"), [row])
-    return 0
+        row = (cfg.omega_c * result.tc, "finite")
+    w.table(("omega_c_tc", "status", "method"), _FLOAT + ("%s", "%s"), [row + ("root-find",)])
 
 
-def cmd_critic_surface(cfg: RunConfig, args, w: _CsvWriter) -> int:
+def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
+    """scaled critic time over coupling strength and c3/c1"""
     if cfg.temperature != 0.0:
         raise ConfigError("critic-surface is a zero-temperature result; drop T")
     if cfg.omega_a != cfg.omega_b:
         raise ConfigError("critic-surface assumes identical qubits")
     if cfg.c2 != 0.0:
         raise ConfigError("critic-surface assumes c2 = 0")
+    axes = []
     for name in ("coupling", "fraction"):
-        lo = getattr(args, f"{name}_min")
-        hi = getattr(args, f"{name}_max")
-        n = getattr(args, f"{name}_points")
+        lo, hi, n = (getattr(cfg, f"{name}_{end}") for end in ("min", "max", "points"))
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ConfigError(f"bad {name} range [{lo!r}, {hi!r}]")
         if n < 1:
             raise ConfigError(f"{name}_points={n} must be at least 1")
-    if args.coupling_min <= 0.0:
+        axes.append(np.linspace(lo, hi, n).tolist())
+    if cfg.coupling_min <= 0.0:
         raise ConfigError("coupling (eta * omega^2) must be positive")
-    extra = [(f"{name}_{end}", getattr(args, f"{name}_{end}"))
-             for name in ("coupling", "fraction") for end in ("min", "max", "points")]
-    _stamp(w, "critic-surface", cfg, extra=extra)
-    couplings = np.linspace(args.coupling_min, args.coupling_max, args.coupling_points)
-    fractions = np.linspace(args.fraction_min, args.fraction_max, args.fraction_points)
     rows = []
-    for coupling in couplings.tolist():
-        for fraction in fractions.tolist():
+    for coupling in axes[0]:
+        for fraction in axes[1]:
             try:
-                # only c3/c1 and eta*omega^2 enter; c1 = 1/2 is representative
-                tc = critic_time_closed_form_identical(
-                    c1=0.5,
-                    c3=0.5 * fraction,
-                    eta=coupling,
-                    omega=1.0,
-                    omega_c=cfg.omega_c,
+                # only c3/c1 and eta*omega^2 enter; c1 = 1/2 is representative,
+                # and at omega_c = 1 the time is omega_c t_c itself
+                scaled = critic_time_closed_form_identical(
+                    c1=0.5, c3=0.5 * fraction, eta=coupling, omega=1.0, omega_c=1.0
                 )
-                scaled = cfg.omega_c * tc
             except DomainError:
                 scaled = math.nan
             rows.append((coupling, fraction, scaled))
     w.table(("eta_omega_sq", "c3_over_c1", "omega_c_tc"), _FLOAT * 3, rows)
-    return 0
 
 
-def cmd_amplification(cfg: RunConfig, args, w: _CsvWriter) -> int:
-    lo, hi, step = args.c1_min, args.c1_max, args.c1_step
+def cmd_amplification(cfg: RunConfig, w: _CsvWriter):
+    """late/initial discord ratio over the c1 family"""
+    lo, hi, step = cfg.c1_min, cfg.c1_max, cfg.c1_step
     if not (0.0 < lo < hi <= 2.0 / 3.0):
         raise ConfigError(
             f"c1 range ({lo!r}, {hi!r}) must sit inside (0, 2/3]"
         )
     if not (0.0 < step <= hi - lo):
         raise ConfigError(f"c1_step={step!r} out of range")
-    extra = (("c1_min", lo), ("c1_max", hi), ("c1_step", step))
-    _stamp(w, "amplification", cfg, extra=extra)
     scan = scan_amplification_rate(lo, hi, step)
     columns = (scan.c1, scan.initial, scan.asymptotic, scan.rate)
     w.table(("c1", "initial_discord", "asymptotic_discord", "rate"), _FLOAT * 4,
@@ -386,7 +426,6 @@ def cmd_amplification(cfg: RunConfig, args, w: _CsvWriter) -> int:
         f"rate_max = {_format_value(scan.rate_max)} "
         f"at c1 = {_format_value(scan.c1_at_max)}"
     )
-    return 0
 
 
 _GNUPLOT_BODY = {
@@ -438,94 +477,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser):
+    for command, own in _COMMAND_KEYS.items():
+        # looked up by name as the parser is built, so a rebound cmd_* runs
+        func = globals()["cmd_" + command.replace("-", "_")]
+        p = sub.add_parser(command, help=func.__doc__)
         p.add_argument("--config", "-c", metavar="FILE",
                        help="key=value config file; flags override it")
-        p.add_argument("--c1", type=float, help="initial Bloch tensor c1 (default 0.6)")
-        p.add_argument("--c2", type=float, help="initial Bloch tensor c2 (default 0)")
-        p.add_argument("--c3", type=float, help="initial Bloch tensor c3 (default 0.3)")
-        p.add_argument("--omega-a", type=float, dest="omega_a",
-                       help="qubit A level splitting (needs --omega-b)")
-        p.add_argument("--omega-b", type=float, dest="omega_b",
-                       help="qubit B level splitting (needs --omega-a)")
-        p.add_argument("--omega", type=float,
-                       help="reference splitting for qubit B (default 1)")
-        p.add_argument("--ratio", "-r", type=float,
-                       help="frequency ratio omega_a / omega_b (default 1)")
-        p.add_argument("--eta", type=float, help="Ohmic coupling strength (default 1)")
-        p.add_argument("--omega-c", type=float, dest="omega_c",
-                       help="reservoir cutoff frequency (default 1)")
-        p.add_argument("--temperature", "-T", type=float,
-                       help="reservoir temperature (default 0)")
-        p.add_argument("--large-detuning", action="store_const", const=True,
-                       dest="large_detuning",
-                       help="force both decay factors onto the gamma1 exponent")
-        p.add_argument("--output", "-o", metavar="FILE",
-                       help="write CSV here instead of stdout")
+        for key in _SHARED_KEYS + own:
+            if key in _GRID_KEYS and command != "evolve":
+                continue
+            spec = _KEYS[key]
+            shown = "" if spec.default is None else f" (default {spec.default})"
+            kind = _KEY_TYPES[key]
+            # no flag default: parse_config tells a given flag by a value not None
+            how = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
+            p.add_argument("--" + key.replace("_", "-"), *spec.metadata["flags"], dest=key,
+                           help=spec.metadata["help"] + shown, **how, **spec.metadata["kw"])
         p.add_argument("--gnuplot", metavar="FILE",
-                       help="also write a gnuplot script reading the CSV "
-                            "(needs --output)")
-
-    def add_grid(p: argparse.ArgumentParser):
-        p.add_argument("--t-min", type=float, dest="t_min",
-                       help="grid start in omega_c*t units (default 0)")
-        p.add_argument("--t-max", type=float, dest="t_max",
-                       help="grid end in omega_c*t units (default 10)")
-        p.add_argument("--points", type=int, help="grid size (default 400)")
-        p.add_argument("--spacing", choices=_SPACINGS,
-                       help="grid spacing (default linear)")
-
-    p_evolve = sub.add_parser(
-        "evolve", help="time series of decay factors, correlations and discord"
-    )
-    add_common(p_evolve)
-    add_grid(p_evolve)
-    p_evolve.set_defaults(func=cmd_evolve)
-
-    p_discord = sub.add_parser("discord", help="single-point discord query")
-    add_common(p_discord)
-    p_discord.add_argument("--time", "-t", type=float, default=0.0,
-                           help="query time in omega_c*t units (default 0)")
-    p_discord.add_argument("--oracle", action="store_true",
-                           help="append a brute-force minimization column")
-    p_discord.set_defaults(func=cmd_discord)
-
-    p_tc = sub.add_parser("critic-time", help="crossing time of the two branches")
-    add_common(p_tc)
-    p_tc.set_defaults(func=cmd_critic_time)
-
-    p_surface = sub.add_parser(
-        "critic-surface",
-        help="scaled critic time over coupling strength and c3/c1",
-    )
-    add_common(p_surface)
-    p_surface.add_argument("--coupling-min", type=float, default=0.25,
-                           help="eta * omega^2 lower edge (default 0.25)")
-    p_surface.add_argument("--coupling-max", type=float, default=2.5,
-                           help="eta * omega^2 upper edge (default 2.5)")
-    p_surface.add_argument("--coupling-points", type=int, default=100,
-                           help="grid size along the coupling axis (default 100)")
-    p_surface.add_argument("--fraction-min", type=float, default=0.5,
-                           help="c3/c1 lower edge (default 0.5)")
-    p_surface.add_argument("--fraction-max", type=float, default=1.0,
-                           help="c3/c1 upper edge (default 1)")
-    p_surface.add_argument("--fraction-points", type=int, default=100,
-                           help="grid size along the c3/c1 axis (default 100)")
-    p_surface.set_defaults(func=cmd_critic_surface)
-
-    p_amp = sub.add_parser(
-        "amplification", help="late/initial discord ratio over the c1 family"
-    )
-    add_common(p_amp)
-    p_amp.add_argument("--c1-min", type=float, default=1e-4,
-                       help="scan start (default 1e-4)")
-    p_amp.add_argument("--c1-max", type=float, default=2.0 / 3.0,
-                       help="scan end (default 2/3)")
-    p_amp.add_argument("--c1-step", type=float, default=1e-4,
-                       help="scan step (default 1e-4)")
-    p_amp.set_defaults(func=cmd_amplification)
-
+                       help="also write a gnuplot script reading the CSV (needs --output)")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -545,8 +515,10 @@ def main(argv=None) -> int:
         if args.gnuplot and not cfg.output:
             raise ConfigError("--gnuplot needs --output so the script has a file to read")
         buffer = io.StringIO()
+        w = _CsvWriter(buffer)
+        _stamp(w, args.command, cfg)
         try:
-            code = args.func(cfg, args, _CsvWriter(buffer))
+            args.func(cfg, w)
         except (RootFindError, ConvergenceError, DomainError, InvalidStateError):
             # tables are written once computed, so this is the stamp alone: the
             # inputs are on record, but no header row lets it pass for an empty result
@@ -555,7 +527,7 @@ def main(argv=None) -> int:
         _emit(cfg.output, buffer.getvalue())
         if args.gnuplot:
             _write_gnuplot(args.gnuplot, args.command, cfg.output)
-        return code
+        return 0
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,7 +44,6 @@ def test_critic_time_matches_closed_form_identical():
     want = critic_time_closed_form_identical(0.6, 0.4, 1.0, 1.0, 1.0)
     assert want == pytest.approx(math.sqrt(math.sqrt(3.0) - 1.0), rel=1e-15)
     assert got.tc == pytest.approx(want, rel=1e-9)
-    assert got.method == "root-find"
     # the defining equation holds at the root
     f = decay_factors(got.tc, IDENTICAL, RES0)
     assert 0.5 * (0.6 * f.gamma1 + 0.6 * f.gamma2) == pytest.approx(0.4, abs=1e-9)
@@ -107,7 +106,7 @@ def test_critic_time_unreachable_within_horizon():
 
 def test_critic_time_searches_up_to_the_horizon():
     # the doubling bracket passes 2^19 / w_c; a crossing at 7e5 / w_c lies
-    # beyond it but inside the default horizon t_max = 1e6 / w_c
+    # beyond it but inside the horizon omega_c t = 1e6
     params = XStateParams(1.0, -0.5, 0.5)
 
     def eta_crossing_at(omega_c_tc):
@@ -124,8 +123,6 @@ def test_critic_time_searches_up_to_the_horizon():
     late = ReservoirConfig(eta_crossing_at(1.1e6), 1.0, 0.0)
     with pytest.raises(RootFindError):
         critic_time(params, IDENTICAL, late, large_detuning_limit=True)
-    with pytest.raises(RootFindError):
-        critic_time(XStateParams(0.6, 0.0, 0.3), DETUNED, RES0, t_max=0.5)
 
 
 def test_closed_form_identical_domain():

@@ -1,8 +1,10 @@
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,8 @@ from xdiscord import (
     discord_analytic,
     evolve_x_state,
 )
+
+from test_golden import GOLDEN
 
 
 def run(args):
@@ -148,23 +152,31 @@ def test_config_file_merge_and_flag_override(tmp_path):
     assert stamps["large_detuning"] == "true"
 
 
-def test_config_stamp_round_trip(tmp_path):
-    # the stamp of a run, read back as a config file, reproduces the run
-    first = tmp_path / "first.csv"
-    assert run([
+ROUND_TRIP = {
+    "evolve_every_shared_key": [
         "evolve", "--c1", "0.3", "--c2", "-0.1", "--c3", "0.2", "--ratio", "2.5",
         "--eta", "0.7", "--omega-c", "1.3", "-T", "0.05",
         "--t-min", "0.01", "--t-max", "4", "--points", "25",
-        "--spacing", "log", "--large-detuning", "-o", str(first),
-    ]) == 0
-    stamp = [
-        line[2:] for line in first.read_text().splitlines()
-        if line.startswith("# ") and not line.startswith("# command = ")
-    ]
+        "--spacing", "log", "--large-detuning",
+    ],
+    **GOLDEN,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_config_stamp_round_trip(name, tmp_path):
+    # the leading stamp of a run, minus its command, read back as a config
+    # file reproduces the run; the amplification footer is not part of it
+    args = ROUND_TRIP[name]
+    first = tmp_path / "first.csv"
+    assert run(args + ["-o", str(first)]) == 0
+    lines = first.read_text().splitlines()
+    stamp = [line[2:] for line in itertools.takewhile(lambda l: l.startswith("# "), lines)]
+    assert stamp[0] == f"command = {args[0]}"
     cfg = tmp_path / "stamp.cfg"
-    cfg.write_text("\n".join(stamp) + "\n")
+    cfg.write_text("\n".join(stamp[1:]) + "\n")
     again = tmp_path / "again.csv"
-    assert run(["evolve", "--config", str(cfg), "-o", str(again)]) == 0
+    assert run([args[0], "--config", str(cfg), "-o", str(again)]) == 0
     assert again.read_bytes() == first.read_bytes()
 
 
@@ -188,6 +200,22 @@ def test_configuration_errors_exit_2(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMAND_KEYS))
+def test_help_shows_every_default(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        run([command, "--help"])
+    assert done.value.code == 0
+    # one entry per option, from its "  -" line through its wrapped help
+    entries = re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]
+    by_flag = {e.split()[0]: " ".join(e.split()) for e in entries}
+    for name in cli._COMMAND_KEYS[command]:
+        assert "--" + name.replace("_", "-") in by_flag
+    for f in fields(cli.RunConfig):
+        entry = by_flag.get("--" + f.name.replace("_", "-"))
+        if entry is not None and f.default is not None:
+            assert entry.endswith(f"(default {f.default})"), entry
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")
@@ -197,6 +225,10 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     bad.write_text("method = auto\n")  # stamps of older CSV files carry it
     assert run(["evolve", "--config", str(bad)]) == 2
     assert "unknown key 'method'" in capsys.readouterr().err
+
+    bad.write_text("time = 1\n")  # a key of discord, not of evolve
+    assert run(["evolve", "--config", str(bad)]) == 2
+    assert "unknown key 'time'" in capsys.readouterr().err
 
     bad.write_text("c1 = abc\n")
     assert run(["evolve", "--config", str(bad)]) == 2
@@ -409,6 +441,28 @@ def test_time_nan_is_a_configuration_error(capsys):
     captured = capsys.readouterr()
     assert "--time nan" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args, code, shown",
+    [
+        (["discord", "--ratio", "2", "--time", "1", "--omega-c", "1e-320"], 2,
+         "omega_c=1e-320"),
+        (["evolve", "--ratio", "2", "--points", "3", "--t-max", "1e10", "--omega-c", "1e-300"],
+         2, "omega_c=1e-300"),
+        (["critic-time", "--ratio", "2", "--omega-c", "1e-309"], 3, "omega_c=1e-309"),
+        # omega_c t_c does not depend on omega_c
+        (["critic-surface", "--coupling-min", "1", "--coupling-max", "1",
+          "--coupling-points", "1", "--fraction-points", "3", "--omega-c", "1e-320"], 0,
+         "\n1,0.75,0.6435942529055827\n"),
+    ],
+    ids=["discord", "evolve", "critic-time", "critic-surface"],
+)
+def test_tiny_cutoff_answers_or_names_it(args, code, shown, capsys):
+    # tau / omega_c overflows to t = inf, where every decay factor reads 0
+    assert run(args) == code
+    captured = capsys.readouterr()
+    assert shown in (captured.err if code else captured.out)
 
 
 # ------------------------------------------------------------- failure paths
