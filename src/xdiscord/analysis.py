@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .discord import REGIME_AFTER, _measurement_branch, classical_correlation_value
 from .errors import DomainError, RootFindError
 from .evolution import EvolvedXState
 from .reservoir import ReservoirConfig, decay_factors
 from .states import QubitPairConfig, XStateParams, xlog2
+
+if TYPE_CHECKING:  # annotations only: the amplification scan imports NumPy itself
+    import numpy as np
 
 # relative bisection tolerance on the critic time
 _BISECT_RTOL = 1e-12
@@ -97,6 +99,12 @@ def critic_time(
         excess = gap(hi)
     while hi - lo > _BISECT_RTOL * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # subnormal ends hold too few floats between them for the tolerance
+            raise RootFindError(
+                f"the bracket [{lo!r}, {hi!r}] holds no float between its ends: at "
+                f"omega_c={res.omega_c!r} the bare time falls below the float range"
+            )
         if gap(mid) > 0.0:
             lo = mid
         else:
@@ -154,8 +162,8 @@ def _crossing_time(base: float, power: float, omega_c: float) -> float:
 
 
 def _check_family_parameter(c1):
-    # c1 is a float or an array of them; its extremes decide
-    for v in (float(np.min(c1)), float(np.max(c1))):
+    # c1 is a float or a NumPy array of them; its extremes decide
+    for v in (c1,) if isinstance(c1, (float, int)) else (float(c1.min()), float(c1.max())):
         if not (0.0 < v <= 2.0 / 3.0):
             raise DomainError(
                 f"c1={v!r} outside (0, 2/3]; the 2 c3 = c1 family is only a "
@@ -230,7 +238,14 @@ class AmplificationScan:
 def scan_amplification_rate(
     c1_min: float = 1e-4, c1_max: float = 2.0 / 3.0, step: float = 1e-4
 ) -> AmplificationScan:
-    """Dense scan of D(inf)/D(0) with parabolic refinement of the peak."""
+    """Dense scan of D(inf)/D(0) with parabolic refinement of the peak.
+
+    The closed forms cancel for small c1, where both discords are O(c1^2)
+    differences of O(1) terms; a c1 whose D(0) rounds to zero or below, or
+    whose D(inf) rounds below zero, has no rate and is refused.
+    """
+    import numpy as np
+
     if not (0.0 < c1_min < c1_max <= 2.0 / 3.0):
         raise DomainError(
             f"scan range ({c1_min!r}, {c1_max!r}) outside (0, 2/3]"
@@ -239,6 +254,13 @@ def scan_amplification_rate(
     c = np.append(c, c1_max)
     dinf = asymptotic_discord_identical(c)
     d0 = initial_discord_identical(c)
+    bad = (d0 <= 0.0) | (dinf < 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"discord rounds to {float(d0[i])!r} initially and {float(dinf[i])!r} late "
+            f"at c1={float(c[i])!r}; rate undefined"
+        )
     rate = dinf / d0
     i = int(np.argmax(rate))
     best_c, best_rate = float(c[i]), float(rate[i])

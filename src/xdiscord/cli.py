@@ -24,7 +24,12 @@ code 3 or 4 writes only the comment block, which names its inputs, and
 no header or rows.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (root
-finding, grid refinement), 4 domain error during computation.
+finding, grid refinement), 4 domain error during computation. A table of
+more than _MAX_ROWS rows is a configuration error, refused before it is
+built.
+
+Only log-spaced grids, the amplification scan and the brute-force oracle
+load NumPy; every other run computes on Python floats.
 """
 
 from __future__ import annotations
@@ -36,8 +41,6 @@ import math
 import sys
 import typing
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from .analysis import (
     critic_time,
@@ -60,6 +63,10 @@ from .states import QubitPairConfig, XStateParams
 _FREQ_ABSOLUTE = ("omega_a", "omega_b")
 
 _SPACINGS = ("linear", "log")
+
+# the most rows one table may have: an evolve row peaks at about 800 bytes
+# in memory, so 0.8 GB; the largest documented table has 40,000 rows
+_MAX_ROWS = 10**6
 
 
 def _key(default, help, *flags, **argparse_kw):
@@ -114,11 +121,30 @@ class RunConfig:
     def reservoir(self) -> ReservoirConfig:
         return ReservoirConfig(self.eta, self.omega_c, self.temperature)
 
-    def time_grid(self) -> np.ndarray:
+    def time_grid(self) -> list:
         # values of omega_c * t; conversion to bare time happens per row
         if self.spacing == "linear":
-            return np.linspace(self.t_min, self.t_max, self.points)
-        return np.geomspace(self.t_min, self.t_max, self.points)
+            return _linspace(self.t_min, self.t_max, self.points)
+        # math.log10 and 10.0**y round otherwise than NumPy's, so the bits
+        # of np.geomspace need NumPy itself
+        import numpy as np
+
+        return np.geomspace(self.t_min, self.t_max, self.points).tolist()
+
+
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """np.linspace(lo, hi, n).tolist(), bit for bit, in Python floats."""
+    div = n - 1
+    if div <= 0:
+        return [i * (hi - lo) + lo for i in range(n)]
+    step = (hi - lo) / div
+    if step == 0.0:
+        # a subnormal range: scale by i/div first, as NumPy does
+        grid = [i / div * (hi - lo) + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
 
 
 # keys that are no field: _resolve_frequencies turns them into omega_a, omega_b
@@ -202,6 +228,7 @@ def read_config_file(path: str, keys) -> dict:
 
 
 def _resolve_frequencies(given: dict) -> tuple:
+    """(omega_a, omega_b) from either style; a bad pair from omega and ratio names them."""
     has_abs = [k for k in _FREQ_ABSOLUTE if k in given]
     has_rel = [k for k in _FREQ_RELATIVE if k in given]
     if has_abs and has_rel:
@@ -219,6 +246,10 @@ def _resolve_frequencies(given: dict) -> tuple:
         return float(given["omega_a"]), float(given["omega_b"])
     omega_b = float(given.get("omega", _FREQ_RELATIVE["omega"].default))
     ratio = float(given.get("ratio", _FREQ_RELATIVE["ratio"].default))
+    try:
+        QubitPairConfig.from_ratio(omega_b, ratio)
+    except InvalidStateError as exc:
+        raise ConfigError(f"(omega, ratio)=({omega_b!r}, {ratio!r}): {exc}") from None
     return ratio * omega_b, omega_b
 
 
@@ -256,7 +287,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if cfg.points < 2:
         raise ConfigError(f"points={cfg.points} must be at least 2")
     if not (math.isfinite(cfg.t_min) and math.isfinite(cfg.t_max)):
-        raise ConfigError("time bounds must be finite")
+        raise ConfigError(f"t_min={cfg.t_min!r} and t_max={cfg.t_max!r} must be finite")
     if cfg.t_min < 0.0:
         raise ConfigError(f"t_min={cfg.t_min!r} must be nonnegative")
     if cfg.t_max <= cfg.t_min:
@@ -294,6 +325,13 @@ class _CsvWriter:
         self.stream.write(",".join(header) + "\n" + "".join([line % row for row in rows]))
 
 
+def _check_rows(rows: float, keys: str):
+    """Refuse, before it is built, a table of more than _MAX_ROWS rows."""
+    if rows > _MAX_ROWS:
+        raise ConfigError(f"{keys} give a table of {rows:.6g} rows, more than the "
+                          f"{_MAX_ROWS} allowed")
+
+
 def _stamp(w: _CsvWriter, command: str, cfg: RunConfig):
     w.comment(f"command = {command}")
     for name in _STAMP_FIELDS + _COMMAND_KEYS[command]:
@@ -318,31 +356,30 @@ _FLOAT = ("%.17g",)
 _SERIES_FORMATS = _FLOAT * 9 + ("%s",)
 
 
-def _series(cfg: RunConfig, tau: np.ndarray):
+def _series(cfg: RunConfig, tau: list):
     """The evolved state and the table columns at the omega_c t values tau."""
     qubits = cfg.qubits()
-    # quiet, as float arithmetic is: a huge (omega_a + omega_b) t overflows to
-    # inf. A finite tau whose t does is refused: every decay factor would read 0
-    with np.errstate(over="ignore"):
-        t = tau / cfg.omega_c
-        past = np.isinf(t) & np.isfinite(tau)
-        if past.any():
-            raise ConfigError(
-                f"omega_c t={float(tau[past][0])!r} at omega_c={cfg.omega_c!r} "
-                "is a bare time t past the float range"
-            )
-        f = decay_factors(t, qubits, cfg.reservoir(), large_detuning_limit=cfg.large_detuning)
-        x = x_state_from_factors(cfg.state_params(), t, qubits, f)
-        b = discord_analytic(x)
+    omega_c = cfg.omega_c
+    t = [v / omega_c for v in tau]
+    # a finite tau whose bare time overflows is refused: every decay factor would read 0
+    if math.inf in t:
+        for v, tv in zip(tau, t):
+            if tv == math.inf and v != math.inf:
+                raise ConfigError(f"omega_c t={v!r} at omega_c={omega_c!r} is a bare "
+                                  "time t past the float range")
+    f = decay_factors(t, qubits, cfg.reservoir(), large_detuning_limit=cfg.large_detuning)
+    x = x_state_from_factors(cfg.state_params(), t, qubits, f)
+    b = discord_analytic(x)
     columns = [
         tau, f.gamma1, f.gamma2, x.mu, x.nu, b.chi,
         b.mutual_information, b.classical_correlation, b.discord, b.regime,
     ]
-    return x, [c.tolist() for c in columns]
+    return x, columns
 
 
 def cmd_evolve(cfg: RunConfig, w: _CsvWriter):
     """time series of decay factors, correlations and discord"""
+    _check_rows(cfg.points, "points")
     _, columns = _series(cfg, cfg.time_grid())
     w.table(_SERIES_HEADER, _SERIES_FORMATS, zip(*columns))
 
@@ -351,11 +388,10 @@ def cmd_discord(cfg: RunConfig, w: _CsvWriter):
     """single-point discord query"""
     if not cfg.time >= 0.0:
         raise ConfigError(f"--time {cfg.time!r} must be nonnegative")
-    x, columns = _series(cfg, np.array([cfg.time]))
+    x, columns = _series(cfg, [cfg.time])
     header, formats = _SERIES_HEADER, _SERIES_FORMATS
     if cfg.oracle:
-        point = EvolvedXState(x.mu.item(), x.nu.item(), x.delta1.item(), x.delta2.item(),
-                              x.c3, x.t.item())
+        point = EvolvedXState(x.mu[0], x.nu[0], x.delta1[0], x.delta2[0], x.c3, x.t[0])
         columns.append([discord_bruteforce(assemble_density(point)).discord])
         header, formats = header + ("discord_bruteforce",), formats + _FLOAT
     w.table(header, formats, zip(*columns))
@@ -379,21 +415,33 @@ def cmd_critic_time(cfg: RunConfig, w: _CsvWriter):
 def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
     """scaled critic time over coupling strength and c3/c1"""
     if cfg.temperature != 0.0:
-        raise ConfigError("critic-surface is a zero-temperature result; drop T")
+        raise ConfigError(
+            f"temperature={cfg.temperature!r}: critic-surface is a zero-temperature result"
+        )
     if cfg.omega_a != cfg.omega_b:
-        raise ConfigError("critic-surface assumes identical qubits")
+        raise ConfigError(
+            f"critic-surface assumes identical qubits, not omega_a={cfg.omega_a!r} and "
+            f"omega_b={cfg.omega_b!r} (ratio {cfg.omega_a / cfg.omega_b!r})"
+        )
     if cfg.c2 != 0.0:
-        raise ConfigError("critic-surface assumes c2 = 0")
+        raise ConfigError(f"c2={cfg.c2!r}: critic-surface assumes c2 = 0")
     axes = []
     for name in ("coupling", "fraction"):
         lo, hi, n = (getattr(cfg, f"{name}_{end}") for end in ("min", "max", "points"))
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ConfigError(f"bad {name} range [{lo!r}, {hi!r}]")
+            raise ConfigError(
+                f"{name}_min={lo!r} and {name}_max={hi!r} must be finite, "
+                f"{name}_min <= {name}_max"
+            )
         if n < 1:
             raise ConfigError(f"{name}_points={n} must be at least 1")
-        axes.append(np.linspace(lo, hi, n).tolist())
+        axes.append((lo, hi, n))
+    _check_rows(cfg.coupling_points * cfg.fraction_points, "coupling_points * fraction_points")
+    axes = [_linspace(*axis) for axis in axes]
     if cfg.coupling_min <= 0.0:
-        raise ConfigError("coupling (eta * omega^2) must be positive")
+        raise ConfigError(
+            f"coupling_min={cfg.coupling_min!r}: the coupling eta * omega^2 must be positive"
+        )
     rows = []
     for coupling in axes[0]:
         for fraction in axes[1]:
@@ -414,10 +462,12 @@ def cmd_amplification(cfg: RunConfig, w: _CsvWriter):
     lo, hi, step = cfg.c1_min, cfg.c1_max, cfg.c1_step
     if not (0.0 < lo < hi <= 2.0 / 3.0):
         raise ConfigError(
-            f"c1 range ({lo!r}, {hi!r}) must sit inside (0, 2/3]"
+            f"c1_min={lo!r} and c1_max={hi!r} must satisfy 0 < c1_min < c1_max <= 2/3"
         )
     if not (0.0 < step <= hi - lo):
-        raise ConfigError(f"c1_step={step!r} out of range")
+        raise ConfigError(f"c1_step={step!r} out of range (0, c1_max - c1_min]")
+    span = (hi - lo) / step
+    _check_rows(math.floor(span) + 2 if span <= _MAX_ROWS else span, "c1_step")
     scan = scan_amplification_rate(lo, hi, step)
     columns = (scan.c1, scan.initial, scan.asymptotic, scan.rate)
     w.table(("c1", "initial_discord", "asymptotic_discord", "rate"), _FLOAT * 4,

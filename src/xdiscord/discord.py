@@ -6,7 +6,9 @@ the conditional-entropy minimum over one-qubit projective measurements on
 qubit B is attained either at the equatorial angle (spread (|mu|+|nu|)/2)
 or at the pole (spread |c3|), whichever is larger. The brute-force route
 minimizes over an explicit (theta, phi) measurement grid with local
-refinement and serves as the oracle for the analytic one.
+refinement and serves as the oracle for the analytic one. The analytic
+route runs on Python floats, at one time or over a list of times; the
+brute-force route works on dense matrices and imports NumPy when it runs.
 
 All information quantities are in bits.
 """
@@ -15,22 +17,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, InvalidStateError
 from .evolution import EvolvedXState
 from .states import (
-    EIGENVALUE_FLOOR,
     TwoQubitDensity,
+    _each,
     _reject,
-    _where,
     _x_spectrum,
     entropy_bits,
     partial_trace,
     von_neumann_entropy,
     xlog2,
 )
+
+if TYPE_CHECKING:  # annotations only: the dense-matrix routes import NumPy themselves
+    import numpy as np
 
 REGIME_BEFORE = "before-critic"
 REGIME_AFTER = "after-critic"
@@ -61,18 +64,24 @@ class MeasurementBasis:
     phi: float
 
     def parallel_ket(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [math.cos(self.theta), np.exp(1j * self.phi) * math.sin(self.theta)],
             dtype=complex,
         )
 
     def perpendicular_ket(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [np.exp(-1j * self.phi) * math.sin(self.theta), -math.cos(self.theta)],
             dtype=complex,
         )
 
     def projectors(self):
+        import numpy as np
+
         v = self.parallel_ket()
         w = self.perpendicular_ket()
         return np.outer(v, v.conj()), np.outer(w, w.conj())
@@ -82,7 +91,7 @@ class MeasurementBasis:
 class DiscordBreakdown:
     """Mutual information, classical correlation, and their difference.
 
-    Each field is a float (regime a str), or an array over the time grid t.
+    Each field is a float (regime a str), or a list over the time grid t.
     """
 
     mutual_information: float
@@ -93,28 +102,36 @@ class DiscordBreakdown:
     t: float | None = None
 
     def __post_init__(self):
-        info, cc, d = self.mutual_information, self.classical_correlation, self.discord
-        _reject(abs(d - (info - cc)) > 1e-12,
-                "discord %r must equal I - C = %r", d, info - cc, t=self.t)
-        _reject(np.logical_not((-1e-10 <= cc) & (cc <= info + 1e-10)),
-                "classical correlation %r outside [0, I=%r]", cc, info, t=self.t)
+        _reject(_broken_breakdown, "%s", self.mutual_information, self.classical_correlation,
+                self.discord, t=self.t)
 
 
-def x_state_eigenvalues(x: EvolvedXState) -> np.ndarray:
+def _broken_breakdown(info, cc, d):
+    if abs(d - (info - cc)) > 1e-12:
+        return (f"discord {d!r} must equal I - C = {info!r} - {cc!r}",)
+    if not -1e-10 <= cc <= info + 1e-10:
+        return (f"classical correlation {cc!r} outside [0, I={info!r}]",)
+    return None
+
+
+def x_state_eigenvalues(x: EvolvedXState):
     """Spectrum (1 + c3 -/+ mu)/4, (1 - c3 -/+ nu)/4 of the evolved X matrix.
 
-    Shape (4,) for a state at one time, (4, n) over a grid of n times.
+    A 4-tuple for a state at one time, a list of them over a time grid.
+    EvolvedXState has already refused a spectrum below the eigenvalue floor.
     """
-    lam = np.array(_x_spectrum(x.mu, x.nu, x.c3))
-    worst = lam.min(axis=0)
-    _reject(worst < EIGENVALUE_FLOOR, "evolved state has negative eigenvalue %.6e", worst,
-            t=x.t)
-    return lam
+    c3 = x.c3
+    return _each(lambda mu, nu: _x_spectrum(mu, nu, c3), x.mu, x.nu)
+
+
+def _information(mu: float, nu: float, c3: float) -> float:
+    return 2.0 - entropy_bits(_x_spectrum(mu, nu, c3))
 
 
 def mutual_information(x: EvolvedXState) -> float:
     """I = 2 + sum_i lambda_i log2 lambda_i; both marginals are I/2."""
-    return 2.0 - entropy_bits(x_state_eigenvalues(x))
+    c3 = x.c3
+    return _each(lambda mu, nu: _information(mu, nu, c3), x.mu, x.nu)
 
 
 def measurement_spread(basis: MeasurementBasis, x: EvolvedXState) -> float:
@@ -142,7 +159,6 @@ def _measurement_branch(c3, mu, nu, tc_regime: str = "unknown"):
     "before" takes the equatorial branch, "after" the pole branch, and
     "unknown" the larger of the two, labeled by which one wins; ties are
     after-critic, and a vanishing pole means there is no critic time.
-    mu and nu may be arrays over a grid; chi and the labels then are too.
     """
     if tc_regime not in ("before", "after", "unknown"):
         raise DomainError(
@@ -150,31 +166,25 @@ def _measurement_branch(c3, mu, nu, tc_regime: str = "unknown"):
         )
     pole = abs(c3)
     equator = 0.5 * (abs(mu) + abs(nu))
-    if tc_regime == "unknown":
-        before = equator > pole
-    else:
-        # [()]: a bool for one point, an array over a grid
-        before = np.full(np.shape(equator), tc_regime == "before")[()]
+    before = equator > pole if tc_regime == "unknown" else tc_regime == "before"
     if tc_regime == "unknown" and pole <= _REGIME_ZERO:
         labels = (REGIME_NONE, REGIME_NONE)
     else:
         labels = (REGIME_BEFORE, REGIME_AFTER)
-    return _where(before, equator, pole), _where(before, *labels)
+    return (equator, labels[0]) if before else (pole, labels[1])
 
 
 def optimal_measurement_spread(x: EvolvedXState) -> float:
     """chi = max(|c3|, (|mu| + |nu|)/2), the spread at the best basis."""
-    return _measurement_branch(x.c3, x.mu, x.nu)[0]
+    c3 = x.c3
+    return _each(lambda mu, nu: _measurement_branch(c3, mu, nu)[0], x.mu, x.nu)
 
 
 def classical_correlation_value(chi: float) -> float:
     """C at a given optimal spread: sum_n (1 + (-1)^n chi)/2 log2(1 + (-1)^n chi).
 
-    Equals 1 - h2((1 + chi)/2) with h2 the binary entropy. An array of
-    spreads is mapped element by element, so grid and float give the same bits.
+    Equals 1 - h2((1 + chi)/2) with h2 the binary entropy.
     """
-    if isinstance(chi, np.ndarray):
-        return np.array([classical_correlation_value(c) for c in chi.tolist()])
     if chi < 0.0 or chi > 1.0 + 1e-12:
         raise InvalidStateError(f"spread chi={chi!r} outside [0, 1]")
     chi = min(chi, 1.0)
@@ -183,7 +193,7 @@ def classical_correlation_value(chi: float) -> float:
 
 def classical_correlation(x: EvolvedXState) -> float:
     """Classical correlation of the evolved X state under optimal measurement."""
-    return classical_correlation_value(optimal_measurement_spread(x))
+    return _each(classical_correlation_value, optimal_measurement_spread(x))
 
 
 def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBreakdown:
@@ -192,22 +202,23 @@ def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBre
     tc_regime may force the branch ("before" uses the equatorial spread,
     "after" the pole spread); "unknown" takes the larger spread, which is
     the correct minimizing branch at any instant. Ties are labeled
-    after-critic. An x over a time grid gives a breakdown of arrays.
+    after-critic. An x over a time grid gives a breakdown of lists.
     """
-    info = mutual_information(x)
-    chi, regime = _measurement_branch(x.c3, x.mu, x.nu, tc_regime)
-    cc = classical_correlation_value(chi)
-    d = info - cc
-    return DiscordBreakdown(
-        mutual_information=info,
-        classical_correlation=cc,
+    c3 = x.c3
+
+    def point(mu, nu):
+        info = _information(mu, nu, c3)
+        chi, regime = _measurement_branch(c3, mu, nu, tc_regime)
+        cc = classical_correlation_value(chi)
+        d = info - cc
         # D >= 0 on either measurement branch, so a negative I - C is
         # rounding (-1.9e-16 once mu = nu = 0 on the after-critic branch)
-        discord=_where(d < 0.0, 0.0, d),
-        chi=chi,
-        regime=regime,
-        t=x.t,
-    )
+        return info, cc, 0.0 if d < 0.0 else d, chi, regime
+
+    fields = _each(point, x.mu, x.nu)
+    if type(fields) is list:  # one tuple per time: one list per field
+        fields = [list(column) for column in zip(*fields)] or [[]] * 5
+    return DiscordBreakdown(*fields, t=x.t)
 
 
 def _conditional_entropies(r4: np.ndarray, thetas: np.ndarray, phis: np.ndarray):
@@ -216,6 +227,8 @@ def _conditional_entropies(r4: np.ndarray, thetas: np.ndarray, phis: np.ndarray)
     Returns (s_cond, p_par, s_par, p_perp, s_perp) where s_* are the
     normalized conditional entropies.
     """
+    import numpy as np
+
     ct = np.cos(thetas)
     st = np.sin(thetas)
     eph = np.exp(1j * phis)
@@ -260,6 +273,8 @@ def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown
     the two outcome probabilities must both be 1/2 and the two conditional
     entropies equal; this is asserted to 1e-12.
     """
+    import numpy as np
+
     n_theta, n_phi = grid
     if n_theta < _MIN_GRID[0] or n_phi < _MIN_GRID[1]:
         raise DomainError(
@@ -346,6 +361,8 @@ def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown
 
 
 def _conditional_spread(r4: np.ndarray, theta: float, phi: float) -> float:
+    import numpy as np
+
     basis = MeasurementBasis(theta, phi)
     v = basis.parallel_ket()
     block = np.einsum("b,ibjc,c->ij", v.conj(), r4, v)

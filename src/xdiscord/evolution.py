@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
+from operator import mul
 
 from .errors import InvalidStateError
 from .reservoir import (
@@ -35,8 +35,8 @@ from .states import (
     QubitPairConfig,
     TwoQubitDensity,
     XStateParams,
+    _each,
     _reject,
-    _where,
     _x_form_density,
     _x_spectrum,
 )
@@ -49,7 +49,7 @@ class EvolvedXState:
     mu and nu are the decayed outer and inner antidiagonal amplitudes
     (4 * the matrix entries), delta1/delta2 the accumulated precession
     phases (w_a + w_b) t and (w_a - w_b) t, c3 the frozen population
-    parameter. t, mu, nu, delta1 and delta2 are floats, or arrays over a
+    parameter. t, mu, nu, delta1 and delta2 are floats, or lists over a
     time grid.
     """
 
@@ -61,15 +61,31 @@ class EvolvedXState:
     t: float
 
     def __post_init__(self):
-        _reject(self.t < 0.0, "t=%r must be nonnegative", self.t)
-        outer, _, inner, _ = _x_spectrum(abs(self.mu), abs(self.nu), self.c3)
-        # the builtin min of the four, nan cases included: the others are never lower
-        worst = _where(inner < outer, inner, outer)
-        _reject(
-            worst < EIGENVALUE_FLOOR,
-            "(mu, nu, c3)=(%r, %r, %r) induce a negative eigenvalue %.6e",
-            self.mu, self.nu, self.c3, worst, t=self.t,
-        )
+        # a nan t passes, as t < 0 is false; min() skips every nan but a first
+        # one, which fails the screen and leaves the points to _negative_time
+        _reject(_negative_time, "t=%r must be nonnegative", self.t,
+                fine=lambda t: min(t, default=0.0) >= 0.0)
+        c3 = self.c3
+
+        def negative_eigenvalue(mu, nu):
+            outer, _, inner, _ = _x_spectrum(abs(mu), abs(nu), c3)
+            # the builtin min of the four, nan cases included: the others are never lower
+            worst = inner if inner < outer else outer
+            return (mu, nu, c3, worst) if worst < EIGENVALUE_FLOOR else None
+
+        def fine(mu, nu):
+            # both eigenvalues fall as |mu|, |nu| grow, so the largest of each decide
+            outer, _, inner, _ = _x_spectrum(max(map(abs, mu), default=0.0),
+                                             max(map(abs, nu), default=0.0), c3)
+            return outer >= EIGENVALUE_FLOOR and inner >= EIGENVALUE_FLOOR
+
+        _reject(negative_eigenvalue,
+                "(mu, nu, c3)=(%r, %r, %r) induce a negative eigenvalue %.6e",
+                self.mu, self.nu, t=self.t, fine=fine)
+
+
+def _negative_time(t):
+    return (t,) if t < 0.0 else None
 
 
 def evolve_x_state(
@@ -81,9 +97,9 @@ def evolve_x_state(
 ) -> EvolvedXState:
     """Fast path for X states: mu = (c1 - c2) gamma1, nu = (c1 + c2) gamma2.
 
-    t is a float or a 1-D array of times.
+    t is a float or a list of times.
     """
-    _reject(t < 0.0, "t=%r must be nonnegative", t)
+    _reject(_negative_time, "t=%r must be nonnegative", t)
     factors = decay_factors(t, qubits, res, large_detuning_limit)
     return x_state_from_factors(params, t, qubits, factors)
 
@@ -91,22 +107,18 @@ def evolve_x_state(
 def x_state_from_factors(
     params: XStateParams, t, qubits: QubitPairConfig, factors: DecayFactors
 ) -> EvolvedXState:
-    """X state at time t (a float or an array) from decay factors evaluated at t."""
+    """X state at time t (a float or a list) from decay factors evaluated at t."""
+    outer, inner = params.c1 - params.c2, params.c1 + params.c2
+    w_sum, w_diff = qubits.omega_a + qubits.omega_b, qubits.omega_a - qubits.omega_b
     return EvolvedXState(
-        mu=(params.c1 - params.c2) * factors.gamma1,
-        nu=(params.c1 + params.c2) * factors.gamma2,
-        delta1=(qubits.omega_a + qubits.omega_b) * t,
-        delta2=_precession(qubits.omega_a - qubits.omega_b, t),
+        mu=_each(partial(mul, outer), factors.gamma1),
+        nu=_each(partial(mul, inner), factors.gamma2),
+        delta1=_each(partial(mul, w_sum), t),
+        # a zero frequency keeps a zero phase at t = inf too, where 0 * inf is nan
+        delta2=_each(partial(mul, w_diff) if w_diff != 0.0 else lambda v: 0.0, t),
         c3=params.c3,
         t=t,
     )
-
-
-def _precession(omega: float, t):
-    # a zero frequency keeps a zero phase at t = inf too, where omega * t is nan
-    if omega != 0.0:
-        return omega * t
-    return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
 
 
 def _coherence(amplitude: float, phase: float) -> complex:
@@ -139,6 +151,8 @@ def evolve_density(
     degeneracy would otherwise freeze; the limit mode is only meaningful
     for the X antidiagonals.
     """
+    import numpy as np
+
     if t < 0.0:
         raise InvalidStateError(f"t={t!r} must be nonnegative")
     s = 0.5 * (qubits.omega_a + qubits.omega_b)

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import le
 
 from .errors import DomainError, InvalidStateError
 from .states import QubitPairConfig, _reject
@@ -76,7 +75,7 @@ class DecayFactors:
     (exchange) coherence. Both lie in [0, 1]; gamma1 <= gamma2 because the
     outer coherence couples to the sum frequency. Exact zero is allowed,
     it is the underflow of e^{-x} for large exponents. Each field is a
-    float, or an array over the time grid t.
+    float, or a list over the time grid t.
     """
 
     gamma1: float
@@ -87,8 +86,15 @@ class DecayFactors:
         g1, g2 = self.gamma1, self.gamma2
         # the chained test alone is the fast path for floats
         if not (type(g1) is float and 0.0 <= g1 <= g2 <= 1.0):
-            _reject(np.logical_not((0.0 <= g1) & (g1 <= g2) & (g2 <= 1.0)), "decay factors "
-                    "(%r, %r) violate 0 <= gamma1 <= gamma2 <= 1", g1, g2, t=self.t)
+            _reject(lambda g1, g2: None if 0.0 <= g1 <= g2 <= 1.0 else (g1, g2),
+                    "decay factors (%r, %r) violate 0 <= gamma1 <= gamma2 <= 1", g1, g2,
+                    t=self.t, fine=_ordered)
+
+
+def _ordered(g1: list, g2: list) -> bool:
+    # a nan fails le, and min() and max() see every point where le holds throughout
+    return (all(map(le, g1, g2)) and min(g1, default=0.0) >= 0.0
+            and max(g2, default=1.0) <= 1.0)
 
 
 def phase_exponent(t: float, res: ReservoirConfig) -> float:
@@ -161,25 +167,23 @@ def decay_factors(
     res: ReservoirConfig,
     large_detuning_limit: bool = False,
 ) -> DecayFactors:
-    """Coherence decay factors at time t, a float or a 1-D array of times.
+    """Coherence decay factors at time t, a float or a list of times.
 
         gamma1 = exp[-(w_a + w_b)^2 Q(t)],  gamma2 = exp[-(w_a - w_b)^2 Q(t)]
 
     so ln(gamma2)/ln(gamma1) = ((r-1)/(r+1))^2 with r = w_a/w_b. With
     large_detuning_limit set, both exponents collapse to w_a^2, the exact
-    r >> 1 limit in which gamma2 = gamma1. An array of times gives arrays
-    of factors, each element computed as for a float.
+    r >> 1 limit in which gamma2 = gamma1. A list of times gives lists of
+    factors, each element computed as for a float.
     """
     if large_detuning_limit:
         a1 = a2 = qubits.omega_a**2
     else:
         a1 = (qubits.omega_a + qubits.omega_b) ** 2
         a2 = (qubits.omega_a - qubits.omega_b) ** 2
-    if type(t) is np.ndarray:
-        q2 = [dephasing_exponent(v, res) for v in t.tolist()]
-        return DecayFactors(
-            np.array([_decay(a1, q) for q in q2]), np.array([_decay(a2, q) for q in q2]), t
-        )
+    if type(t) is list:
+        q2 = [dephasing_exponent(v, res) for v in t]
+        return DecayFactors([_decay(a1, q) for q in q2], [_decay(a2, q) for q in q2], t)
     # positional arguments: critic_time's bisection makes this call in a loop
     q2 = dephasing_exponent(t, res)
     gamma1 = _decay(a1, q2)

@@ -4,16 +4,23 @@ Matrices live in the product basis |00>, |01>, |10>, |11>, where the first
 label belongs to qubit A and the second to qubit B. Label 0 is the upper
 level, so the bare energy of |l_A l_B> is ((-1)^l_A w_A + (-1)^l_B w_B)/2.
 Entropies are in bits (log base 2) throughout.
+
+The X-state pipeline runs on Python floats: a quantity at one time is a
+float, over a time grid a list of floats, one per time. Only the dense
+matrices (TwoQubitDensity and what works on it) need NumPy, and import it
+where they use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidStateError
+
+if TYPE_CHECKING:  # annotations only: the dense-matrix routes import NumPy themselves
+    import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -25,13 +32,17 @@ BASIS_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def xlog2(x):
-    """x * log2(x) with the 0 * log(0) = 0 convention, for a float or an array.
+    """x * log2(x) with the 0 * log(0) = 0 convention, for a float or a NumPy array.
 
     Small negative inputs (roundoff from eigensolvers) are clipped to zero;
     anything below EIGENVALUE_FLOOR raises. Floats go through math.log2,
-    ndarrays elementwise through np.log2.
+    arrays (the amplification scan, the brute-force oracle) elementwise
+    through np.log2.
     """
-    if isinstance(x, np.ndarray):
+    # type() is the fast path for floats; isinstance admits np.float64 and ints
+    if type(x) is not float and not isinstance(x, (float, int)):
+        import numpy as np
+
         bad = x < EIGENVALUE_FLOOR
         if bad.any():
             raise InvalidStateError(
@@ -47,32 +58,40 @@ def xlog2(x):
 
 
 def entropy_bits(weights) -> float:
-    """Shannon entropy, in bits, of nonnegative weights; per column of a 2-D array."""
-    if isinstance(weights, np.ndarray) and weights.ndim == 2:
-        return np.array([entropy_bits(w) for w in weights.T.tolist()])
-    return -math.fsum(xlog2(w) for w in weights)
+    """Shannon entropy, in bits, of nonnegative weights."""
+    return -math.fsum(map(xlog2, weights))
 
 
-def _where(cond, a, b):
-    """np.where(cond, a, b) over a grid; a plain `a if cond else b` for one point."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+def _each(f, *columns):
+    """f at every point: called once on floats, mapped over lists of one
+    length, which hold a time grid point by point."""
+    return list(map(f, *columns)) if type(columns[0]) is list else f(*columns)
 
 
-def _reject(bad, message: str, *values, t=None):
-    """Raise InvalidStateError if bad, a bool or a bool array over a grid, holds anywhere.
+def _reject(find, message: str, *columns, t=None, fine=None):
+    """Raise InvalidStateError at the first point where find(*point) is not None.
 
-    The message is %-formatted with the values at the first bad point, and
-    names that point's t when t is given.
+    columns are floats, or lists over a time grid t. find returns None at a
+    good point and the values the message is %-formatted with at a bad one;
+    the message names that point's t when t is given. Over a grid,
+    fine(*columns) may vouch for every point at once, from extremes the
+    builtins find without a call per point; find then runs only where it
+    does not.
     """
-    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
-        return
-    i = int(np.argmax(bad)) if np.ndim(bad) else ()
-
-    def at(v):
-        return np.asarray(v, dtype=float)[i if np.ndim(v) else ()].item()
-
-    where = "" if t is None else f" at t={at(t)!r}"
-    raise InvalidStateError(message % tuple(map(at, values)) + where)
+    if type(columns[0]) is list:
+        if fine is not None and fine(*columns):
+            return
+        found = list(map(find, *columns))
+        if found.count(None) == len(found):
+            return
+        i = next(i for i, values in enumerate(found) if values is not None)
+        values, t = found[i], None if t is None else t[i]
+    else:
+        values = find(*columns)
+        if values is None:
+            return
+    where = "" if t is None else f" at t={t!r}"
+    raise InvalidStateError(message % values + where)
 
 
 def _x_spectrum(mu: float, nu: float, c3: float):
@@ -107,7 +126,7 @@ class XStateParams:
         worst = min(lam)
         if worst < EIGENVALUE_FLOOR:
             raise InvalidStateError(
-                "parameters (%r, %r, %r) induce a negative eigenvalue %.6e"
+                "(c1, c2, c3)=(%r, %r, %r) induce a negative eigenvalue %.6e"
                 % (self.c1, self.c2, self.c3, worst)
             )
 
@@ -156,6 +175,8 @@ class TwoQubitDensity:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.array(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
@@ -179,6 +200,8 @@ def _x_form_density(c3: float, outer: complex, inner: complex) -> TwoQubitDensit
     (|00>, |11>) is outer and entry (|01>, |10>) is inner, with their
     conjugates below the diagonal.
     """
+    import numpy as np
+
     dp = (1.0 + c3) / 4.0
     dm = (1.0 - c3) / 4.0
     m = np.array(
@@ -212,6 +235,8 @@ def partial_trace(rho: TwoQubitDensity, keep: str) -> np.ndarray:
     keep : {"A", "B"}
         Which qubit's reduced state to return.
     """
+    import numpy as np
+
     r4 = rho.entries.reshape(2, 2, 2, 2)
     if keep == "A":
         return np.einsum("ibjb->ij", r4)
@@ -237,6 +262,8 @@ def von_neumann_entropy(matrix: np.ndarray) -> float:
     eigensolver. Eigenvalues below the shared floor raise; values in
     [floor, 0) are clipped to zero.
     """
+    import numpy as np
+
     m = np.asarray(matrix, dtype=complex)
     if m.shape == (2, 2):
         eigs = _eigvals_2x2(m)

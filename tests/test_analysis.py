@@ -231,6 +231,14 @@ def test_amplification_scan_domain():
         scan_amplification_rate(0.1, 0.7)
 
 
+@pytest.mark.parametrize("c1_min", [5e-324, 1e-9])
+def test_amplification_scan_refuses_discord_lost_to_rounding(c1_min):
+    # both discords are O(c1^2) differences of O(1) terms: D(0) rounds to 0
+    # at 5e-324 (the rate read nan) and below zero at 1e-9
+    with pytest.raises(DomainError, match=r"at c1=.*rate undefined"):
+        scan_amplification_rate(c1_min, 0.5, 0.1)
+
+
 # ------------------------------------------------------------ slope indicator
 
 

@@ -526,28 +526,36 @@ def test_failed_run_writes_only_the_stamp(error, code, monkeypatch, tmp_path, ca
     assert rows == []
 
 
+# SciPy is a test dependency only; NumPy serves log grids, the amplification
+# scan and the brute-force oracle, and no other run may load it
+SCIPY = ("scipy",)
+BOTH = ("scipy", "numpy")
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, blocked",
     [
-        ["evolve", "-T", "0.5", "--points", "50"],
-        ["discord", "--oracle"],
-        ["critic-time", "-T", "0.3"],
-        ["critic-surface"],
-        ["amplification"],
+        pytest.param(["evolve", "-T", "0.5", "--points", "50"], BOTH, id="evolve"),
+        pytest.param(["evolve", "--points", "50"], BOTH, id="evolve-vacuum"),
+        pytest.param(["evolve", "--spacing", "log", "--t-min", "0.1"], SCIPY, id="evolve-log"),
+        pytest.param(["discord", "--oracle"], SCIPY, id="discord"),
+        pytest.param(["discord", "--time", "1.5"], BOTH, id="discord-analytic"),
+        pytest.param(["critic-time", "-T", "0.3"], BOTH, id="critic-time"),
+        pytest.param(["critic-surface"], BOTH, id="critic-surface"),
+        pytest.param(["amplification"], SCIPY, id="amplification"),
     ],
-    ids=lambda args: args[0],
 )
-def test_import_leaves_quadrature_unloaded(args, tmp_path):
-    # SciPy adds about 0.4 s to every start and is only a test dependency:
-    # every subcommand must run with it unimportable
+def test_import_leaves_quadrature_unloaded(args, blocked, tmp_path):
+    # a blocked package adds its import time to every start: each run must
+    # succeed with it unimportable
     out = tmp_path / "out.csv"
     code = (
         "import sys\n"
-        "class BlockSciPy:\n"
+        "class Block:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        f"        if name.split('.')[0] in {blocked!r}:\n"
         "            raise ImportError(f'{name} is blocked')\n"
-        "sys.meta_path.insert(0, BlockSciPy())\n"
+        "sys.meta_path.insert(0, Block())\n"
         "import xdiscord.cli\n"
         f"sys.exit(xdiscord.cli.main({args + ['-o', str(out)]!r}))\n"
     )
@@ -555,3 +563,81 @@ def test_import_leaves_quadrature_unloaded(args, tmp_path):
     assert done.returncode == 0, done.stderr
     _, header, data = parse_rows(out.read_text())
     assert header and data
+
+
+def test_cli_import_loads_no_numpy():
+    done = run_fresh(["-X", "importtime", "-c", "import xdiscord.cli"])
+    assert done.returncode == 0, done.stderr
+    # each line reads "import time: self | cumulative | module", nested names indented
+    modules = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "xdiscord.cli" in modules
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize(
+    "args, shown",
+    [
+        (["evolve", "--points", "41"], "points"),
+        (["critic-surface", "--coupling-points", "5", "--fraction-points", "9"],
+         "coupling_points * fraction_points"),
+        # floor(0.4 / 0.01) + 2 = 42 rows
+        (["amplification", "--c1-min", "0.1", "--c1-max", "0.5", "--c1-step", "0.01"], "c1_step"),
+    ],
+    ids=["evolve", "critic-surface", "amplification"],
+)
+def test_tables_past_the_row_limit_are_refused(args, shown, monkeypatch, capsys):
+    # a small limit, so that a broken guard builds nothing large
+    monkeypatch.setattr(cli, "_MAX_ROWS", 40)
+    assert run(args) == 2
+    assert f"{shown} give a table of" in capsys.readouterr().err
+
+
+def test_tables_at_the_row_limit_are_built(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_ROWS", 40)
+    for args in (["evolve", "--points", "40"],
+                 ["critic-surface", "--coupling-points", "5", "--fraction-points", "8"],
+                 ["amplification", "--c1-min", "0.1", "--c1-max", "0.5", "--c1-step", "0.0105"]):
+        assert run(args) == 0
+        _, _, data = parse_rows(capsys.readouterr().out)
+        assert 0 < len(data) <= 40
+
+
+def test_tiny_amplification_step_is_a_configuration_error(capsys):
+    # np.arange raised "Maximum allowed size exceeded" here, a traceback with exit 1
+    assert run(["amplification", "--c1-step", "1e-300"]) == 2
+    assert "c1_step give a table of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c1_min", ["5e-324", "1e-300", "1e-9"])
+def test_amplification_refuses_discord_lost_to_rounding(c1_min, capsys):
+    # D(0) rounded to 0 printed rate nan and "rate_max = nan"; at 1e-9 it rounds
+    # below zero, a negative discord
+    assert run(["amplification", "--c1-min", c1_min, "--c1-max", "0.5", "--c1-step", "0.1"]) == 4
+    assert re.search(r"\bc1=", capsys.readouterr().err)
+
+
+def test_critic_time_below_the_float_range_ends():
+    # the bisection halved [0, 5e-324] forever: its midpoint rounds back to 0
+    done = run_fresh(["-m", "xdiscord.cli", "critic-time", "--eta", "1e300", "--omega-c",
+                      "1e300", "--ratio", "2"])
+    assert done.returncode == 3, done.stderr
+    assert "omega_c=1e+300" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["evolve", "--c1", "1"], "c1"),
+        (["evolve", "--ratio", "0"], "ratio"),
+        (["evolve", "--omega", "1e300", "--ratio", "1e300"], "omega"),
+        (["evolve", "--t-max", "inf"], "t_max"),
+        (["critic-surface", "-T", "1"], "temperature"),
+        (["critic-surface", "--ratio", "2"], "ratio"),
+        (["critic-surface", "--fraction-min", "nan"], "fraction_min"),
+        (["critic-surface", "--coupling-min", "0"], "coupling_min"),
+        (["amplification", "--c1-max", "0.8"], "c1_max"),
+    ],
+)
+def test_configuration_errors_name_the_key(args, key, capsys):
+    assert run(args) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)

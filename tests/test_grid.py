@@ -1,9 +1,10 @@
 """The time-grid route of decay_factors -> x_state_from_factors -> discord_analytic.
 
-Each of the three takes a 1-D array of times as well as a float. The grid
+Each of the three takes a list of times as well as a float. The grid
 route must give, cell by cell, the bits the scalar route gives, and its
 checks must raise the same error type at the same inputs, naming the
-first offending t.
+first offending t. The linear grid of the command line is built in Python
+floats and must be np.linspace bit for bit.
 """
 
 import math
@@ -24,9 +25,10 @@ from xdiscord import (
     evolve_x_state,
     x_state_from_factors,
 )
+from xdiscord.cli import _linspace
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 QUBITS = QubitPairConfig(2.0, 1.0)
@@ -67,7 +69,7 @@ def runs(draw):
                           draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0))))
     times = draw(st.lists(st.one_of(st.floats(0.0, 1e4), st.just(math.inf)),
                           min_size=1, max_size=25))
-    return params, qubits, res, draw(st.booleans()), np.array(times)
+    return params, qubits, res, draw(st.booleans()), times
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -76,13 +78,13 @@ def test_grid_route_equals_scalar_route_cell_by_cell(run):
     params, qubits, res, large_detuning, t = run
     grid = grid_route(params, t, qubits, res, large_detuning)
     grid_cells = cells(*grid)
-    for i, ti in enumerate(t.tolist()):
+    for i, ti in enumerate(t):
         f = decay_factors(ti, qubits, res, large_detuning)
         x = evolve_x_state(params, ti, qubits, res, large_detuning)
         b = discord_analytic(x)
         for name, value in cells(f, x, b).items():
             # repr tells -0.0 from 0.0, and nan (delta2 = 0 * inf) from a number
-            assert repr(float(grid_cells[name][i])) == repr(float(value)), (name, ti)
+            assert repr(grid_cells[name][i]) == repr(value), (name, ti)
         assert grid[2].regime[i] == b.regime
 
 
@@ -92,20 +94,20 @@ def test_correlations_stay_within_their_bounds(run):
     params, qubits, res, large_detuning, t = run
     b = grid_route(params, t, qubits, res, large_detuning)[2]
     # C rounds below 0 for small spreads (-8e-17 at chi = 1e-16), so D may top I by that
-    assert np.all(b.discord >= 0.0)
-    assert np.all(b.discord <= b.mutual_information + 1e-15)
-    assert np.all(b.classical_correlation <= b.mutual_information + 1e-15)
+    for info, cc, d in zip(b.mutual_information, b.classical_correlation, b.discord):
+        assert 0.0 <= d <= info + 1e-15
+        assert cc <= info + 1e-15
 
 
 def test_one_point_grid_gives_the_scalar_types():
     b = discord_analytic(evolve_x_state(PARAMS, 1.2, QUBITS, RES))
-    grid = discord_analytic(evolve_x_state(PARAMS, np.array([1.2]), QUBITS, RES))
+    grid = discord_analytic(evolve_x_state(PARAMS, [1.2], QUBITS, RES))
     assert isinstance(b.discord, float) and isinstance(b.regime, str)
-    assert grid.discord.shape == (1,) and grid.regime.tolist() == [b.regime]
+    assert grid.discord == [b.discord] and grid.regime == [b.regime]
 
 
 def test_negative_time_names_the_first_one():
-    t = np.array([0.0, 1.0, -2.0, -3.0])
+    t = [0.0, 1.0, -2.0, -3.0]
     with pytest.raises(InvalidStateError, match=r"t=-2\.0 must be nonnegative"):
         evolve_x_state(PARAMS, t, QUBITS, RES)
     with pytest.raises(InvalidStateError):
@@ -113,7 +115,7 @@ def test_negative_time_names_the_first_one():
 
 
 def test_nan_time_fails_the_decay_factor_check_at_that_time():
-    t = np.array([0.5, math.nan, 2.0])
+    t = [0.5, math.nan, 2.0]
     with pytest.raises(InvalidStateError, match=r"violate .* at t=nan"):
         decay_factors(t, QUBITS, RES)
     with pytest.raises(InvalidStateError, match=r"violate"):
@@ -122,40 +124,58 @@ def test_nan_time_fails_the_decay_factor_check_at_that_time():
 
 def test_decay_factor_ordering_names_the_first_bad_time():
     with pytest.raises(InvalidStateError, match=r"\(0\.9, 0\.5\) violate .* at t=2\.0"):
-        DecayFactors(np.array([0.5, 0.9, 0.9]), np.array([0.6, 0.5, 0.4]),
-                     np.array([1.0, 2.0, 3.0]))
+        DecayFactors([0.5, 0.9, 0.9], [0.6, 0.5, 0.4], [1.0, 2.0, 3.0])
 
 
 def test_eigenvalue_floor_names_the_first_bad_time():
-    mu = np.array([0.2, 1.5, 1.6])
-    zeros = np.zeros(3)
+    mu = [0.2, 1.5, 1.6]
+    zeros = [0.0] * 3
     with pytest.raises(InvalidStateError, match=r"negative eigenvalue .* at t=1\.0"):
-        EvolvedXState(mu=mu, nu=zeros, delta1=zeros, delta2=zeros, c3=0.0,
-                      t=np.array([0.0, 1.0, 2.0]))
+        EvolvedXState(mu=mu, nu=zeros, delta1=zeros, delta2=zeros, c3=0.0, t=[0.0, 1.0, 2.0])
     with pytest.raises(InvalidStateError, match=r"negative eigenvalue"):
         EvolvedXState(mu=1.5, nu=0.0, delta1=0.0, delta2=0.0, c3=0.0, t=1.0)
 
 
 def test_breakdown_checks_name_the_first_bad_time():
-    t = np.array([0.0, 1.0, 2.0])
-    info = np.array([0.5, 0.5, 0.5])
+    t = [0.0, 1.0, 2.0]
+    info = [0.5, 0.5, 0.5]
+    labels = ["after-critic"] * 3
     with pytest.raises(InvalidStateError, match=r"must equal I - C .* at t=1\.0"):
-        DiscordBreakdown(info, np.array([0.2, 0.2, 0.2]), np.array([0.3, 0.1, 0.3]),
-                         np.zeros(3), np.array(["after-critic"] * 3), t)
+        DiscordBreakdown(info, [0.2, 0.2, 0.2], [0.3, 0.1, 0.3], [0.0] * 3, labels, t)
     with pytest.raises(InvalidStateError, match=r"outside \[0, I=0\.5\] at t=2\.0"):
-        DiscordBreakdown(info, np.array([0.2, 0.2, 0.7]), np.array([0.3, 0.3, -0.2]),
-                         np.zeros(3), np.array(["after-critic"] * 3), t)
+        DiscordBreakdown(info, [0.2, 0.2, 0.7], [0.3, 0.3, -0.2], [0.0] * 3, labels, t)
 
 
 def test_spectrum_check_keeps_the_order_of_the_builtin_min():
     # min() over the spectrum kept a nan in front and skipped a later one, so a
     # nan mu passes while a nan nu does not hide a negative outer eigenvalue
-    zero = np.zeros(2)
+    zero = [0.0, 0.0]
     EvolvedXState(mu=math.nan, nu=1.5, delta1=0.0, delta2=0.0, c3=0.0, t=0.0)
-    EvolvedXState(mu=np.array([0.1, math.nan]), nu=np.array([0.1, 1.5]), delta1=zero,
-                  delta2=zero, c3=0.0, t=zero)
+    EvolvedXState(mu=[0.1, math.nan], nu=[0.1, 1.5], delta1=zero, delta2=zero, c3=0.0, t=zero)
     with pytest.raises(InvalidStateError):
         EvolvedXState(mu=1.5, nu=math.nan, delta1=0.0, delta2=0.0, c3=0.0, t=0.0)
     with pytest.raises(InvalidStateError, match=r"at t=1\.0"):
-        EvolvedXState(mu=np.array([0.1, 1.5]), nu=np.array([0.1, math.nan]), delta1=zero,
-                      delta2=zero, c3=0.0, t=np.array([0.0, 1.0]))
+        EvolvedXState(mu=[0.1, 1.5], nu=[0.1, math.nan], delta1=zero, delta2=zero, c3=0.0,
+                      t=[0.0, 1.0])
+
+
+# finite bounds, subnormals included; the command line refuses others
+BOUNDS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    lo=st.one_of(st.just(0.0), BOUNDS),
+    hi=st.one_of(st.just(0.0), BOUNDS),
+    n=st.one_of(st.just(1), st.integers(0, 60)),
+    same=st.booleans(),
+)
+@example(lo=0.0, hi=5e-324, n=3, same=False)   # a zero step: NumPy scales by i/div
+@example(lo=0.0, hi=10.0, n=400, same=False)  # the default evolve grid
+@example(lo=-1e308, hi=1e308, n=5, same=False)  # hi - lo overflows
+def test_linear_grid_is_numpy_linspace_bit_for_bit(lo, hi, n, same):
+    if same:
+        hi = lo
+    with np.errstate(all="ignore"):  # an overflowing hi - lo warns
+        want = np.linspace(lo, hi, n).tolist()
+    assert [repr(v) for v in _linspace(lo, hi, n)] == [repr(v) for v in want]
