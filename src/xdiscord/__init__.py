@@ -7,76 +7,44 @@ dephasing map as one elementwise mask over the level-energy gaps, plus the
 X-state fast path), discord (analytic X-state formulas plus a brute-force
 measurement minimizer), analysis (critic times, amplification,
 protection), cli (CSV sweeps).
+
+Importing the package loads none of these modules: each public name below
+is imported from its module on first use, so `import xdiscord.cli` pays
+only for the layers the command line needs.
 """
 
-import types
+# the public names of each module
+_EXPORTS = {
+    "analysis": "AmplificationIndicator AmplificationReport AmplificationScan CriticTimeResult "
+                "ProtectedDiscord amplification_indicator amplification_rate "
+                "asymptotic_discord_identical critic_time critic_time_closed_form_detuned "
+                "critic_time_closed_form_identical initial_discord_identical protected_discord "
+                "scan_amplification_rate",
+    "discord": "REGIME_AFTER REGIME_BEFORE REGIME_NONE DiscordBreakdown MeasurementBasis "
+               "classical_correlation classical_correlation_value discord_analytic "
+               "discord_bruteforce measurement_spread mutual_information "
+               "optimal_measurement_spread x_state_eigenvalues",
+    "errors": "ConfigError ConvergenceError DomainError InvalidStateError RootFindError",
+    "evolution": "EvolvedXState assemble_density evolve_density evolve_x_state "
+                 "x_state_from_factors",
+    "reservoir": "DecayFactors ReservoirConfig decay_factors dephasing_exponent phase_exponent",
+    "states": "BASIS_LABELS QubitPairConfig TwoQubitDensity XStateParams entropy_bits "
+              "partial_trace von_neumann_entropy x_state_density xlog2",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
 
-from .analysis import (
-    AmplificationIndicator,
-    AmplificationReport,
-    AmplificationScan,
-    CriticTimeResult,
-    ProtectedDiscord,
-    amplification_indicator,
-    amplification_rate,
-    asymptotic_discord_identical,
-    critic_time,
-    critic_time_closed_form_detuned,
-    critic_time_closed_form_identical,
-    initial_discord_identical,
-    protected_discord,
-    scan_amplification_rate,
-)
-from .discord import (
-    REGIME_AFTER,
-    REGIME_BEFORE,
-    REGIME_NONE,
-    DiscordBreakdown,
-    MeasurementBasis,
-    classical_correlation,
-    classical_correlation_value,
-    discord_analytic,
-    discord_bruteforce,
-    measurement_spread,
-    mutual_information,
-    optimal_measurement_spread,
-    x_state_eigenvalues,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    InvalidStateError,
-    RootFindError,
-)
-from .evolution import (
-    EvolvedXState,
-    assemble_density,
-    evolve_density,
-    evolve_x_state,
-    x_state_from_factors,
-)
-from .reservoir import (
-    DecayFactors,
-    ReservoirConfig,
-    decay_factors,
-    dephasing_exponent,
-    phase_exponent,
-)
-from .states import (
-    BASIS_LABELS,
-    QubitPairConfig,
-    TwoQubitDensity,
-    XStateParams,
-    entropy_bits,
-    partial_trace,
-    von_neumann_entropy,
-    x_state_density,
-    xlog2,
-)
 
-# every name imported above, and nothing else
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, types.ModuleType)
-)
+def __getattr__(name: str):
+    """Import a public name from its module and keep it here for later lookups."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module("." + module, __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,8 +9,7 @@ of that crossing and of the decay factor gamma1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .discord import REGIME_AFTER, _measurement_branch, classical_correlation_value
 from .errors import DomainError, RootFindError
@@ -18,17 +17,13 @@ from .evolution import EvolvedXState
 from .reservoir import ReservoirConfig, decay_factors
 from .states import QubitPairConfig, XStateParams, xlog2
 
-if TYPE_CHECKING:  # annotations only: the amplification scan imports NumPy itself
-    import numpy as np
-
 # relative bisection tolerance on the critic time
 _BISECT_RTOL = 1e-12
 # the search horizon for the critic time, in omega_c t units
 _HORIZON_TAU = 1e6
 
 
-@dataclass(frozen=True)
-class CriticTimeResult:
+class CriticTimeResult(namedtuple("CriticTimeResult", "tc")):
     """Crossing time of the correlation branches.
 
     tc is the time itself, math.inf when the equatorial spread only reaches
@@ -36,7 +31,7 @@ class CriticTimeResult:
     dominates at t = 0 and there is nothing to cross.
     """
 
-    tc: object
+    __slots__ = ()
 
     @property
     def is_infinite(self) -> bool:
@@ -203,14 +198,10 @@ def initial_discord_identical(c1):
     return -1.0 + quarters - halves
 
 
-@dataclass(frozen=True)
-class AmplificationReport:
-    """Initial discord, late-time discord, and their ratio for one c1."""
+class AmplificationReport(namedtuple("AmplificationReport", "c1 initial asymptotic rate")):
+    """Initial discord, late-time discord, and their ratio rate for one c1."""
 
-    c1: float
-    initial: float
-    asymptotic: float
-    rate: float
+    __slots__ = ()
 
 
 def amplification_rate(c1: float) -> AmplificationReport:
@@ -223,16 +214,15 @@ def amplification_rate(c1: float) -> AmplificationReport:
     return AmplificationReport(c1=c1, initial=d0, asymptotic=dinf, rate=dinf / d0)
 
 
-@dataclass(frozen=True)
-class AmplificationScan:
-    """Amplification rate over a c1 grid plus the refined maximum."""
+class AmplificationScan(namedtuple(
+        "AmplificationScan", "c1 initial asymptotic rate rate_max c1_at_max")):
+    """Amplification rate over a c1 grid plus the refined maximum.
 
-    c1: np.ndarray
-    initial: np.ndarray
-    asymptotic: np.ndarray
-    rate: np.ndarray
-    rate_max: float
-    c1_at_max: float
+    c1, initial, asymptotic and rate are NumPy arrays over the grid;
+    rate_max is the refined maximum, found at the float c1_at_max.
+    """
+
+    __slots__ = ()
 
 
 def scan_amplification_rate(
@@ -283,8 +273,9 @@ def scan_amplification_rate(
     )
 
 
-@dataclass(frozen=True)
-class AmplificationIndicator:
+class AmplificationIndicator(namedtuple(
+        "AmplificationIndicator",
+        "f_value g_value h_value d_discord_d_gamma1 time_slope_sign regime")):
     """Pieces of the discord slope with respect to gamma1.
 
     f_value is the (always negative) branch from the classical correlation,
@@ -296,12 +287,7 @@ class AmplificationIndicator:
     exactly at t = 0).
     """
 
-    f_value: float
-    g_value: float
-    h_value: float
-    d_discord_d_gamma1: float
-    time_slope_sign: int
-    regime: str
+    __slots__ = ()
 
 
 def amplification_indicator(
@@ -355,12 +341,10 @@ def amplification_indicator(
     )
 
 
-@dataclass(frozen=True)
-class ProtectedDiscord:
+class ProtectedDiscord(namedtuple("ProtectedDiscord", "before_critic after_critic")):
     """Both branches of the protected-family discord (c1 = 1, -c2 = c3 = c)."""
 
-    before_critic: float
-    after_critic: float
+    __slots__ = ()
 
 
 def protected_discord(c: float, gamma1: float) -> ProtectedDiscord:

@@ -5,10 +5,13 @@ discord), critic-surface (scaled crossing time over coupling strength and
 c3/c1), amplification (late/initial discord ratio over c1), critic-time
 and discord (single-point queries).
 
-Parameters: RunConfig is the one table of them. Each field is both a
-config-file key and a flag, with its default, type and help text declared
-once; _COMMAND_KEYS names the keys that belong to one subcommand, and the
-rest are shared. A config file accepts the shared keys plus those of the
+Parameters: _KEYS is the one table of them, a dict from each key to its
+default, help text, type, flag aliases and further argparse keywords.
+Each key is both a config-file key and a flag. RunConfig, the named tuple
+a run reads its parameters from, takes its fields and defaults from that
+table, all but omega and ratio, which resolve into omega_a and omega_b.
+_COMMAND_KEYS names the keys that belong to one subcommand, and the rest
+are shared. A config file accepts the shared keys plus those of the
 subcommand it runs. The time grid keys are shared but flags of evolve only.
 
 Output contract: a leading `#` comment block with the fully resolved
@@ -29,7 +32,8 @@ more than _MAX_ROWS rows is a configuration error, refused before it is
 built.
 
 Only log-spaced grids, the amplification scan and the brute-force oracle
-load NumPy; every other run computes on Python floats.
+load NumPy; every other run computes on Python floats. Only critic-time,
+critic-surface and amplification load the analysis module, when they run.
 """
 
 from __future__ import annotations
@@ -38,15 +42,10 @@ import argparse
 import functools
 import io
 import math
+import os
 import sys
-import typing
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
-from .analysis import (
-    critic_time,
-    critic_time_closed_form_identical,
-    scan_amplification_rate,
-)
 from .discord import discord_analytic, discord_bruteforce
 from .errors import (
     ConfigError,
@@ -61,6 +60,8 @@ from .states import QubitPairConfig, XStateParams
 
 # either give both absolute frequencies, or a reference omega_b plus ratio
 _FREQ_ABSOLUTE = ("omega_a", "omega_b")
+# keys that are no RunConfig field: _resolve_frequencies turns them into omega_a, omega_b
+_FREQ_RELATIVE = ("omega", "ratio")
 
 _SPACINGS = ("linear", "log")
 
@@ -68,49 +69,59 @@ _SPACINGS = ("linear", "log")
 # in memory, so 0.8 GB; the largest documented table has 40,000 rows
 _MAX_ROWS = 10**6
 
-
-def _key(default, help, *flags, **argparse_kw):
-    """A RunConfig field: its default, help text, the short aliases of its
-    flag and any further add_argument keywords."""
-    return field(default=default, metadata={"help": help, "flags": flags, "kw": argparse_kw})
+# one parameter: its default, help text, the type a value is parsed into,
+# the short aliases of its flag and any further add_argument keywords
+_Key = namedtuple("_Key", "default help type flags kw")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+def _key(default, help, *flags, type=None, **kw):
+    """A parameter whose type is its default's unless given."""
+    return _Key(default, help, type or default.__class__, flags, kw)
+
+
+# the parameter table: name -> _Key, in the order of --help and of the stamps
+_KEYS = {
+    "c1": _key(0.6, "initial Bloch tensor c1"),
+    "c2": _key(0.0, "initial Bloch tensor c2"),
+    "c3": _key(0.3, "initial Bloch tensor c3"),
+    "omega_a": _key(1.0, "qubit A level splitting (needs --omega-b)"),
+    "omega_b": _key(1.0, "qubit B level splitting (needs --omega-a)"),
+    "eta": _key(1.0, "Ohmic coupling strength"),
+    "omega_c": _key(1.0, "reservoir cutoff frequency"),
+    "temperature": _key(0.0, "reservoir temperature", "-T"),
+    "t_min": _key(0.0, "grid start in omega_c*t units"),
+    "t_max": _key(10.0, "grid end in omega_c*t units"),
+    "points": _key(400, "grid size"),
+    "spacing": _key("linear", "grid spacing", choices=_SPACINGS),
+    "large_detuning": _key(False, "force both decay factors onto the gamma1 exponent"),
+    "output": _key(None, "write CSV here instead of stdout", "-o", type=str, metavar="FILE"),
+    "time": _key(0.0, "query time in omega_c*t units", "-t"),
+    "oracle": _key(False, "append a brute-force minimization column"),
+    "coupling_min": _key(0.25, "eta * omega^2 lower edge"),
+    "coupling_max": _key(2.5, "eta * omega^2 upper edge"),
+    "coupling_points": _key(100, "grid size along the coupling axis"),
+    "fraction_min": _key(0.5, "c3/c1 lower edge"),
+    "fraction_max": _key(1.0, "c3/c1 upper edge"),
+    "fraction_points": _key(100, "grid size along the c3/c1 axis"),
+    "c1_min": _key(1e-4, "scan start"),
+    "c1_max": _key(2.0 / 3.0, "scan end"),
+    "c1_step": _key(1e-4, "scan step"),
+    "omega": _key(1.0, "reference splitting for qubit B"),
+    "ratio": _key(1.0, "frequency ratio omega_a / omega_b", "-r"),
+}
+_FIELDS = tuple(key for key in _KEYS if key not in _FREQ_RELATIVE)
+
+
+class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[_KEYS[k].default for k in _FIELDS])):
     """Fully resolved run parameters; every field already validated.
 
-    This is the parameter table of the command line. Each field is a
-    config-file key and a flag, --<key> with dashes for underscores; its
-    default is the default of both, and its type is the type a value is
-    parsed into. The fields that _COMMAND_KEYS names belong to one
-    subcommand; all others are shared.
+    Its fields are the keys of _KEYS, the parameter table of the command
+    line, but omega and ratio. Each key is a config-file key and a flag,
+    --<key> with dashes for underscores; its default is the default of
+    both.
     """
 
-    c1: float = _key(0.6, "initial Bloch tensor c1")
-    c2: float = _key(0.0, "initial Bloch tensor c2")
-    c3: float = _key(0.3, "initial Bloch tensor c3")
-    omega_a: float = _key(1.0, "qubit A level splitting (needs --omega-b)")
-    omega_b: float = _key(1.0, "qubit B level splitting (needs --omega-a)")
-    eta: float = _key(1.0, "Ohmic coupling strength")
-    omega_c: float = _key(1.0, "reservoir cutoff frequency")
-    temperature: float = _key(0.0, "reservoir temperature", "-T")
-    t_min: float = _key(0.0, "grid start in omega_c*t units")
-    t_max: float = _key(10.0, "grid end in omega_c*t units")
-    points: int = _key(400, "grid size")
-    spacing: str = _key("linear", "grid spacing", choices=_SPACINGS)
-    large_detuning: bool = _key(False, "force both decay factors onto the gamma1 exponent")
-    output: str | None = _key(None, "write CSV here instead of stdout", "-o", metavar="FILE")
-    time: float = _key(0.0, "query time in omega_c*t units", "-t")
-    oracle: bool = _key(False, "append a brute-force minimization column")
-    coupling_min: float = _key(0.25, "eta * omega^2 lower edge")
-    coupling_max: float = _key(2.5, "eta * omega^2 upper edge")
-    coupling_points: int = _key(100, "grid size along the coupling axis")
-    fraction_min: float = _key(0.5, "c3/c1 lower edge")
-    fraction_max: float = _key(1.0, "c3/c1 upper edge")
-    fraction_points: int = _key(100, "grid size along the c3/c1 axis")
-    c1_min: float = _key(1e-4, "scan start")
-    c1_max: float = _key(2.0 / 3.0, "scan end")
-    c1_step: float = _key(1e-4, "scan step")
+    __slots__ = ()
 
     def state_params(self) -> XStateParams:
         return XStateParams(self.c1, self.c2, self.c3)
@@ -147,23 +158,6 @@ def _linspace(lo: float, hi: float, n: int) -> list:
     return grid
 
 
-# keys that are no field: _resolve_frequencies turns them into omega_a, omega_b
-_FREQ_RELATIVE = {
-    "omega": _key(1.0, "reference splitting for qubit B"),
-    "ratio": _key(1.0, "frequency ratio omega_a / omega_b", "-r"),
-}
-_KEYS = {**{f.name: f for f in fields(RunConfig)}, **_FREQ_RELATIVE}
-# `str | None` parses as str
-_KEY_TYPES = {
-    name: (typing.get_args(hint) or (hint,))[0]
-    for name, hint in typing.get_type_hints(RunConfig).items()
-}
-_KEY_TYPES.update(dict.fromkeys(_FREQ_RELATIVE, float))
-# the frequencies are resolved from either style by _resolve_frequencies
-_DEFAULTS = {
-    f.name: f.default for f in fields(RunConfig) if f.name not in _FREQ_ABSOLUTE
-}
-
 # the keys each subcommand adds to the shared ones, in stamp order
 _COMMAND_KEYS = {
     "evolve": (),
@@ -192,7 +186,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _convert(key: str, raw: str, where: str):
-    kind = _KEY_TYPES[key]
+    kind = _KEYS[key].type
     try:
         if kind is bool:
             return _parse_bool(raw)
@@ -244,8 +238,8 @@ def _resolve_frequencies(given: dict) -> tuple:
                 f"(missing {missing})"
             )
         return float(given["omega_a"]), float(given["omega_b"])
-    omega_b = float(given.get("omega", _FREQ_RELATIVE["omega"].default))
-    ratio = float(given.get("ratio", _FREQ_RELATIVE["ratio"].default))
+    omega_b = float(given.get("omega", _KEYS["omega"].default))
+    ratio = float(given.get("ratio", _KEYS["ratio"].default))
     try:
         QubitPairConfig.from_ratio(omega_b, ratio)
     except InvalidStateError as exc:
@@ -263,7 +257,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             given[key] = flag_value
 
     omega_a, omega_b = _resolve_frequencies(given)
-    merged = {key: given.get(key, default) for key, default in _DEFAULTS.items()}
+    # omega_a and omega_b come from _resolve_frequencies
+    merged = {key: given.get(key, default) for key, default in RunConfig._field_defaults.items()
+              if key not in _FREQ_ABSOLUTE}
 
     if merged["spacing"] not in _SPACINGS:
         raise ConfigError(
@@ -273,7 +269,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         omega_a=omega_a,
         omega_b=omega_b,
         **{
-            key: value if value is None else _KEY_TYPES[key](value)
+            key: value if value is None else _KEYS[key].type(value)
             for key, value in merged.items()
         },
     )
@@ -399,6 +395,8 @@ def cmd_discord(cfg: RunConfig, w: _CsvWriter):
 
 def cmd_critic_time(cfg: RunConfig, w: _CsvWriter):
     """crossing time of the two branches"""
+    from .analysis import critic_time
+
     result = critic_time(
         cfg.state_params(), cfg.qubits(), cfg.reservoir(),
         large_detuning_limit=cfg.large_detuning,
@@ -414,6 +412,8 @@ def cmd_critic_time(cfg: RunConfig, w: _CsvWriter):
 
 def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
     """scaled critic time over coupling strength and c3/c1"""
+    from .analysis import critic_time_closed_form_identical
+
     if cfg.temperature != 0.0:
         raise ConfigError(
             f"temperature={cfg.temperature!r}: critic-surface is a zero-temperature result"
@@ -459,6 +459,8 @@ def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
 
 def cmd_amplification(cfg: RunConfig, w: _CsvWriter):
     """late/initial discord ratio over the c1 family"""
+    from .analysis import scan_amplification_rate
+
     lo, hi, step = cfg.c1_min, cfg.c1_max, cfg.c1_step
     if not (0.0 < lo < hi <= 2.0 / 3.0):
         raise ConfigError(
@@ -505,15 +507,22 @@ _GNUPLOT_BODY = {
 }
 
 
-def _write_gnuplot(path: str, command: str, csv_path: str):
-    body = _GNUPLOT_BODY.get(command)
-    if body is None:
+def _check_gnuplot(path: str, command: str, csv_path: str | None):
+    """Refuse, before any work, a gnuplot script that cannot follow the CSV."""
+    if not csv_path:
+        raise ConfigError("--gnuplot needs --output so the script has a file to read")
+    if _GNUPLOT_BODY[command] is None:
         raise ConfigError(f"--gnuplot is not available for {command!r}")
+    if os.path.realpath(path) == os.path.realpath(csv_path):
+        raise ConfigError(f"--gnuplot {path!r} and --output {csv_path!r} name the same file")
+
+
+def _write_gnuplot(path: str, command: str, csv_path: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("set datafile separator comma\n")
         fh.write("set datafile commentschars '#'\n")
         fh.write(f'datafile = "{csv_path}"\n')
-        fh.write(body)
+        fh.write(_GNUPLOT_BODY[command])
 
 
 @functools.cache
@@ -538,11 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
                 continue
             spec = _KEYS[key]
             shown = "" if spec.default is None else f" (default {spec.default})"
-            kind = _KEY_TYPES[key]
             # no flag default: parse_config tells a given flag by a value not None
-            how = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
-            p.add_argument("--" + key.replace("_", "-"), *spec.metadata["flags"], dest=key,
-                           help=spec.metadata["help"] + shown, **how, **spec.metadata["kw"])
+            how = ({"action": "store_const", "const": True} if spec.type is bool
+                   else {"type": spec.type})
+            p.add_argument("--" + key.replace("_", "-"), *spec.flags, dest=key,
+                           help=spec.help + shown, **how, **spec.kw)
         p.add_argument("--gnuplot", metavar="FILE",
                        help="also write a gnuplot script reading the CSV (needs --output)")
         p.set_defaults(func=func)
@@ -562,8 +571,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args)
-        if args.gnuplot and not cfg.output:
-            raise ConfigError("--gnuplot needs --output so the script has a file to read")
+        if args.gnuplot:
+            _check_gnuplot(args.gnuplot, args.command, cfg.output)
         buffer = io.StringIO()
         w = _CsvWriter(buffer)
         _stamp(w, args.command, cfg)

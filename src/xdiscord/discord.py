@@ -16,7 +16,7 @@ All information quantities are in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, InvalidStateError
@@ -24,6 +24,7 @@ from .evolution import EvolvedXState
 from .states import (
     TwoQubitDensity,
     _each,
+    _record,
     _reject,
     _x_spectrum,
     entropy_bits,
@@ -51,17 +52,15 @@ _CONVERGENCE_TOL = 1e-6
 _X_PATTERN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Projective measurement direction on qubit B.
+class MeasurementBasis(namedtuple("MeasurementBasis", "theta phi")):
+    """Projective measurement direction (theta, phi) on qubit B.
 
     The measured pair is |par> = cos(theta)|0> + e^{i phi} sin(theta)|1>
     and |perp> = e^{-i phi} sin(theta)|0> - cos(theta)|1>. theta covers
     [0, pi/2] and phi [0, 2 pi); that range already reaches every basis.
     """
 
-    theta: float
-    phi: float
+    __slots__ = ()
 
     def parallel_ket(self) -> np.ndarray:
         import numpy as np
@@ -87,23 +86,24 @@ class MeasurementBasis:
         return np.outer(v, v.conj()), np.outer(w, w.conj())
 
 
-@dataclass(frozen=True)
-class DiscordBreakdown:
+class DiscordBreakdown(_record(
+        "DiscordBreakdown", "mutual_information classical_correlation discord chi regime t",
+        (None,))):
     """Mutual information, classical correlation, and their difference.
 
-    Each field is a float (regime a str), or a list over the time grid t.
+    chi is the optimal measurement spread and regime the side of the critic
+    time. Each field is a float (regime a str), or a list over the time
+    grid t; t may be None.
     """
 
-    mutual_information: float
-    classical_correlation: float
-    discord: float
-    chi: float
-    regime: str
-    t: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _reject(_broken_breakdown, "%s", self.mutual_information, self.classical_correlation,
-                self.discord, t=self.t)
+    def __new__(cls, mutual_information: float, classical_correlation: float,
+                discord: float, chi: float, regime: str, t: float | None = None):
+        _reject(_broken_breakdown, "%s", mutual_information, classical_correlation,
+                discord, t=t)
+        return super().__new__(cls, mutual_information, classical_correlation, discord,
+                               chi, regime, t)
 
 
 def _broken_breakdown(info, cc, d):

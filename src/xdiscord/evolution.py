@@ -17,8 +17,6 @@ out of the fast path and the decays are the factors gamma1, gamma2.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from functools import partial
 from operator import mul
 
@@ -36,14 +34,14 @@ from .states import (
     TwoQubitDensity,
     XStateParams,
     _each,
+    _record,
     _reject,
     _x_form_density,
     _x_spectrum,
 )
 
 
-@dataclass(frozen=True)
-class EvolvedXState:
+class EvolvedXState(_record("EvolvedXState", "mu nu delta1 delta2 c3 t")):
     """X-state snapshot at time t.
 
     mu and nu are the decayed outer and inner antidiagonal amplitudes
@@ -53,19 +51,14 @@ class EvolvedXState:
     time grid.
     """
 
-    mu: float
-    nu: float
-    delta1: float
-    delta2: float
-    c3: float
-    t: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mu: float, nu: float, delta1: float, delta2: float, c3: float,
+                t: float):
         # a nan t passes, as t < 0 is false; min() skips every nan but a first
         # one, which fails the screen and leaves the points to _negative_time
-        _reject(_negative_time, "t=%r must be nonnegative", self.t,
+        _reject(_negative_time, "t=%r must be nonnegative", t,
                 fine=lambda t: min(t, default=0.0) >= 0.0)
-        c3 = self.c3
 
         def negative_eigenvalue(mu, nu):
             outer, _, inner, _ = _x_spectrum(abs(mu), abs(nu), c3)
@@ -81,7 +74,8 @@ class EvolvedXState:
 
         _reject(negative_eigenvalue,
                 "(mu, nu, c3)=(%r, %r, %r) induce a negative eigenvalue %.6e",
-                self.mu, self.nu, t=self.t, fine=fine)
+                mu, nu, t=t, fine=fine)
+        return super().__new__(cls, mu, nu, delta1, delta2, c3, t)
 
 
 def _negative_time(t):
@@ -122,6 +116,8 @@ def x_state_from_factors(
 
 
 def _coherence(amplitude: float, phase: float) -> complex:
+    import cmath
+
     # a zero amplitude is a zero entry at every phase, where 0 * e^{-i inf} is nan
     return 0.0 if amplitude == 0.0 else 0.25 * amplitude * cmath.exp(-1j * phase)
 

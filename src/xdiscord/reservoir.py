@@ -26,11 +26,10 @@ Units have hbar = k_B = 1, so beta = 1/T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import le
 
 from .errors import DomainError, InvalidStateError
-from .states import QubitPairConfig, _reject
+from .states import QubitPairConfig, _record, _reject
 
 # Stirling coefficients B_2k / (2k (2k-1)), k = 1..7, of
 # ln G(z) ~ (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k c_k z^(1-2k); from
@@ -40,55 +39,41 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 _STIRLING_MIN_W = 12.0
 
 
-@dataclass(frozen=True)
-class ReservoirConfig:
-    """Ohmic bath with exponential cutoff: J(w) g^2(w) = eta * w * e^{-w/w_c}."""
+class ReservoirConfig(_record("ReservoirConfig", "eta omega_c temperature", (0.0,))):
+    """Ohmic bath with exponential cutoff: J(w) g^2(w) = eta * w * e^{-w/w_c},
+    at temperature T = 0 unless given."""
 
-    eta: float
-    omega_c: float
-    temperature: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise InvalidStateError(f"eta={self.eta!r} must be positive")
-        if not (math.isfinite(self.omega_c) and self.omega_c > 0.0):
-            raise InvalidStateError(f"omega_c={self.omega_c!r} must be positive")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
-            raise InvalidStateError(
-                f"temperature={self.temperature!r} must be nonnegative"
-            )
-
-    @property
-    def is_zero_temperature(self) -> bool:
-        return self.temperature == 0.0
-
-    @property
-    def beta(self) -> float:
-        return math.inf if self.temperature == 0.0 else 1.0 / self.temperature
+    def __new__(cls, eta: float, omega_c: float, temperature: float = 0.0):
+        if not (math.isfinite(eta) and eta > 0.0):
+            raise InvalidStateError(f"eta={eta!r} must be positive")
+        if not (math.isfinite(omega_c) and omega_c > 0.0):
+            raise InvalidStateError(f"omega_c={omega_c!r} must be positive")
+        if not (math.isfinite(temperature) and temperature >= 0.0):
+            raise InvalidStateError(f"temperature={temperature!r} must be nonnegative")
+        return super().__new__(cls, eta, omega_c, temperature)
 
 
-@dataclass(frozen=True, slots=True)  # slots: critic_time builds one per bisection step
-class DecayFactors:
-    """Coherence survival factors of the two antidiagonals.
+class DecayFactors(_record("DecayFactors", "gamma1 gamma2 t", (None,))):
+    """Coherence survival factors of the two antidiagonals at time t.
 
     gamma1 damps the outer (double-flip) coherence, gamma2 the inner
     (exchange) coherence. Both lie in [0, 1]; gamma1 <= gamma2 because the
     outer coherence couples to the sum frequency. Exact zero is allowed,
     it is the underflow of e^{-x} for large exponents. Each field is a
-    float, or a list over the time grid t.
+    float, or a list over the time grid t; t may be None.
     """
 
-    gamma1: float
-    gamma2: float
-    t: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        g1, g2 = self.gamma1, self.gamma2
+    def __new__(cls, gamma1: float, gamma2: float, t: float | None = None):
         # the chained test alone is the fast path for floats
-        if not (type(g1) is float and 0.0 <= g1 <= g2 <= 1.0):
+        if not (type(gamma1) is float and 0.0 <= gamma1 <= gamma2 <= 1.0):
             _reject(lambda g1, g2: None if 0.0 <= g1 <= g2 <= 1.0 else (g1, g2),
-                    "decay factors (%r, %r) violate 0 <= gamma1 <= gamma2 <= 1", g1, g2,
-                    t=self.t, fine=_ordered)
+                    "decay factors (%r, %r) violate 0 <= gamma1 <= gamma2 <= 1",
+                    gamma1, gamma2, t=t, fine=_ordered)
+        return super().__new__(cls, gamma1, gamma2, t)
 
 
 def _ordered(g1: list, g2: list) -> bool:

@@ -14,7 +14,7 @@ where they use it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import InvalidStateError
@@ -29,6 +29,17 @@ EIGENVALUE_FLOOR = -1e-10
 
 #: basis labels (l_A, l_B) in matrix order
 BASIS_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _record(name: str, fields: str, defaults=()):
+    """The namedtuple base of a record whose subclass validates in __new__.
+
+    Its _make, and so _replace, builds through that __new__, which a plain
+    namedtuple bypasses.
+    """
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 def xlog2(x):
@@ -104,8 +115,7 @@ def _x_spectrum(mu: float, nu: float, c3: float):
     )
 
 
-@dataclass(frozen=True)
-class XStateParams:
+class XStateParams(_record("XStateParams", "c1 c2 c3")):
     """Correlation parameters (c1, c2, c3) of a shared-basis X state.
 
     The induced density matrix has diagonal (1 +/- c3)/4, outer antidiagonal
@@ -113,41 +123,38 @@ class XStateParams:
     Construction rejects parameters whose induced matrix is not a state.
     """
 
-    c1: float
-    c2: float
-    c3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3"):
-            v = float(getattr(self, name))
+    def __new__(cls, c1: float, c2: float, c3: float):
+        for name, v in (("c1", c1), ("c2", c2), ("c3", c3)):
+            v = float(v)
             if not math.isfinite(v) or abs(v) > 1.0:
                 raise InvalidStateError(f"{name}={v!r} lies outside [-1, 1]")
-        lam = _x_spectrum(self.c1 - self.c2, self.c1 + self.c2, self.c3)
-        worst = min(lam)
+        worst = min(_x_spectrum(c1 - c2, c1 + c2, c3))
         if worst < EIGENVALUE_FLOOR:
             raise InvalidStateError(
                 "(c1, c2, c3)=(%r, %r, %r) induce a negative eigenvalue %.6e"
-                % (self.c1, self.c2, self.c3, worst)
+                % (c1, c2, c3, worst)
             )
+        return super().__new__(cls, c1, c2, c3)
 
 
-@dataclass(frozen=True)
-class QubitPairConfig:
-    """Transition frequencies of the two qubits (hbar = 1)."""
+class QubitPairConfig(_record("QubitPairConfig", "omega_a omega_b")):
+    """Transition frequencies omega_a, omega_b of the two qubits (hbar = 1)."""
 
-    omega_a: float
-    omega_b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("omega_a", "omega_b"):
-            v = float(getattr(self, name))
+    def __new__(cls, omega_a: float, omega_b: float):
+        for name, v in (("omega_a", omega_a), ("omega_b", omega_b)):
+            v = float(v)
             if not math.isfinite(v) or v <= 0.0:
                 raise InvalidStateError(f"{name}={v!r} must be positive")
-        total = self.omega_a + self.omega_b
+        total = omega_a + omega_b
         if not math.isfinite(total * total):  # gamma1 = exp(-(w_a + w_b)^2 Q) needs it
             raise InvalidStateError(
-                f"(omega_a, omega_b)=({self.omega_a!r}, {self.omega_b!r}): "
+                f"(omega_a, omega_b)=({omega_a!r}, {omega_b!r}): "
                 "(omega_a + omega_b)^2 overflows a float")
+        return super().__new__(cls, omega_a, omega_b)
 
     @property
     def r(self) -> float:
@@ -163,21 +170,20 @@ class QubitPairConfig:
         return self.omega_a == self.omega_b
 
 
-@dataclass(frozen=True)
-class TwoQubitDensity:
+class TwoQubitDensity(_record("TwoQubitDensity", "entries")):
     """Validated 4x4 density matrix in the product basis.
 
-    The stored array is a read-only copy of the input. Construction checks
-    hermiticity and unit trace to 1e-12 and positivity to the shared
-    eigenvalue floor.
+    The stored array entries is a read-only complex copy of the input.
+    Construction checks hermiticity and unit trace to 1e-12 and positivity
+    to the shared eigenvalue floor.
     """
 
-    entries: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries):
         import numpy as np
 
-        m = np.array(self.entries, dtype=complex)
+        m = np.array(entries, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
         herm = np.max(np.abs(m - m.conj().T))
@@ -190,7 +196,7 @@ class TwoQubitDensity:
         if w[0] < EIGENVALUE_FLOOR:
             raise InvalidStateError(f"negative eigenvalue {w[0]:.6e} beyond tolerance")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        return super().__new__(cls, m)
 
 
 def _x_form_density(c3: float, outer: complex, inner: complex) -> TwoQubitDensity:

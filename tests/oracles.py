@@ -14,7 +14,6 @@ bath_dephasing_low_temperature is a third, approximate, referee.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from xdiscord import DomainError, ReservoirConfig, dephasing_exponent
 
@@ -174,7 +173,7 @@ def bath_dephasing_low_temperature(t: float, res: ReservoirConfig) -> float:
     The thermal term goes to zero both as t -> 0 and as T -> 0, so the
     expression degrades gracefully to the exact zero-temperature form.
     """
-    vacuum = dephasing_exponent(t, replace(res, temperature=0.0))
+    vacuum = dephasing_exponent(t, res._replace(temperature=0.0))
     if t == 0.0 or res.temperature == 0.0:
         return vacuum
     return vacuum + res.eta * _log_sinhc(math.pi * t * res.temperature)

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -210,10 +209,10 @@ def test_help_shows_every_default(command, capsys):
     by_flag = {e.split()[0]: " ".join(e.split()) for e in entries}
     for name in cli._COMMAND_KEYS[command]:
         assert "--" + name.replace("_", "-") in by_flag
-    for f in fields(cli.RunConfig):
-        entry = by_flag.get("--" + f.name.replace("_", "-"))
-        if entry is not None and f.default is not None:
-            assert entry.endswith(f"(default {f.default})"), entry
+    for name, default in cli.RunConfig._field_defaults.items():
+        entry = by_flag.get("--" + name.replace("_", "-"))
+        if entry is not None and default is not None:
+            assert entry.endswith(f"(default {default})"), entry
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):
@@ -389,12 +388,25 @@ def test_gnuplot_companion(tmp_path):
 
 
 def test_gnuplot_rejected_for_critic_time(tmp_path, capsys):
+    # refused before any work: the CSV was computed and written first
     code = run([
         "critic-time",
         "-o", str(tmp_path / "x.csv"), "--gnuplot", str(tmp_path / "x.plt"),
     ])
     assert code == 2
-    assert "not available" in capsys.readouterr().err
+    assert "--gnuplot is not available for 'critic-time'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("script", ["same.csv", "./sub/../same.csv"])
+def test_gnuplot_onto_the_csv_is_refused(script, tmp_path, monkeypatch, capsys):
+    # the script overwrote the CSV, with exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert run(["evolve", "--points", "5", "-o", "same.csv", "--gnuplot", script]) == 2
+    err = capsys.readouterr().err
+    assert f"--gnuplot {script!r} and --output 'same.csv' name the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 @pytest.mark.parametrize("temperature", ["0", "0.5"])
@@ -490,7 +502,7 @@ def test_root_find_error_exits_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RootFindError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli, "critic_time", boom)
+    monkeypatch.setattr("xdiscord.analysis.critic_time", boom)
     assert run(["critic-time"]) == 3
     assert "numeric failure" in capsys.readouterr().err
 
@@ -527,33 +539,37 @@ def test_failed_run_writes_only_the_stamp(error, code, monkeypatch, tmp_path, ca
 
 
 # SciPy is a test dependency only; NumPy serves log grids, the amplification
-# scan and the brute-force oracle, and no other run may load it
-SCIPY = ("scipy",)
-BOTH = ("scipy", "numpy")
+# scan and the brute-force oracle, and no other run may load it. No run
+# loads dataclasses, and only critic-time, critic-surface and amplification
+# load the analysis layer
+SCIPY = ("scipy", "dataclasses")
+BOTH = ("scipy", "numpy", "dataclasses")
+ANALYSIS = ("xdiscord.analysis",)
 
 
 @pytest.mark.parametrize(
     "args, blocked",
     [
-        pytest.param(["evolve", "-T", "0.5", "--points", "50"], BOTH, id="evolve"),
-        pytest.param(["evolve", "--points", "50"], BOTH, id="evolve-vacuum"),
-        pytest.param(["evolve", "--spacing", "log", "--t-min", "0.1"], SCIPY, id="evolve-log"),
-        pytest.param(["discord", "--oracle"], SCIPY, id="discord"),
-        pytest.param(["discord", "--time", "1.5"], BOTH, id="discord-analytic"),
+        pytest.param(["evolve", "-T", "0.5", "--points", "50"], BOTH + ANALYSIS, id="evolve"),
+        pytest.param(["evolve", "--points", "50"], BOTH + ANALYSIS, id="evolve-vacuum"),
+        pytest.param(["evolve", "--spacing", "log", "--t-min", "0.1"], SCIPY + ANALYSIS,
+                     id="evolve-log"),
+        pytest.param(["discord", "--oracle"], SCIPY + ANALYSIS, id="discord"),
+        pytest.param(["discord", "--time", "1.5"], BOTH + ANALYSIS, id="discord-analytic"),
         pytest.param(["critic-time", "-T", "0.3"], BOTH, id="critic-time"),
         pytest.param(["critic-surface"], BOTH, id="critic-surface"),
         pytest.param(["amplification"], SCIPY, id="amplification"),
     ],
 )
 def test_import_leaves_quadrature_unloaded(args, blocked, tmp_path):
-    # a blocked package adds its import time to every start: each run must
-    # succeed with it unimportable
+    # a blocked module adds its import time to every start: each run must
+    # succeed with it unimportable. A name blocks itself and its submodules
     out = tmp_path / "out.csv"
     code = (
         "import sys\n"
         "class Block:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
-        f"        if name.split('.')[0] in {blocked!r}:\n"
+        f"        if any(name == b or name.startswith(b + '.') for b in {blocked!r}):\n"
         "            raise ImportError(f'{name} is blocked')\n"
         "sys.meta_path.insert(0, Block())\n"
         "import xdiscord.cli\n"
@@ -572,6 +588,9 @@ def test_cli_import_loads_no_numpy():
     modules = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
     assert "xdiscord.cli" in modules
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    # dataclasses pulls in inspect, ast and dis; the analysis layer loads on demand
+    assert "dataclasses" not in modules
+    assert "xdiscord.analysis" not in modules
 
 
 @pytest.mark.parametrize(

@@ -57,7 +57,7 @@ def runs(draw):
     keys = draw(st.lists(st.sampled_from(keys_of(command)), unique=True, max_size=6))
     flags, config = [], []
     for key in keys:
-        kind = cli._KEY_TYPES[key]
+        kind = cli._KEYS[key].type
         value = draw(VALUES[kind])
         is_flag = key not in cli._GRID_KEYS or command == "evolve"
         if is_flag and draw(st.booleans()):

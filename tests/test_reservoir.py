@@ -50,12 +50,6 @@ def test_reservoir_config_validation():
         ReservoirConfig(1.0, 1.0, -0.1)
 
 
-def test_reservoir_config_beta():
-    assert ReservoirConfig(1.0, 1.0, 0.0).beta == math.inf
-    assert ReservoirConfig(1.0, 1.0, 0.5).beta == 2.0
-    assert ReservoirConfig(1.0, 1.0, 0.0).is_zero_temperature
-
-
 def test_phase_integral_matches_arctan():
     res = ReservoirConfig(0.7, 1.4, 0.0)
     for t in np.geomspace(1e-3, 1e3, 30):
