@@ -27,7 +27,6 @@ from .states import (
     _record,
     _reject,
     _x_spectrum,
-    entropy_bits,
     partial_trace,
     von_neumann_entropy,
     xlog2,
@@ -124,14 +123,9 @@ def x_state_eigenvalues(x: EvolvedXState):
     return _each(lambda mu, nu: _x_spectrum(mu, nu, c3), x.mu, x.nu)
 
 
-def _information(mu: float, nu: float, c3: float) -> float:
-    return 2.0 - entropy_bits(_x_spectrum(mu, nu, c3))
-
-
 def mutual_information(x: EvolvedXState) -> float:
     """I = 2 + sum_i lambda_i log2 lambda_i; both marginals are I/2."""
-    c3 = x.c3
-    return _each(lambda mu, nu: _information(mu, nu, c3), x.mu, x.nu)
+    return discord_analytic(x).mutual_information
 
 
 def measurement_spread(basis: MeasurementBasis, x: EvolvedXState) -> float:
@@ -152,32 +146,34 @@ def measurement_spread(basis: MeasurementBasis, x: EvolvedXState) -> float:
     return math.sqrt(max(val, 0.0))
 
 
-def _measurement_branch(c3, mu, nu, tc_regime: str = "unknown"):
-    """Spread chi and regime label of the measurement branch tc_regime picks.
+def _branch_rule(pole, tc_regime: str):
+    """Threshold and the equatorial and pole regime labels of the branch rule.
 
-    The pole spread is |c3| and the equatorial spread (|mu| + |nu|)/2.
-    "before" takes the equatorial branch, "after" the pole branch, and
-    "unknown" the larger of the two, labeled by which one wins; ties are
-    after-critic, and a vanishing pole means there is no critic time.
+    The equatorial spread (|mu| + |nu|)/2 is taken where it exceeds the
+    threshold, the pole spread |c3| elsewhere. Under "unknown" the threshold
+    is |c3|, so a tie is after-critic, and a vanishing pole means there is
+    no critic time; "before" and "after" force a branch with -inf or inf.
     """
-    if tc_regime not in ("before", "after", "unknown"):
-        raise DomainError(
-            f"tc_regime={tc_regime!r}; expected 'before', 'after' or 'unknown'"
-        )
+    if tc_regime == "unknown":
+        if pole <= _REGIME_ZERO:
+            return pole, REGIME_NONE, REGIME_NONE
+        return pole, REGIME_BEFORE, REGIME_AFTER
+    if tc_regime not in ("before", "after"):
+        raise DomainError(f"tc_regime={tc_regime!r}; expected 'before', 'after' or 'unknown'")
+    return -math.inf if tc_regime == "before" else math.inf, REGIME_BEFORE, REGIME_AFTER
+
+
+def _measurement_branch(c3, mu, nu, tc_regime: str = "unknown"):
+    """Spread chi and regime label of the measurement branch tc_regime picks."""
     pole = abs(c3)
+    threshold, equator_label, pole_label = _branch_rule(pole, tc_regime)
     equator = 0.5 * (abs(mu) + abs(nu))
-    before = equator > pole if tc_regime == "unknown" else tc_regime == "before"
-    if tc_regime == "unknown" and pole <= _REGIME_ZERO:
-        labels = (REGIME_NONE, REGIME_NONE)
-    else:
-        labels = (REGIME_BEFORE, REGIME_AFTER)
-    return (equator, labels[0]) if before else (pole, labels[1])
+    return (equator, equator_label) if equator > threshold else (pole, pole_label)
 
 
 def optimal_measurement_spread(x: EvolvedXState) -> float:
     """chi = max(|c3|, (|mu| + |nu|)/2), the spread at the best basis."""
-    c3 = x.c3
-    return _each(lambda mu, nu: _measurement_branch(c3, mu, nu)[0], x.mu, x.nu)
+    return discord_analytic(x).chi
 
 
 def classical_correlation_value(chi: float) -> float:
@@ -185,7 +181,7 @@ def classical_correlation_value(chi: float) -> float:
 
     Equals 1 - h2((1 + chi)/2) with h2 the binary entropy.
     """
-    if chi < 0.0 or chi > 1.0 + 1e-12:
+    if not 0.0 <= chi <= 1.0 + 1e-12:
         raise InvalidStateError(f"spread chi={chi!r} outside [0, 1]")
     chi = min(chi, 1.0)
     return 0.5 * (xlog2(1.0 + chi) + xlog2(1.0 - chi))
@@ -193,7 +189,7 @@ def classical_correlation_value(chi: float) -> float:
 
 def classical_correlation(x: EvolvedXState) -> float:
     """Classical correlation of the evolved X state under optimal measurement."""
-    return _each(classical_correlation_value, optimal_measurement_spread(x))
+    return discord_analytic(x).classical_correlation
 
 
 def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBreakdown:
@@ -205,19 +201,39 @@ def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBre
     after-critic. An x over a time grid gives a breakdown of lists.
     """
     c3 = x.c3
-
-    def point(mu, nu):
-        info = _information(mu, nu, c3)
-        chi, regime = _measurement_branch(c3, mu, nu, tc_regime)
-        cc = classical_correlation_value(chi)
+    pole = abs(c3)
+    # EvolvedXState has refused a nan, so a forced branch is never missed
+    threshold, equator_label, pole_label = _branch_rule(pole, tc_regime)
+    plus, minus, log2, fsum = 1.0 + c3, 1.0 - c3, math.log2, math.fsum
+    cc_pole = None  # C at the pole spread, once a point takes that branch
+    fields = infos, ccs, ds, chis, regimes = [], [], [], [], []
+    grid = type(x.mu) is list
+    for mu, nu in zip(x.mu, x.nu) if grid else ((x.mu, x.nu),):
+        # the spectrum (1 + c3 -/+ mu)/4, (1 - c3 -/+ nu)/4; xlog2 keeps the
+        # floor check for a weight that is not positive
+        w1, w2 = (plus - mu) / 4.0, (plus + mu) / 4.0
+        w3, w4 = (minus - nu) / 4.0, (minus + nu) / 4.0
+        info = 2.0 + fsum((w1 * log2(w1) if w1 > 0.0 else xlog2(w1),
+                           w2 * log2(w2) if w2 > 0.0 else xlog2(w2),
+                           w3 * log2(w3) if w3 > 0.0 else xlog2(w3),
+                           w4 * log2(w4) if w4 > 0.0 else xlog2(w4)))
+        equator = 0.5 * (abs(mu) + abs(nu))
+        if equator > threshold:
+            chi, regime, cc = equator, equator_label, classical_correlation_value(equator)
+        else:
+            if cc_pole is None:
+                cc_pole = classical_correlation_value(pole)
+            chi, regime, cc = pole, pole_label, cc_pole
         d = info - cc
+        infos.append(info)
+        ccs.append(cc)
         # D >= 0 on either measurement branch, so a negative I - C is
         # rounding (-1.9e-16 once mu = nu = 0 on the after-critic branch)
-        return info, cc, 0.0 if d < 0.0 else d, chi, regime
-
-    fields = _each(point, x.mu, x.nu)
-    if type(fields) is list:  # one tuple per time: one list per field
-        fields = [list(column) for column in zip(*fields)] or [[]] * 5
+        ds.append(0.0 if d < 0.0 else d)
+        chis.append(chi)
+        regimes.append(regime)
+    if not grid:
+        fields = [column[0] for column in fields]
     return DiscordBreakdown(*fields, t=x.t)
 
 

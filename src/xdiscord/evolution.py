@@ -17,6 +17,7 @@ out of the fast path and the decays are the factors gamma1, gamma2.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from operator import mul
 
@@ -60,21 +61,23 @@ class EvolvedXState(_record("EvolvedXState", "mu nu delta1 delta2 c3 t")):
         _reject(_negative_time, "t=%r must be nonnegative", t,
                 fine=lambda t: min(t, default=0.0) >= 0.0)
 
-        def negative_eigenvalue(mu, nu):
+        def bad_point(mu, nu):
+            if mu != mu or nu != nu or c3 != c3:
+                return mu, nu, c3, "include a nan"
             outer, _, inner, _ = _x_spectrum(abs(mu), abs(nu), c3)
-            # the builtin min of the four, nan cases included: the others are never lower
             worst = inner if inner < outer else outer
-            return (mu, nu, c3, worst) if worst < EIGENVALUE_FLOOR else None
+            if worst < EIGENVALUE_FLOOR:
+                return mu, nu, c3, "induce a negative eigenvalue %.6e" % worst
 
         def fine(mu, nu):
-            # both eigenvalues fall as |mu|, |nu| grow, so the largest of each decide
+            # both eigenvalues fall as |mu|, |nu| grow, so the largest of each decide;
+            # max() skips every nan but a first one, which a nan sum shows
             outer, _, inner, _ = _x_spectrum(max(map(abs, mu), default=0.0),
                                              max(map(abs, nu), default=0.0), c3)
-            return outer >= EIGENVALUE_FLOOR and inner >= EIGENVALUE_FLOOR
+            return (outer >= EIGENVALUE_FLOOR and inner >= EIGENVALUE_FLOOR
+                    and not math.isnan(sum(mu) + sum(nu)))
 
-        _reject(negative_eigenvalue,
-                "(mu, nu, c3)=(%r, %r, %r) induce a negative eigenvalue %.6e",
-                mu, nu, t=t, fine=fine)
+        _reject(bad_point, "(mu, nu, c3)=(%r, %r, %r) %s", mu, nu, t=t, fine=fine)
         return super().__new__(cls, mu, nu, delta1, delta2, c3, t)
 
 

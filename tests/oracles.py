@@ -9,13 +9,25 @@ evaluate the defining integrals
 themselves with SciPy's QUADPACK, so the tests check each closed form
 against a route that does not share its derivation. The T << w_c form
 bath_dephasing_low_temperature is a third, approximate, referee.
+
+discord_point_reference is the closed-form discord at one point, composed
+call by call as the package did before its per-table kernel: the tests pin
+that kernel to it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-from xdiscord import DomainError, ReservoirConfig, dephasing_exponent
+from xdiscord import (
+    DomainError,
+    ReservoirConfig,
+    classical_correlation_value,
+    dephasing_exponent,
+    entropy_bits,
+)
+from xdiscord.discord import _measurement_branch
+from xdiscord.states import _x_spectrum
 
 
 class QuadratureError(RuntimeError):
@@ -177,3 +189,17 @@ def bath_dephasing_low_temperature(t: float, res: ReservoirConfig) -> float:
     if t == 0.0 or res.temperature == 0.0:
         return vacuum
     return vacuum + res.eta * _log_sinhc(math.pi * t * res.temperature)
+
+
+def discord_point_reference(mu: float, nu: float, c3: float, tc_regime: str = "unknown"):
+    """(I, C, D, chi, regime) at one (mu, nu, c3), one call per quantity.
+
+    I = 2 - S(spectrum), the branch from _measurement_branch, C from
+    classical_correlation_value, and D = I - C with a negative rounding
+    residue clamped to 0.
+    """
+    info = 2.0 - entropy_bits(_x_spectrum(mu, nu, c3))
+    chi, regime = _measurement_branch(c3, mu, nu, tc_regime)
+    cc = classical_correlation_value(chi)
+    d = info - cc
+    return info, cc, 0.0 if d < 0.0 else d, chi, regime

@@ -105,6 +105,8 @@ def test_classical_correlation_value_anchors():
         classical_correlation_value(1.1)
     with pytest.raises(InvalidStateError):
         classical_correlation_value(-0.1)
+    with pytest.raises(InvalidStateError, match=r"spread chi=nan outside \[0, 1\]"):
+        classical_correlation_value(math.nan)
 
 
 def test_discord_analytic_initial_anchor():

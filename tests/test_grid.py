@@ -3,8 +3,10 @@
 Each of the three takes a list of times as well as a float. The grid
 route must give, cell by cell, the bits the scalar route gives, and its
 checks must raise the same error type at the same inputs, naming the
-first offending t. The linear grid of the command line is built in Python
-floats and must be np.linspace bit for bit.
+first offending t. The discord kernel must give, field by field, the bits
+of the per-point composition it replaced (oracles.discord_point_reference).
+The linear grid of the command line is built in Python floats and must be
+np.linspace bit for bit.
 """
 
 import math
@@ -26,6 +28,8 @@ from xdiscord import (
     x_state_from_factors,
 )
 from xdiscord.cli import _linspace
+
+from oracles import discord_point_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -99,6 +103,44 @@ def test_correlations_stay_within_their_bounds(run):
         assert cc <= info + 1e-15
 
 
+# c3 and the fractions of |mu| <= 1 + c3 and |nu| <= 1 - c3 that the kernel's
+# branches turn on: a zero weight, a vanishing pole, mu = nu = 0
+EDGE_C3 = st.sampled_from([0.0, -0.0, 1e-14, -1e-14, 3e-15, 1.0, -1.0, 0.5, -0.25])
+EDGE_FRACTION = st.sampled_from([0.0, 1.0, 0.5])
+SIGN = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def discord_points(draw, c3):
+    pole = abs(c3)
+    kind = draw(st.integers(0, 3))
+    # equator == pole: (|mu| + |nu|)/2 is |c3| exactly, within the spectrum's bounds
+    if kind == 0 and pole <= 0.5:
+        return draw(SIGN) * pole, draw(SIGN) * pole
+    if kind == 1:
+        return (draw(SIGN) * 2.0 * pole, 0.0) if c3 >= 0.0 else (0.0, draw(SIGN) * 2.0 * pole)
+    fraction = st.one_of(EDGE_FRACTION, st.floats(0.0, 1.0))
+    return (draw(fraction) * (1.0 + c3) * draw(SIGN),
+            draw(fraction) * (1.0 - c3) * draw(SIGN))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), c3=st.one_of(EDGE_C3, st.floats(-1.0, 1.0)),
+       tc_regime=st.sampled_from(["unknown", "before", "after"]), n=st.integers(0, 12))
+def test_discord_kernel_is_the_per_point_composition_bit_for_bit(data, c3, tc_regime, n):
+    fields = DiscordBreakdown._fields[:5]
+    points = [data.draw(discord_points(c3)) for _ in range(n)]
+    want = [discord_point_reference(mu, nu, c3, tc_regime) for mu, nu in points]
+    for (mu, nu), cells in zip(points, want):
+        b = discord_analytic(EvolvedXState(mu, nu, 0.0, 0.0, c3, 0.5), tc_regime)
+        assert [repr(getattr(b, f)) for f in fields] == list(map(repr, cells))
+    mu, nu = [p[0] for p in points], [p[1] for p in points]
+    zero, t = [0.0] * n, [0.5] * n
+    b = discord_analytic(EvolvedXState(mu, nu, zero, zero, c3, t), tc_regime)
+    for f, column in zip(fields, zip(*want) if want else [()] * 5):
+        assert list(map(repr, getattr(b, f))) == list(map(repr, column))
+
+
 def test_one_point_grid_gives_the_scalar_types():
     b = discord_analytic(evolve_x_state(PARAMS, 1.2, QUBITS, RES))
     grid = discord_analytic(evolve_x_state(PARAMS, [1.2], QUBITS, RES))
@@ -146,16 +188,22 @@ def test_breakdown_checks_name_the_first_bad_time():
         DiscordBreakdown(info, [0.2, 0.2, 0.7], [0.3, 0.3, -0.2], [0.0] * 3, labels, t)
 
 
-def test_spectrum_check_keeps_the_order_of_the_builtin_min():
-    # min() over the spectrum kept a nan in front and skipped a later one, so a
-    # nan mu passes while a nan nu does not hide a negative outer eigenvalue
+def test_spectrum_check_refuses_a_nan_and_names_its_point():
+    # a nan eigenvalue is never below the floor, so the check looks for nans first,
+    # at a float and at every grid point, the screen's max() notwithstanding
     zero = [0.0, 0.0]
-    EvolvedXState(mu=math.nan, nu=1.5, delta1=0.0, delta2=0.0, c3=0.0, t=0.0)
-    EvolvedXState(mu=[0.1, math.nan], nu=[0.1, 1.5], delta1=zero, delta2=zero, c3=0.0, t=zero)
-    with pytest.raises(InvalidStateError):
-        EvolvedXState(mu=1.5, nu=math.nan, delta1=0.0, delta2=0.0, c3=0.0, t=0.0)
-    with pytest.raises(InvalidStateError, match=r"at t=1\.0"):
-        EvolvedXState(mu=[0.1, 1.5], nu=[0.1, math.nan], delta1=zero, delta2=zero, c3=0.0,
+    for mu, nu, c3 in ((math.nan, 1.5, 0.0), (1.5, math.nan, 0.0), (0.1, 0.1, math.nan)):
+        with pytest.raises(InvalidStateError, match=r"include a nan at t=0\.5$"):
+            EvolvedXState(mu=mu, nu=nu, delta1=0.0, delta2=0.0, c3=c3, t=0.5)
+    with pytest.raises(InvalidStateError, match=r"=\(nan, 0\.1, 0\.0\) include a nan at t=1\.0"):
+        EvolvedXState(mu=[0.1, math.nan], nu=[0.1, 0.1], delta1=zero, delta2=zero, c3=0.0,
+                      t=[0.0, 1.0])
+    with pytest.raises(InvalidStateError, match=r"=\(0\.1, nan, 0\.2\) include a nan at t=0\.0"):
+        EvolvedXState(mu=[0.1, 0.1], nu=[math.nan, 0.1], delta1=zero, delta2=zero, c3=0.2,
+                      t=[0.0, 1.0])
+    # a negative eigenvalue ahead of a nan is named first
+    with pytest.raises(InvalidStateError, match=r"negative eigenvalue .* at t=0\.0"):
+        EvolvedXState(mu=[1.5, math.nan], nu=[0.1, 0.1], delta1=zero, delta2=zero, c3=0.0,
                       t=[0.0, 1.0])
 
 
