@@ -9,6 +9,8 @@ minimizes over an explicit (theta, phi) measurement grid with local
 refinement and serves as the oracle for the analytic one. The analytic
 route runs on Python floats, at one time or over a list of times; the
 brute-force route works on dense matrices and imports NumPy when it runs.
+It reads each conditional state of qubit A off the Bloch components of
+the density's qubit-B blocks, which assumes no X structure.
 
 All information quantities are in bits.
 """
@@ -22,6 +24,7 @@ from typing import TYPE_CHECKING
 from .errors import ConvergenceError, DomainError, InvalidStateError
 from .evolution import EvolvedXState
 from .states import (
+    EIGENVALUE_FLOOR,
     TwoQubitDensity,
     _each,
     _record,
@@ -42,6 +45,9 @@ REGIME_NONE = "no-critic"
 # population asymmetry below this is treated as exactly zero when labeling
 # the regime; the pole branch can then never take over
 _REGIME_ZERO = 1e-14
+# the largest spread, |c3| or (|mu| + |nu|)/2, whose state passes the
+# spectrum check: every eigenvalue (1 +/- c3 -/+ mu or nu)/4 >= EIGENVALUE_FLOOR
+_SPREAD_MAX = 1.0 - 4.0 * EIGENVALUE_FLOOR
 
 _MIN_GRID = (64, 128)
 _REFINE_ROUNDS = 3
@@ -49,6 +55,8 @@ _REFINE_POINTS = 21
 _REFINE_SHRINK = 10.0
 _CONVERGENCE_TOL = 1e-6
 _X_PATTERN_TOL = 1e-12
+# bases per block of the grid scan; a call then allocates about 0.2 MB at its peak
+_SCAN_CHUNK = 1024
 
 
 class MeasurementBasis(namedtuple("MeasurementBasis", "theta phi")):
@@ -179,9 +187,11 @@ def optimal_measurement_spread(x: EvolvedXState) -> float:
 def classical_correlation_value(chi: float) -> float:
     """C at a given optimal spread: sum_n (1 + (-1)^n chi)/2 log2(1 + (-1)^n chi).
 
-    Equals 1 - h2((1 + chi)/2) with h2 the binary entropy.
+    Equals 1 - h2((1 + chi)/2) with h2 the binary entropy. A chi up to
+    1 - 4 EIGENVALUE_FLOOR, which a state's spectrum check admits, is
+    clamped to 1.
     """
-    if not 0.0 <= chi <= 1.0 + 1e-12:
+    if not 0.0 <= chi <= _SPREAD_MAX:
         raise InvalidStateError(f"spread chi={chi!r} outside [0, 1]")
     chi = min(chi, 1.0)
     return 0.5 * (xlog2(1.0 + chi) + xlog2(1.0 - chi))
@@ -237,37 +247,53 @@ def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBre
     return DiscordBreakdown(*fields, t=x.t)
 
 
-def _conditional_entropies(r4: np.ndarray, thetas: np.ndarray, phis: np.ndarray):
-    """p_k S(rho_A^k) summed over both outcomes, for a flat list of bases.
+def _bloch_blocks(r4: np.ndarray) -> np.ndarray:
+    """Real (4, 4) table of the B-blocks' halved Bloch components.
 
-    Returns (s_cond, p_par, s_par, p_perp, s_perp) where s_* are the
-    normalized conditional entropies.
+    Rows are Re R_00, Re R_11, Re R_01 and Im R_01, where R_ij is the 2x2
+    B-block r4[i, :, j, :]; columns are 1/2 Tr[R_ij s] for s = 1, sigma_x,
+    sigma_y, sigma_z. Projecting B onto (1 + n.sigma)/2 leaves the A-block
+    ij = column 0 + n . columns 1-3, and the outcome along -n flips the
+    sign of the n term.
     """
     import numpy as np
 
-    ct = np.cos(thetas)
-    st = np.sin(thetas)
-    eph = np.exp(1j * phis)
-    u_par = np.stack([ct + 0j, eph * st], axis=-1)
-    u_perp = np.stack([np.conj(eph) * st, -ct + 0j], axis=-1)
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                       [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    blocks = np.stack([r4[0, :, 0, :], r4[1, :, 1, :], r4[0, :, 1, :]])
+    comps = 0.5 * np.einsum("mbc,scb->ms", blocks, paulis)
+    # R_00 and R_11 are hermitian, so their components are real
+    return np.concatenate([comps.real, comps[2:].imag])
 
-    out = []
-    for u in (u_par, u_perp):
-        block = np.einsum("nb,ibjc,nc->nij", u.conj(), r4, u)
-        a = block[:, 0, 0].real
-        d = block[:, 1, 1].real
-        p = a + d
-        half_gap = np.hypot(0.5 * (a - d), np.abs(block[:, 0, 1]))
-        mid = 0.5 * (a + d)
-        safe = np.maximum(p, 1e-300)
-        z1 = (mid - half_gap) / safe
-        z2 = (mid + half_gap) / safe
-        ent = -(xlog2(z1) + xlog2(z2))
-        ent = np.where(p > 1e-15, ent, 0.0)
-        out.append((p, ent))
-    (p_par, s_par), (p_perp, s_perp) = out
-    s_cond = p_par * s_par + p_perp * s_perp
-    return s_cond, p_par, s_par, p_perp, s_perp
+
+def _conditional_states(bloch: np.ndarray, nx, ny, nz):
+    """(p, h) of the conditional A state, stacked for the outcomes along +n and -n.
+
+    p is the outcome probability and p/2 +/- h the two eigenvalues of the
+    unnormalized conditional state; n = (nx, ny, nz) is a unit Bloch
+    vector, or arrays of them, and both outcomes share its dot products.
+    """
+    import numpy as np
+
+    signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(nx))
+    a, d, re, im = (c[0] + signs * (nx * c[1] + ny * c[2] + nz * c[3]) for c in bloch)
+    return a + d, np.hypot(0.5 * (a - d), np.hypot(re, im))
+
+
+def _conditional_entropies(bloch: np.ndarray, nx, ny, nz):
+    """p_k S(rho_A^k) summed over both outcomes, at Bloch directions n.
+
+    Returns (s_cond, p_par, s_par, p_perp, s_perp) where s_* are the
+    normalized conditional entropies; par is the outcome along +n.
+    """
+    import numpy as np
+
+    p, half_gap = _conditional_states(bloch, nx, ny, nz)
+    mid = 0.5 * p
+    safe = np.maximum(p, 1e-300)
+    ent = -(xlog2((mid - half_gap) / safe) + xlog2((mid + half_gap) / safe))
+    ent = np.where(p > 1e-15, ent, 0.0)
+    return p[0] * ent[0] + p[1] * ent[1], p[0], ent[0], p[1], ent[1]
 
 
 def _looks_like_symmetric_x(m: np.ndarray) -> bool:
@@ -278,6 +304,44 @@ def _looks_like_symmetric_x(m: np.ndarray) -> bool:
         abs(m[0, 0] - m[3, 3]) <= _X_PATTERN_TOL
         and abs(m[1, 1] - m[2, 2]) <= _X_PATTERN_TOL
     )
+
+
+def _scan_minimum(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
+                  check_symmetry: bool = False):
+    """(value, theta, phi) of the first conditional-entropy minimum on thetas x phis.
+
+    The grid is walked in blocks of whole theta rows, about _SCAN_CHUNK
+    bases each, so the working set does not grow with the grid. A later
+    block must be strictly lower to take over, which keeps the first
+    minimum in row-major order, as one argmin over the whole grid would.
+    check_symmetry asserts, to 1e-12, the equal outcome probabilities and
+    entropies a symmetric X state has at every basis.
+    """
+    import numpy as np
+
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+    rows = max(1, _SCAN_CHUNK // len(phis))
+    best = None
+    worst_p = worst_s = 0.0
+    for lo in range(0, len(thetas), rows):
+        two_t = 2.0 * thetas[lo:lo + rows, None]
+        sin2t = np.sin(two_t)
+        s_cond, p_par, s_par, p_perp, s_perp = _conditional_entropies(
+            bloch, sin2t * cos_phi, sin2t * sin_phi, np.cos(two_t))
+        if check_symmetry:
+            worst_p = max(worst_p, np.abs(p_par - 0.5).max(), np.abs(p_perp - 0.5).max())
+            worst_s = max(worst_s, np.abs(s_par - s_perp).max())
+        idx = int(np.argmin(s_cond))
+        val = float(s_cond.flat[idx])
+        if best is None or val < best[0]:
+            i, j = divmod(idx, len(phis))
+            best = val, float(thetas[lo + i]), float(phis[j])
+    if worst_p > 1e-12 or worst_s > 1e-12:
+        raise InvalidStateError(
+            "symmetric X state lost its measurement symmetry: "
+            f"|p - 1/2| <= {worst_p:.3e}, |S_par - S_perp| <= {worst_s:.3e}"
+        )
+    return best
 
 
 def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown:
@@ -297,32 +361,17 @@ def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown
             f"grid {grid!r} is coarser than the required minimum {_MIN_GRID}"
         )
     m = rho.entries
-    r4 = m.reshape(2, 2, 2, 2)
     s_a = von_neumann_entropy(partial_trace(rho, "A"))
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
     s_ab = von_neumann_entropy(m)
     info = s_a + s_b - s_ab
-
-    symmetric_x = _looks_like_symmetric_x(m)
-
-    thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    tg = tg.ravel()
-    pg = pg.ravel()
-    s_cond, p_par, s_par, p_perp, s_perp = _conditional_entropies(r4, tg, pg)
-    if symmetric_x:
-        worst_p = max(np.abs(p_par - 0.5).max(), np.abs(p_perp - 0.5).max())
-        worst_s = np.abs(s_par - s_perp).max()
-        if worst_p > 1e-12 or worst_s > 1e-12:
-            raise InvalidStateError(
-                "symmetric X state lost its measurement symmetry: "
-                f"|p - 1/2| <= {worst_p:.3e}, |S_par - S_perp| <= {worst_s:.3e}"
-            )
-    best = int(np.argmin(s_cond))
-    best_val = float(s_cond[best])
-    best_theta = float(tg[best])
-    best_phi = float(pg[best])
+    bloch = _bloch_blocks(m.reshape(2, 2, 2, 2))
+    best_val, best_theta, best_phi = _scan_minimum(
+        bloch,
+        np.linspace(0.0, 0.5 * math.pi, n_theta),
+        np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
+        check_symmetry=_looks_like_symmetric_x(m),
+    )
 
     spacing_theta = 0.5 * math.pi / (n_theta - 1)
     spacing_phi = 2.0 * math.pi / n_phi
@@ -334,15 +383,9 @@ def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown
         sub_p = np.linspace(
             best_phi - spacing_phi, best_phi + spacing_phi, _REFINE_POINTS
         )
-        tg, pg = np.meshgrid(sub_t, sub_p, indexing="ij")
-        tg = tg.ravel()
-        pg = pg.ravel()
-        s_cond = _conditional_entropies(r4, tg, pg)[0]
-        idx = int(np.argmin(s_cond))
-        new_val = float(s_cond[idx])
+        new_val, new_theta, new_phi = _scan_minimum(bloch, sub_t, sub_p)
         if new_val < best_val:
-            best_theta = float(tg[idx])
-            best_phi = float(pg[idx])
+            best_theta, best_phi = new_theta, new_phi
         change = best_val - min(new_val, best_val)
         best_val = min(new_val, best_val)
         spacing_theta /= _REFINE_SHRINK
@@ -353,7 +396,7 @@ def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown
 
     cc = s_a - best_val
     # spread of the conditional state at the optimum, for the chi field
-    chi = _conditional_spread(r4, best_theta, best_phi)
+    chi = _conditional_spread(bloch, best_theta, best_phi)
     # the X parameters c3, mu, nu read off the matrix entries
     _, regime = _measurement_branch(
         (m[0, 0] + m[3, 3] - m[1, 1] - m[2, 2]).real, 4.0 * m[0, 3], 4.0 * m[1, 2]
@@ -376,14 +419,8 @@ def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown
     return breakdown
 
 
-def _conditional_spread(r4: np.ndarray, theta: float, phi: float) -> float:
-    import numpy as np
-
-    basis = MeasurementBasis(theta, phi)
-    v = basis.parallel_ket()
-    block = np.einsum("b,ibjc,c->ij", v.conj(), r4, v)
-    p = (block[0, 0] + block[1, 1]).real
-    if p <= 1e-15:
-        return 0.0
-    half_gap = math.hypot(0.5 * (block[0, 0].real - block[1, 1].real), abs(block[0, 1]))
-    return 2.0 * half_gap / p
+def _conditional_spread(bloch: np.ndarray, theta: float, phi: float) -> float:
+    sin2t = math.sin(2.0 * theta)
+    p, half_gap = _conditional_states(
+        bloch, sin2t * math.cos(phi), sin2t * math.sin(phi), math.cos(2.0 * theta))
+    return 0.0 if p[0] <= 1e-15 else float(2.0 * half_gap[0] / p[0])

@@ -186,11 +186,12 @@ class TwoQubitDensity(_record("TwoQubitDensity", "entries")):
         m = np.array(entries, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
+        # written as not (x <= tol), so a nan entry fails here, not in eigvalsh
         herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise InvalidStateError(f"matrix is not hermitian: max deviation {herm:.3e}")
         tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise InvalidStateError(f"trace {tr!r} differs from 1 beyond tolerance")
         w = np.linalg.eigvalsh(m)
         if w[0] < EIGENVALUE_FLOOR:

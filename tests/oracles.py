@@ -13,6 +13,11 @@ bath_dephasing_low_temperature is a third, approximate, referee.
 discord_point_reference is the closed-form discord at one point, composed
 call by call as the package did before its per-table kernel: the tests pin
 that kernel to it bit for bit.
+
+conditional_entropies_reference is the brute-force oracle's conditional
+entropy as the package computed it before its Bloch-form kernel: each
+basis ket is contracted with the full density by einsum, so the tests can
+check the Bloch-vector route against a route that does not share it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from xdiscord import (
     classical_correlation_value,
     dephasing_exponent,
     entropy_bits,
+    xlog2,
 )
 from xdiscord.discord import _measurement_branch
 from xdiscord.states import _x_spectrum
@@ -203,3 +209,36 @@ def discord_point_reference(mu: float, nu: float, c3: float, tc_regime: str = "u
     cc = classical_correlation_value(chi)
     d = info - cc
     return info, cc, 0.0 if d < 0.0 else d, chi, regime
+
+
+def conditional_entropies_reference(r4, thetas, phis):
+    """p_k S(rho_A^k) summed over both outcomes, for a flat list of bases.
+
+    Returns (s_cond, p_par, s_par, p_perp, s_perp) where s_* are the
+    normalized conditional entropies.
+    """
+    import numpy as np
+
+    ct = np.cos(thetas)
+    st = np.sin(thetas)
+    eph = np.exp(1j * phis)
+    u_par = np.stack([ct + 0j, eph * st], axis=-1)
+    u_perp = np.stack([np.conj(eph) * st, -ct + 0j], axis=-1)
+
+    out = []
+    for u in (u_par, u_perp):
+        block = np.einsum("nb,ibjc,nc->nij", u.conj(), r4, u)
+        a = block[:, 0, 0].real
+        d = block[:, 1, 1].real
+        p = a + d
+        half_gap = np.hypot(0.5 * (a - d), np.abs(block[:, 0, 1]))
+        mid = 0.5 * (a + d)
+        safe = np.maximum(p, 1e-300)
+        z1 = (mid - half_gap) / safe
+        z2 = (mid + half_gap) / safe
+        ent = -(xlog2(z1) + xlog2(z2))
+        ent = np.where(p > 1e-15, ent, 0.0)
+        out.append((p, ent))
+    (p_par, s_par), (p_perp, s_perp) = out
+    s_cond = p_par * s_par + p_perp * s_perp
+    return s_cond, p_par, s_par, p_perp, s_perp

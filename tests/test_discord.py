@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,11 @@ from xdiscord import (
     x_state_density,
     x_state_eigenvalues,
 )
+from xdiscord.discord import _SCAN_CHUNK, _bloch_blocks, _conditional_entropies, _scan_minimum
+from xdiscord.states import EIGENVALUE_FLOOR, TwoQubitDensity
 
 from helpers import sample_x_params
+from oracles import conditional_entropies_reference
 
 
 def frozen_state(mu, nu, c3, delta1=0.0, delta2=0.0, t=0.0):
@@ -107,6 +111,18 @@ def test_classical_correlation_value_anchors():
         classical_correlation_value(-0.1)
     with pytest.raises(InvalidStateError, match=r"spread chi=nan outside \[0, 1\]"):
         classical_correlation_value(math.nan)
+
+
+def test_classical_correlation_value_takes_what_the_spectrum_check_admits():
+    # EvolvedXState admits eigenvalues down to EIGENVALUE_FLOOR, so |c3| up
+    # to 1 - 4 EIGENVALUE_FLOOR; the pole spread is clamped, not refused
+    b = discord_analytic(frozen_state(0.0, 0.0, 1.0 + 2e-10))
+    assert b.chi == 1.0 + 2e-10
+    assert b.classical_correlation == 1.0
+    assert b.discord == pytest.approx(0.0, abs=1e-9)
+    assert classical_correlation_value(1.0 - 4.0 * EIGENVALUE_FLOOR) == 1.0
+    with pytest.raises(InvalidStateError):
+        classical_correlation_value(1.0 - 5.0 * EIGENVALUE_FLOOR)
 
 
 def test_discord_analytic_initial_anchor():
@@ -192,3 +208,76 @@ def test_classical_correlation_consistency(rng):
         x = frozen_state(params.c1 - params.c2, params.c1 + params.c2, params.c3)
         want = classical_correlation_value(optimal_measurement_spread(x))
         assert classical_correlation(x) == want
+
+
+def random_full_rank_density(rng) -> TwoQubitDensity:
+    """G G^dagger / Tr for complex Gaussian G: full rank, no X pattern."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return TwoQubitDensity(0.5 * (m + m.conj().T) / m.trace().real)
+
+
+def bloch_directions(thetas, phis):
+    sin2t = np.sin(2.0 * thetas)
+    return sin2t * np.cos(phis), sin2t * np.sin(phis), np.cos(2.0 * thetas)
+
+
+def test_bloch_kernel_matches_the_ket_referee(rng):
+    thetas = np.concatenate([[0.0, 0.5 * math.pi], rng.uniform(0.0, 0.5 * math.pi, 400)])
+    phis = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 2.0 * math.pi, 400)])
+    for _ in range(20):
+        r4 = random_full_rank_density(rng).entries.reshape(2, 2, 2, 2)
+        got = _conditional_entropies(_bloch_blocks(r4), *bloch_directions(thetas, phis))
+        want = conditional_entropies_reference(r4, thetas, phis)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-13)
+
+
+def test_scan_keeps_the_first_minimum_across_blocks():
+    # 65 x 129 bases are not a whole number of scan blocks. The classical
+    # state's entropy depends on cos(2 theta) alone, and its minimum ties
+    # exactly on the theta = 0 row (first block) and theta = pi/2 row (last)
+    thetas = np.linspace(0.0, 0.5 * math.pi, 65)
+    phis = np.linspace(0.0, 2.0 * math.pi, 129, endpoint=False)
+    for rho in (np.eye(4) / 4.0, np.diag([0.4, 0.1, 0.1, 0.4])):
+        bloch = _bloch_blocks(TwoQubitDensity(rho).entries.reshape(2, 2, 2, 2))
+        s_cond = _conditional_entropies(
+            bloch, *bloch_directions(thetas[:, None], phis[None, :]))[0]
+        assert (s_cond[-1] == s_cond.min()).all()
+        assert _scan_minimum(bloch, thetas, phis) == (s_cond.min(), 0.0, 0.0)
+
+
+def test_scan_finds_a_minimum_inside_a_later_block(rng):
+    thetas = np.linspace(0.0, 0.5 * math.pi, 65)
+    phis = np.linspace(0.0, 2.0 * math.pi, 129, endpoint=False)
+    for _ in range(5):
+        bloch = _bloch_blocks(random_full_rank_density(rng).entries.reshape(2, 2, 2, 2))
+        s_cond = _conditional_entropies(
+            bloch, *bloch_directions(thetas[:, None], phis[None, :]))[0]
+        i, j = np.unravel_index(np.argmin(s_cond), s_cond.shape)
+        assert i >= _SCAN_CHUNK // len(phis)  # past the first block of rows
+        val, theta, phi = _scan_minimum(bloch, thetas, phis)
+        assert (theta, phi) == (thetas[i], phis[j])
+        assert val == pytest.approx(s_cond[i, j], abs=1e-15)
+
+
+def test_bruteforce_on_a_grid_off_the_block_size(rng):
+    for _ in range(3):
+        params = sample_x_params(rng)
+        x = frozen_state(params.c1 - params.c2, params.c1 + params.c2, params.c3)
+        got = discord_bruteforce(x_state_density(params), grid=(65, 129))
+        assert got.discord == pytest.approx(discord_analytic(x).discord, abs=1e-7)
+
+
+def test_bruteforce_working_set_stays_bounded():
+    # the grid is scanned in blocks: one call on the default 64 x 128 grid
+    # must not allocate more than 0.5 MB at its peak
+    rho = x_state_density(XStateParams(0.6, 0.1, -0.25))
+    discord_bruteforce(rho)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        discord_bruteforce(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 500_000

@@ -114,6 +114,17 @@ def test_density_validation_rejects_bad_trace():
         TwoQubitDensity(np.eye(4, dtype=complex) / 2.0)
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+def test_density_validation_rejects_nan(entry):
+    # a nan fails the hermiticity or trace check, before the eigensolver
+    m = np.eye(4, dtype=complex) / 4.0
+    m[entry] = math.nan
+    with pytest.raises(InvalidStateError, match="nan"):
+        TwoQubitDensity(m)
+    with pytest.raises(InvalidStateError, match="nan"):
+        TwoQubitDensity(np.full((4, 4), np.nan))
+
+
 def test_density_validation_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
     with pytest.raises(InvalidStateError) as exc:
