@@ -20,16 +20,14 @@ _EXPORTS = {
                 "asymptotic_discord_identical critic_time critic_time_closed_form_detuned "
                 "critic_time_closed_form_identical initial_discord_identical protected_discord "
                 "scan_amplification_rate",
-    "discord": "REGIME_AFTER REGIME_BEFORE REGIME_NONE DiscordBreakdown MeasurementBasis "
-               "classical_correlation classical_correlation_value discord_analytic "
-               "discord_bruteforce measurement_spread mutual_information "
-               "optimal_measurement_spread x_state_eigenvalues",
+    "discord": "REGIME_AFTER REGIME_BEFORE REGIME_NONE DiscordBreakdown "
+               "classical_correlation_value discord_analytic discord_bruteforce",
     "errors": "ConfigError ConvergenceError DomainError InvalidStateError RootFindError",
     "evolution": "EvolvedXState assemble_density evolve_density evolve_x_state "
                  "x_state_from_factors",
     "reservoir": "DecayFactors ReservoirConfig decay_factors dephasing_exponent phase_exponent",
-    "states": "BASIS_LABELS QubitPairConfig TwoQubitDensity XStateParams entropy_bits "
-              "partial_trace von_neumann_entropy x_state_density xlog2",
+    "states": "QubitPairConfig TwoQubitDensity XStateParams entropy_bits partial_trace "
+              "von_neumann_entropy x_state_density xlog2",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -18,7 +18,6 @@ All information quantities are in bits.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, InvalidStateError
@@ -26,10 +25,8 @@ from .evolution import EvolvedXState
 from .states import (
     EIGENVALUE_FLOOR,
     TwoQubitDensity,
-    _each,
     _record,
     _reject,
-    _x_spectrum,
     partial_trace,
     von_neumann_entropy,
     xlog2,
@@ -57,40 +54,6 @@ _CONVERGENCE_TOL = 1e-6
 _X_PATTERN_TOL = 1e-12
 # bases per block of the grid scan; a call then allocates about 0.2 MB at its peak
 _SCAN_CHUNK = 1024
-
-
-class MeasurementBasis(namedtuple("MeasurementBasis", "theta phi")):
-    """Projective measurement direction (theta, phi) on qubit B.
-
-    The measured pair is |par> = cos(theta)|0> + e^{i phi} sin(theta)|1>
-    and |perp> = e^{-i phi} sin(theta)|0> - cos(theta)|1>. theta covers
-    [0, pi/2] and phi [0, 2 pi); that range already reaches every basis.
-    """
-
-    __slots__ = ()
-
-    def parallel_ket(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(
-            [math.cos(self.theta), np.exp(1j * self.phi) * math.sin(self.theta)],
-            dtype=complex,
-        )
-
-    def perpendicular_ket(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(
-            [np.exp(-1j * self.phi) * math.sin(self.theta), -math.cos(self.theta)],
-            dtype=complex,
-        )
-
-    def projectors(self):
-        import numpy as np
-
-        v = self.parallel_ket()
-        w = self.perpendicular_ket()
-        return np.outer(v, v.conj()), np.outer(w, w.conj())
 
 
 class DiscordBreakdown(_record(
@@ -121,39 +84,6 @@ def _broken_breakdown(info, cc, d):
     return None
 
 
-def x_state_eigenvalues(x: EvolvedXState):
-    """Spectrum (1 + c3 -/+ mu)/4, (1 - c3 -/+ nu)/4 of the evolved X matrix.
-
-    A 4-tuple for a state at one time, a list of them over a time grid.
-    EvolvedXState has already refused a spectrum below the eigenvalue floor.
-    """
-    c3 = x.c3
-    return _each(lambda mu, nu: _x_spectrum(mu, nu, c3), x.mu, x.nu)
-
-
-def mutual_information(x: EvolvedXState) -> float:
-    """I = 2 + sum_i lambda_i log2 lambda_i; both marginals are I/2."""
-    return discord_analytic(x).mutual_information
-
-
-def measurement_spread(basis: MeasurementBasis, x: EvolvedXState) -> float:
-    """Eigenvalue splitting of the post-measurement conditional state.
-
-    The conditional state of qubit A has eigenvalues (1 +/- L)/2 with
-
-        L^2 = c3^2 cos^2(2 theta)
-              + [mu^2 + nu^2 + 2 mu nu cos(delta2 - delta1 + 2 phi)]
-                * sin^2(2 theta) / 4.
-    """
-    cos2t = math.cos(2.0 * basis.theta)
-    sin2t = math.sin(2.0 * basis.theta)
-    cross = math.cos(x.delta2 - x.delta1 + 2.0 * basis.phi)
-    val = (x.c3 * cos2t) ** 2 + 0.25 * (
-        x.mu**2 + x.nu**2 + 2.0 * x.mu * x.nu * cross
-    ) * sin2t**2
-    return math.sqrt(max(val, 0.0))
-
-
 def _branch_rule(pole, tc_regime: str):
     """Threshold and the equatorial and pole regime labels of the branch rule.
 
@@ -179,11 +109,6 @@ def _measurement_branch(c3, mu, nu, tc_regime: str = "unknown"):
     return (equator, equator_label) if equator > threshold else (pole, pole_label)
 
 
-def optimal_measurement_spread(x: EvolvedXState) -> float:
-    """chi = max(|c3|, (|mu| + |nu|)/2), the spread at the best basis."""
-    return discord_analytic(x).chi
-
-
 def classical_correlation_value(chi: float) -> float:
     """C at a given optimal spread: sum_n (1 + (-1)^n chi)/2 log2(1 + (-1)^n chi).
 
@@ -195,11 +120,6 @@ def classical_correlation_value(chi: float) -> float:
         raise InvalidStateError(f"spread chi={chi!r} outside [0, 1]")
     chi = min(chi, 1.0)
     return 0.5 * (xlog2(1.0 + chi) + xlog2(1.0 - chi))
-
-
-def classical_correlation(x: EvolvedXState) -> float:
-    """Classical correlation of the evolved X state under optimal measurement."""
-    return discord_analytic(x).classical_correlation
 
 
 def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBreakdown:
@@ -420,6 +340,8 @@ def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown
 
 
 def _conditional_spread(bloch: np.ndarray, theta: float, phi: float) -> float:
+    """Spread L of the conditional A state for the outcome along the basis
+    (theta, phi): its eigenvalues are (1 +/- L)/2."""
     sin2t = math.sin(2.0 * theta)
     p, half_gap = _conditional_states(
         bloch, sin2t * math.cos(phi), sin2t * math.sin(phi), math.cos(2.0 * theta))

@@ -152,18 +152,27 @@ def evolve_density(
     """
     import numpy as np
 
-    if t < 0.0:
+    if not t >= 0.0:  # a nan t fails here too
         raise InvalidStateError(f"t={t!r} must be nonnegative")
     s = 0.5 * (qubits.omega_a + qubits.omega_b)
     d = 0.5 * (qubits.omega_a - qubits.omega_b)
     energy = np.array([s, d, -d, -s])
     gap = energy[:, None] - energy[None, :]
     sq_gap = (energy * energy)[:, None] - (energy * energy)[None, :]
-    phase = gap * t + sq_gap * phase_exponent(t, res)
+    # a zero gap neither precesses nor decays, at t = inf too, where 0 * inf is nan
+    moving = gap != 0.0
+    phase = sq_gap * phase_exponent(t, res)
+    phase[moving] += gap[moving] * t
+    # an entry that has decayed to 0 is 0 whatever its phase, where 0 * e^{-i inf} is nan
+    mask = np.zeros((4, 4), dtype=complex)
     if large_detuning_limit:
-        factors = decay_factors(t, qubits, res, large_detuning_limit)
-        mask = np.exp(-1j * phase) * factors.gamma1
+        gamma1 = decay_factors(t, qubits, res, large_detuning_limit).gamma1
+        if gamma1 > 0.0:
+            mask = np.exp(-1j * phase) * gamma1
         np.fill_diagonal(mask, 1.0)
     else:
-        mask = np.exp(-1j * phase - gap * gap * dephasing_exponent(t, res))
+        exponent = np.zeros((4, 4))
+        exponent[moving] = gap[moving] * gap[moving] * dephasing_exponent(t, res)
+        live = exponent < math.inf
+        mask[live] = np.exp(-1j * phase[live] - exponent[live])
     return TwoQubitDensity(rho0.entries * mask)

@@ -27,9 +27,6 @@ TRACE_TOL = 1e-12
 # eigenvalues this far below zero are treated as roundoff and clipped
 EIGENVALUE_FLOOR = -1e-10
 
-#: basis labels (l_A, l_B) in matrix order
-BASIS_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 
 def _record(name: str, fields: str, defaults=()):
     """The namedtuple base of a record whose subclass validates in __new__.

@@ -18,6 +18,10 @@ conditional_entropies_reference is the brute-force oracle's conditional
 entropy as the package computed it before its Bloch-form kernel: each
 basis ket is contracted with the full density by einsum, so the tests can
 check the Bloch-vector route against a route that does not share it.
+
+measurement_spread_reference is the spread of the conditional state of
+qubit A at any basis of qubit B, in the closed L^2 form of an X state, the
+referee for the Bloch-form oracle's spread away from its optimum.
 """
 
 from __future__ import annotations
@@ -242,3 +246,23 @@ def conditional_entropies_reference(r4, thetas, phis):
     (p_par, s_par), (p_perp, s_perp) = out
     s_cond = p_par * s_par + p_perp * s_perp
     return s_cond, p_par, s_par, p_perp, s_perp
+
+
+def measurement_spread_reference(theta: float, phi: float, x) -> float:
+    """Eigenvalue splitting L of the conditional A state at the basis (theta, phi).
+
+    The measured pair is cos(theta)|0> + e^{i phi} sin(theta)|1> and its
+    orthogonal partner. For an X state with maximally mixed marginals both
+    outcomes leave A with eigenvalues (1 +/- L)/2, where
+
+        L^2 = c3^2 cos^2(2 theta)
+              + [mu^2 + nu^2 + 2 mu nu cos(delta2 - delta1 + 2 phi)]
+                * sin^2(2 theta) / 4.
+    """
+    cos2t = math.cos(2.0 * theta)
+    sin2t = math.sin(2.0 * theta)
+    cross = math.cos(x.delta2 - x.delta1 + 2.0 * phi)
+    val = (x.c3 * cos2t) ** 2 + 0.25 * (
+        x.mu**2 + x.nu**2 + 2.0 * x.mu * x.nu * cross
+    ) * sin2t**2
+    return math.sqrt(max(val, 0.0))

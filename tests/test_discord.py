@@ -12,36 +12,41 @@ from xdiscord import (
     DomainError,
     EvolvedXState,
     InvalidStateError,
-    MeasurementBasis,
     QubitPairConfig,
     ReservoirConfig,
     XStateParams,
     assemble_density,
-    classical_correlation,
     classical_correlation_value,
     discord_analytic,
     discord_bruteforce,
     evolve_x_state,
-    measurement_spread,
-    mutual_information,
-    optimal_measurement_spread,
     x_state_density,
-    x_state_eigenvalues,
 )
-from xdiscord.discord import _SCAN_CHUNK, _bloch_blocks, _conditional_entropies, _scan_minimum
+from xdiscord.discord import (
+    _SCAN_CHUNK,
+    _bloch_blocks,
+    _conditional_entropies,
+    _conditional_spread,
+    _scan_minimum,
+)
 from xdiscord.states import EIGENVALUE_FLOOR, TwoQubitDensity
 
 from helpers import sample_x_params
-from oracles import conditional_entropies_reference
+from oracles import conditional_entropies_reference, measurement_spread_reference
 
 
 def frozen_state(mu, nu, c3, delta1=0.0, delta2=0.0, t=0.0):
     return EvolvedXState(mu=mu, nu=nu, delta1=delta1, delta2=delta2, c3=c3, t=t)
 
 
+def x_state_eigenvalues(x: EvolvedXState):
+    # the dense eigensolver, independent of the (1 +/- c3 -/+ mu or nu)/4 closed form
+    return np.linalg.eigvalsh(assemble_density(x).entries)
+
+
 def test_x_state_eigenvalues_anchor():
     lam = x_state_eigenvalues(frozen_state(0.6, 0.6, 0.3))
-    np.testing.assert_allclose(lam, [0.175, 0.475, 0.025, 0.325], atol=1e-15)
+    np.testing.assert_allclose(lam, [0.025, 0.175, 0.325, 0.475], atol=1e-15)
     assert sum(lam) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -59,31 +64,26 @@ def test_boundary_eigenvalue_zero_accepted():
 
 def test_mutual_information_anchor():
     x = frozen_state(0.6, 0.6, 0.3)
-    assert mutual_information(x) == pytest.approx(0.38976749375427655, abs=1e-15)
+    assert discord_analytic(x).mutual_information == pytest.approx(0.38976749375427655, abs=1e-15)
 
 
-def test_measurement_basis_projectors_complete():
-    basis = MeasurementBasis(0.7, 2.1)
-    p_par, p_perp = basis.projectors()
-    np.testing.assert_allclose(p_par + p_perp, np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(p_par @ p_par, p_par, atol=1e-15)
-    np.testing.assert_allclose(p_par @ p_perp, np.zeros((2, 2)), atol=1e-15)
+def measurement_spread(theta, phi, x: EvolvedXState) -> float:
+    bloch = _bloch_blocks(assemble_density(x).entries.reshape(2, 2, 2, 2))
+    return _conditional_spread(bloch, theta, phi)
 
 
 def test_measurement_spread_pole_and_equator():
     x = frozen_state(0.5, 0.3, -0.44)
     # theta = 0 measures along the pole: spread is |c3|
-    assert measurement_spread(MeasurementBasis(0.0, 0.0), x) == pytest.approx(0.44)
+    assert measurement_spread(0.0, 0.0, x) == pytest.approx(0.44)
     # theta = pi/4 with aligned phase reaches (|mu| + |nu|)/2
-    assert measurement_spread(MeasurementBasis(math.pi / 4, 0.0), x) == pytest.approx(
-        0.4
-    )
+    assert measurement_spread(math.pi / 4, 0.0, x) == pytest.approx(0.4)
 
 
 def test_measurement_spread_phase_misalignment_reduces_it():
     x = frozen_state(0.5, 0.3, 0.0, delta1=0.0, delta2=0.0)
-    aligned = measurement_spread(MeasurementBasis(math.pi / 4, 0.0), x)
-    misaligned = measurement_spread(MeasurementBasis(math.pi / 4, math.pi / 2), x)
+    aligned = measurement_spread(math.pi / 4, 0.0, x)
+    misaligned = measurement_spread(math.pi / 4, math.pi / 2, x)
     assert misaligned < aligned
     # at phi = pi/2 the cross term flips sign fully: |mu - nu| / 2
     assert misaligned == pytest.approx(0.1)
@@ -94,7 +94,21 @@ def test_optimal_measurement_spread_is_max_rule(rng):
         params = sample_x_params(rng)
         x = frozen_state(params.c1 - params.c2, params.c1 + params.c2, params.c3)
         want = max(abs(params.c3), 0.5 * (abs(x.mu) + abs(x.nu)))
-        assert optimal_measurement_spread(x) == pytest.approx(want, abs=1e-15)
+        assert discord_analytic(x).chi == pytest.approx(want, abs=1e-15)
+
+
+def test_measurement_spread_matches_the_l2_referee(rng):
+    # every basis, not only the optimal one, at random phases delta1, delta2
+    for _ in range(200):
+        params = sample_x_params(rng)
+        delta1, delta2 = rng.uniform(-10.0, 10.0, 2)
+        scale = float(rng.uniform(0.0, 1.0))
+        x = frozen_state(scale * (params.c1 - params.c2), scale * (params.c1 + params.c2),
+                         params.c3, delta1=float(delta1), delta2=float(delta2))
+        theta = float(rng.uniform(0.0, 0.5 * math.pi))
+        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        want = measurement_spread_reference(theta, phi, x)
+        assert measurement_spread(theta, phi, x) == pytest.approx(want, abs=1e-13)
 
 
 def test_classical_correlation_value_anchors():
@@ -206,8 +220,8 @@ def test_classical_correlation_consistency(rng):
     for _ in range(20):
         params = sample_x_params(rng)
         x = frozen_state(params.c1 - params.c2, params.c1 + params.c2, params.c3)
-        want = classical_correlation_value(optimal_measurement_spread(x))
-        assert classical_correlation(x) == want
+        b = discord_analytic(x)
+        assert b.classical_correlation == classical_correlation_value(b.chi)
 
 
 def random_full_rank_density(rng) -> TwoQubitDensity:

@@ -82,6 +82,31 @@ def test_evolve_density_rejects_negative_time():
         evolve_density(product_density(), -1.0, QubitPairConfig(1, 1), RES0)
 
 
+def test_evolve_density_rejects_nan_time():
+    with pytest.raises(InvalidStateError, match=r"^t=nan must be nonnegative$"):
+        evolve_density(product_density(), math.nan, QubitPairConfig(1, 1), RES0)
+
+
+@pytest.mark.parametrize("limit", [False, True], ids=["exact", "large-detuning"])
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+@pytest.mark.parametrize("ratio", [1.0, 2.0])
+def test_general_path_reaches_the_dephased_state_at_infinite_time(ratio, temperature, limit):
+    # a zero gap keeps its entry and a fully decayed entry is 0, with no
+    # 0 * inf = nan from the phase or the decay
+    params = XStateParams(0.6, 0.1, 0.3)
+    q = QubitPairConfig(ratio, 1.0)
+    res = ReservoirConfig(1.0, 1.0, temperature)
+    fast = assemble_density(evolve_x_state(params, math.inf, q, res, limit)).entries
+    general = evolve_density(x_state_density(params), math.inf, q, res, limit).entries
+    np.testing.assert_array_equal(general, fast)
+    rho0 = product_density().entries
+    kept = np.diag(np.diag(rho0))
+    if ratio == 1.0 and not limit:  # |01> and |10> are degenerate
+        kept[1, 2], kept[2, 1] = rho0[1, 2], rho0[2, 1]
+    out = evolve_density(product_density(), math.inf, q, res, limit).entries
+    np.testing.assert_array_equal(out, kept)
+
+
 def test_evolved_x_state_validation():
     with pytest.raises(InvalidStateError):
         EvolvedXState(mu=0.0, nu=0.0, delta1=0.0, delta2=0.0, c3=0.0, t=-1.0)

@@ -5,6 +5,8 @@ attribute assignment, builds from positional or keyword arguments, and
 runs its validation on every construction, _replace and _make included.
 """
 
+import importlib
+import inspect
 import math
 import pickle
 
@@ -21,7 +23,6 @@ from xdiscord import (
     DiscordBreakdown,
     EvolvedXState,
     InvalidStateError,
-    MeasurementBasis,
     ProtectedDiscord,
     QubitPairConfig,
     ReservoirConfig,
@@ -46,7 +47,6 @@ RECORDS = [
      "DecayFactors(gamma1=0.25, gamma2=0.5, t=1.0)"),
     (EvolvedXState(mu=0.5, nu=0.25, delta1=3.0, delta2=1.0, c3=0.3, t=1.0),
      "EvolvedXState(mu=0.5, nu=0.25, delta1=3.0, delta2=1.0, c3=0.3, t=1.0)"),
-    (MeasurementBasis(theta=0.5, phi=1.0), "MeasurementBasis(theta=0.5, phi=1.0)"),
     (DiscordBreakdown(mutual_information=0.5, classical_correlation=0.25, discord=0.25,
                       chi=0.6, regime="before-critic", t=2.0),
      "DiscordBreakdown(mutual_information=0.5, classical_correlation=0.25, discord=0.25, "
@@ -191,20 +191,18 @@ def test_records_compare_as_tuples():
 
 
 ALL = [
-    "AmplificationIndicator", "AmplificationReport", "AmplificationScan", "BASIS_LABELS",
-    "ConfigError", "ConvergenceError", "CriticTimeResult", "DecayFactors",
-    "DiscordBreakdown", "DomainError", "EvolvedXState", "InvalidStateError",
-    "MeasurementBasis", "ProtectedDiscord", "QubitPairConfig", "REGIME_AFTER",
-    "REGIME_BEFORE", "REGIME_NONE", "ReservoirConfig", "RootFindError", "TwoQubitDensity",
-    "XStateParams", "amplification_indicator", "amplification_rate",
-    "assemble_density", "asymptotic_discord_identical", "classical_correlation",
+    "AmplificationIndicator", "AmplificationReport", "AmplificationScan", "ConfigError",
+    "ConvergenceError", "CriticTimeResult", "DecayFactors", "DiscordBreakdown",
+    "DomainError", "EvolvedXState", "InvalidStateError", "ProtectedDiscord",
+    "QubitPairConfig", "REGIME_AFTER", "REGIME_BEFORE", "REGIME_NONE", "ReservoirConfig",
+    "RootFindError", "TwoQubitDensity", "XStateParams", "amplification_indicator",
+    "amplification_rate", "assemble_density", "asymptotic_discord_identical",
     "classical_correlation_value", "critic_time", "critic_time_closed_form_detuned",
     "critic_time_closed_form_identical", "decay_factors", "dephasing_exponent",
     "discord_analytic", "discord_bruteforce", "entropy_bits", "evolve_density",
-    "evolve_x_state", "initial_discord_identical", "measurement_spread",
-    "mutual_information", "optimal_measurement_spread", "partial_trace", "phase_exponent",
+    "evolve_x_state", "initial_discord_identical", "partial_trace", "phase_exponent",
     "protected_discord", "scan_amplification_rate", "von_neumann_entropy",
-    "x_state_density", "x_state_eigenvalues", "x_state_from_factors", "xlog2",
+    "x_state_density", "x_state_from_factors", "xlog2",
 ]
 
 
@@ -219,3 +217,17 @@ def test_public_names_resolve():
     assert xdiscord.critic_time is xdiscord.analysis.critic_time
     with pytest.raises(AttributeError, match="has no attribute 'beta'"):
         xdiscord.beta
+    with pytest.raises(AttributeError, match="has no attribute 'measurement_spread'"):
+        xdiscord.measurement_spread
+    # each module exports exactly the public functions and classes it defines,
+    # and the regime labels are its only other names
+    constants = set()
+    for module, names in xdiscord._EXPORTS.items():
+        mod = importlib.import_module("xdiscord." + module)
+        defined = {name for name, obj in vars(mod).items()
+                   if (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == mod.__name__ and not name.startswith("_")}
+        exported = set(names.split())
+        assert {n for n in exported if callable(getattr(mod, n))} == defined, module
+        constants |= exported - defined
+    assert constants == {"REGIME_AFTER", "REGIME_BEFORE", "REGIME_NONE"}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from xdiscord import (
-    BASIS_LABELS,
     InvalidStateError,
     QubitPairConfig,
     TwoQubitDensity,
@@ -39,10 +38,6 @@ def test_entropy_bits_anchors():
     assert entropy_bits((0.5, 0.5)) == pytest.approx(1.0, abs=1e-15)
     assert entropy_bits((1.0, 0.0)) == 0.0
     assert entropy_bits((0.25, 0.25, 0.25, 0.25)) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_basis_labels_order():
-    assert BASIS_LABELS == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_x_state_params_accepts_valid():
