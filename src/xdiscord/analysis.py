@@ -9,18 +9,19 @@ of that crossing and of the decay factor gamma1.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .discord import REGIME_AFTER, _measurement_branch, classical_correlation_value
 from .errors import DomainError, RootFindError
 from .evolution import EvolvedXState
-from .reservoir import ReservoirConfig, decay_factors
+from .reservoir import ReservoirConfig, _decay_rates, _exponent_kernel, decay_factors
 from .states import QubitPairConfig, XStateParams, xlog2
 
-# relative bisection tolerance on the critic time
-_BISECT_RTOL = 1e-12
 # the search horizon for the critic time, in omega_c t units
 _HORIZON_TAU = 1e6
+# a cap on the Newton and the Illinois steps; both stop within about 20
+_MAX_STEPS = 64
 
 
 class CriticTimeResult(namedtuple("CriticTimeResult", "tc")):
@@ -48,15 +49,20 @@ def critic_time(
     res: ReservoirConfig,
     large_detuning_limit: bool = False,
 ) -> CriticTimeResult:
-    """Solve (|mu(t)| + |nu(t)|)/2 = |c3| by bracketing and bisection.
+    """Solve (|mu(t)| + |nu(t)|)/2 = |c3| in decay-factor space.
 
     The left side decreases monotonically from max(|c1|, |c2|), so the
     solution structure is decided up front: no crossing when |c3| exceeds
     the initial value, t = 0 on a tie, infinite when the left side never
     descends to |c3| (identical qubits keep the inner coherence alive), and
-    a unique finite root otherwise, searched for up to omega_c t = 1e6.
+    a unique finite root otherwise. With gamma2 = gamma1^kappa the crossing
+    depends on the bath only through gamma1, so it is solved for
+    u = ln gamma1 (_crossing_log_gamma1), and then Q(t_c) = -u/a1. At T = 0
+    that inverts in closed form, omega_c t_c = sqrt(expm1(2 Q/eta)); above,
+    Q only grows, so t_c is one bracketed root of ln Q(t) below the T = 0
+    answer. A crossing past omega_c t = 1e6, or a t_c that leaves the
+    float range, raises RootFindError.
     """
-    t_max = _HORIZON_TAU / res.omega_c
     pole = abs(params.c3)
     k_outer = abs(params.c1 - params.c2)
     k_inner = abs(params.c1 + params.c2)
@@ -71,40 +77,125 @@ def critic_time(
         floor = 0.0
     if pole <= floor:
         return CriticTimeResult(tc=math.inf)
-
-    def gap(t):
-        if t == math.inf:
-            raise RootFindError(
-                f"the bracket reached t = inf: at omega_c={res.omega_c!r} the "
-                "bare time passes the float range"
-            )
-        f = decay_factors(t, qubits, res, large_detuning_limit)
-        return 0.5 * (k_outer * f.gamma1 + k_inner * f.gamma2) - pole
-
-    # double the bracket from 1/w_c, never past t_max
-    lo, hi = 0.0, min(1.0 / res.omega_c, t_max)
-    excess = gap(hi)
-    while excess > 0.0:
-        if hi >= t_max:
-            raise RootFindError(
-                f"no sign change up to t_max={t_max:.3e}; value "
-                f"{excess + pole:.6e} at t={hi:.3e} still above |c3|={pole:.6e}"
-            )
-        lo, hi = hi, min(2.0 * hi, t_max)
-        excess = gap(hi)
-    while hi - lo > _BISECT_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # subnormal ends hold too few floats between them for the tolerance
-            raise RootFindError(
-                f"the bracket [{lo!r}, {hi!r}] holds no float between its ends: at "
-                f"omega_c={res.omega_c!r} the bare time falls below the float range"
-            )
-        if gap(mid) > 0.0:
-            lo = mid
+    a1, a2 = _decay_rates(qubits, large_detuning_limit)
+    q_star = -_crossing_log_gamma1(k_outer, k_inner, pole, a2 / a1) / a1
+    x = 2.0 * q_star / res.eta
+    # expm1 overflows past x = 709.78, far beyond the horizon
+    tau = math.sqrt(math.expm1(x)) if x < 700.0 else math.inf
+    hi = min(tau, _HORIZON_TAU) / res.omega_c
+    if hi == math.inf:
+        raise _refusal(f"the bare time passes the float range at omega_c={res.omega_c!r}",
+                       params, qubits, res)
+    if res.temperature == 0.0:
+        if tau > _HORIZON_TAU:
+            raise _refusal(_past_horizon(q_star, tau), params, qubits, res)
+        tc = hi
+    else:
+        q = _exponent_kernel(res)
+        q_hi = q(hi)
+        if q_hi < q_star and tau > _HORIZON_TAU:
+            raise _refusal(f"{_past_horizon(q_star, tau)}, and Q({hi!r}) = {q_hi:.6e}",
+                           params, qubits, res)
+        if q_hi <= q_star:
+            # at the T = 0 answer the thermal part of Q is below its rounding
+            tc = hi
         else:
-            hi = mid
-    return CriticTimeResult(tc=0.5 * (lo + hi))
+            # Q(t) <= eta omega_c t^2 (omega_c/2 + T), as ln(1 + v) <= v and coth v <= 1 + 1/v
+            lo = math.sqrt(q_star / (res.eta * res.omega_c * (0.5 * res.omega_c + res.temperature)))
+            q_lo = q(lo)
+            if not (q_lo > 0.0 and q_hi < math.inf):
+                raise _refusal(f"Q(t) leaves the float range on [{lo!r}, {hi!r}]: Q = "
+                               f"{q_lo!r} and {q_hi!r} at the ends", params, qubits, res)
+            tc = _root_of_log_q(q, q_star, lo, hi, q_lo, q_hi)
+    if tc < sys.float_info.min:
+        raise _refusal(f"t_c = {tc!r} falls below the float range: at omega_c="
+                       f"{res.omega_c!r} the bare time underflows", params, qubits, res)
+    return CriticTimeResult(tc=tc)
+
+
+def _past_horizon(q_star: float, tau: float) -> str:
+    return (f"no crossing up to omega_c t = {_HORIZON_TAU:.0e}: t_c needs Q = {q_star:.6e}, "
+            f"which the T = 0 bath reaches at omega_c t = {tau:.3e}")
+
+
+def _refusal(why: str, params, qubits, res) -> RootFindError:
+    return RootFindError(
+        f"{why}; (c1, c2, c3)=({params.c1!r}, {params.c2!r}, {params.c3!r}), "
+        f"(omega_a, omega_b)=({qubits.omega_a!r}, {qubits.omega_b!r}), "
+        f"(eta, omega_c, T)=({res.eta!r}, {res.omega_c!r}, {res.temperature!r})"
+    )
+
+
+def _crossing_log_gamma1(k_outer: float, k_inner: float, pole: float, kappa: float) -> float:
+    """The u = ln gamma1 < 0 at which (k_outer e^u + k_inner e^(kappa u))/2 = pole.
+
+    Closed form for kappa = 0 (identical qubits) and kappa = 1 (large
+    detuning); otherwise Newton's method on
+    G(u) = ln(k_outer e^u + k_inner e^(kappa u)) - ln(2 pole), which is
+    increasing and convex, so the steps fall monotonically onto the root
+    from any start with G >= 0. G is a log-sum-exp and never forms e^u,
+    which underflows for small kappa. -inf where no finite u crosses.
+    """
+    two_pole = 2.0 * pole
+    if kappa == 0.0 or k_inner == 0.0:
+        # the inner term is the constant k_inner (gamma1^0 = 1), or absent
+        excess = two_pole - k_inner
+        return math.log(excess / k_outer) if excess > 0.0 else -math.inf
+    if kappa == 1.0:
+        return math.log(two_pole / (k_outer + k_inner))
+    log_inner = math.log(k_inner)
+    if k_outer == 0.0:
+        return (math.log(two_pole) - log_inner) / kappa
+    log_outer, log_target = math.log(k_outer), math.log(two_pole)
+    # each term alone reaches 2 pole no later than both together
+    u = min(0.0, log_target - log_outer, (log_target - log_inner) / kappa)
+    for _ in range(_MAX_STEPS):
+        a, b = log_outer + u, log_inner + kappa * u
+        top = max(a, b)
+        ea, eb = math.exp(a - top), math.exp(b - top)
+        total = ea + eb
+        nxt = u - (top + math.log(total) - log_target) * total / (ea + kappa * eb)
+        if not nxt < u:
+            break
+        u = nxt
+    return u
+
+
+def _root_of_log_q(q, q_star: float, lo: float, hi: float, q_lo: float, q_hi: float) -> float:
+    """The t in (lo, hi) with q(t) = q_star, where q_lo = q(lo) <= q_star < q_hi = q(hi).
+
+    Illinois steps on f(s) = ln q(hi e^s) - ln q_star over s = ln(t/hi) <= 0.
+    Q grows like t^2 at small t and like t at large T t, so f is close to
+    linear in s and the secant steps converge superlinearly. The steps end
+    when the bracket is 1e-15 wide in s or a step rounds onto its ends; the
+    evaluated point with the smallest |f| is the root.
+    """
+    log_target = math.log(q_star)
+    a, b = math.log(lo / hi), 0.0
+    fa = math.log(q_lo) - log_target
+    fb = math.log(q_hi) - log_target
+    best, best_f = (a, abs(fa)) if abs(fa) < abs(fb) else (b, abs(fb))
+    side = 0
+    for _ in range(_MAX_STEPS):
+        s = b - fb * (b - a) / (fb - fa)
+        if not a < s < b or b - a <= 1e-15 * max(1.0, -a):
+            break
+        fs = math.log(q(hi * math.exp(s))) - log_target
+        if abs(fs) < best_f:
+            best, best_f = s, abs(fs)
+        if fs > 0.0:
+            b, fb = s, fs
+            if side == 1:
+                fa *= 0.5
+            side = 1
+        elif fs < 0.0:
+            a, fa = s, fs
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            break
+    return hi * math.exp(best)
 
 
 def critic_time_closed_form_identical(

@@ -20,7 +20,7 @@ class DomainError(ValueError):
 
 
 class RootFindError(RuntimeError):
-    """Root bracketing or bisection could not resolve the crossing time."""
+    """The crossing time lies past the search horizon or outside the float range."""
 
 
 class ConvergenceError(RuntimeError):

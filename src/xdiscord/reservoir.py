@@ -68,11 +68,9 @@ class DecayFactors(_record("DecayFactors", "gamma1 gamma2 t", (None,))):
     __slots__ = ()
 
     def __new__(cls, gamma1: float, gamma2: float, t: float | None = None):
-        # the chained test alone is the fast path for floats
-        if not (type(gamma1) is float and 0.0 <= gamma1 <= gamma2 <= 1.0):
-            _reject(lambda g1, g2: None if 0.0 <= g1 <= g2 <= 1.0 else (g1, g2),
-                    "decay factors (%r, %r) violate 0 <= gamma1 <= gamma2 <= 1",
-                    gamma1, gamma2, t=t, fine=_ordered)
+        _reject(lambda g1, g2: None if 0.0 <= g1 <= g2 <= 1.0 else (g1, g2),
+                "decay factors (%r, %r) violate 0 <= gamma1 <= gamma2 <= 1",
+                gamma1, gamma2, t=t, fine=_ordered)
         return super().__new__(cls, gamma1, gamma2, t)
 
 
@@ -92,30 +90,73 @@ def _log1p_square(s: float) -> float:
     return math.log1p(s * s) if s < 1e150 else 2.0 * math.log(s)
 
 
-def _thermal_exponent(w: float, y: float) -> float:
-    """ln |G(w)/G(w + i y)|^2 = 2 [ln G(w) - Re ln G(w + i y)] for w >= 1, 0 <= y < inf.
+def _exponent_kernel(res: ReservoirConfig):
+    """Q(t) of one reservoir as a function of t alone: dephasing_exponent(t, res).
 
-    Each term vanishes with y on its own, so no two large values cancel.
+    Everything that does not depend on t is bound once: eta/2, omega_c, T,
+    and for the thermal term ln |G(w)/G(w + i y)|^2 (w = 1 + T/omega_c,
+    y = T t) the Gamma-recurrence ladder w, w+1, ... < 12, the shifted w - 1/2
+    and the Stirling products c_k w^(1-2k). Each term of the thermal sum
+    vanishes with y on its own, so no two large values cancel.
     """
-    total = 0.0
+    eta, omega_c, temperature = res
+    half_eta = 0.5 * eta
+    log, log1p = math.log, math.log1p
+
+    def vacuum(t):
+        if t < 0.0:
+            raise DomainError(f"t={t!r} must be nonnegative")
+        if t == 0.0:
+            return 0.0
+        try:
+            return half_eta * log1p((omega_c * t) ** 2)
+        except OverflowError:
+            # (w_c t)^2 > 1.8e308, where log1p(u^2) = 2 ln u to double precision
+            return eta * log(omega_c * t)
+
+    if temperature == 0.0:
+        return vacuum
+    w = 1.0 + temperature / omega_c
+    ladder = []
     while w < _STIRLING_MIN_W:
-        total += _log1p_square(y / w)
+        ladder.append(w)
         w += 1.0
     # with z = w (1 + i s): Re ln G(z) - ln G(w) = (w - 1/2) ln|1 + i s| - y atan(s)
     # + sum_k c_k w^(-m) [Re (1 + i s)^(-m) - 1], m = 2k - 1, where
     # Re (1 + i s)^(-m) - 1 = (r - 1) - 2 sin^2(m theta/2) r, r = |1 + i s|^(-m)
-    s = y / w
-    log_mod = 0.5 * _log1p_square(s)
-    theta = math.atan(s)
-    inner = (w - 0.5) * log_mod - y * theta
+    w_half = w - 0.5
+    series = []
     w_pow = 1.0 / w
     inv_w2 = w_pow * w_pow
     for m, c in zip(range(1, 2 * len(_STIRLING), 2), _STIRLING):
-        r_minus_1 = math.expm1(-m * log_mod)
-        h = math.sin(0.5 * m * theta)
-        inner += c * w_pow * (r_minus_1 - 2.0 * h * h * (r_minus_1 + 1.0))
+        series.append((-m, 0.5 * m, c * w_pow))
         w_pow *= inv_w2
-    return total - 2.0 * inner
+    atan, expm1, sin, inf = math.atan, math.expm1, math.sin, math.inf
+
+    def thermal(t):
+        cold = vacuum(t)
+        if t == 0.0:
+            return 0.0
+        y = temperature * t
+        if y == inf:
+            # the thermal series would read inf - inf
+            return inf
+        total = 0.0
+        for v in ladder:
+            # _log1p_square inlined: this loop runs once per rung and time
+            s = y / v
+            total += log1p(s * s) if s < 1e150 else 2.0 * log(s)
+        s = y / w
+        log_mod = 0.5 * _log1p_square(s)
+        theta = atan(s)
+        inner = w_half * log_mod - y * theta
+        for neg_m, half_m, cw in series:
+            r_minus_1 = expm1(neg_m * log_mod)
+            h = sin(half_m * theta)
+            inner += cw * (r_minus_1 - 2.0 * h * h * (r_minus_1 + 1.0))
+        return cold + eta * (total - 2.0 * inner)
+
+    return thermal
 
 
 def dephasing_exponent(t: float, res: ReservoirConfig) -> float:
@@ -127,23 +168,7 @@ def dephasing_exponent(t: float, res: ReservoirConfig) -> float:
     Stirling's series at 1+x+N >= 12, without a difference of log-Gamma
     values, to about 1e-15 relative for every y. Q(inf) = inf.
     """
-    if t < 0.0:
-        raise DomainError(f"t={t!r} must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    try:
-        vacuum = 0.5 * res.eta * math.log1p((res.omega_c * t) ** 2)
-    except OverflowError:
-        # (w_c t)^2 > 1.8e308, where log1p(u^2) = 2 ln u to double precision
-        vacuum = res.eta * math.log(res.omega_c * t)
-    temperature = res.temperature
-    if temperature == 0.0:
-        return vacuum
-    y = temperature * t
-    if y == math.inf:
-        # the thermal series would read inf - inf
-        return math.inf
-    return vacuum + res.eta * _thermal_exponent(1.0 + temperature / res.omega_c, y)
+    return _exponent_kernel(res)(t)
 
 
 def decay_factors(
@@ -161,23 +186,25 @@ def decay_factors(
     r >> 1 limit in which gamma2 = gamma1. A list of times gives lists of
     factors, each element computed as for a float.
     """
-    if large_detuning_limit:
-        a1 = a2 = qubits.omega_a**2
-    else:
-        a1 = (qubits.omega_a + qubits.omega_b) ** 2
-        a2 = (qubits.omega_a - qubits.omega_b) ** 2
+    a1, a2 = _decay_rates(qubits, large_detuning_limit)
     if type(t) is list:
-        gamma1, gamma2, exp = [], [], math.exp
+        gamma1, gamma2, exp, q = [], [], math.exp, _exponent_kernel(res)
         for v in t:
-            q2 = dephasing_exponent(v, res)
+            q2 = q(v)
             # _decay inlined: a call per factor would cost a tenth of the loop
             gamma1.append(1.0 if a1 == 0.0 else exp(-a1 * q2))
             gamma2.append(1.0 if a2 == 0.0 else exp(-a2 * q2))
         return DecayFactors(gamma1, gamma2, t)
-    # positional arguments: critic_time's bisection makes this call in a loop
     q2 = dephasing_exponent(t, res)
     gamma1 = _decay(a1, q2)
     return DecayFactors(gamma1, gamma1 if large_detuning_limit else _decay(a2, q2), t)
+
+
+def _decay_rates(qubits: QubitPairConfig, large_detuning_limit: bool) -> tuple:
+    """(a1, a2) with gamma_i = exp(-a_i Q(t)); a1 = a2 = w_a^2 in the large-detuning limit."""
+    if large_detuning_limit:
+        return qubits.omega_a**2, qubits.omega_a**2
+    return (qubits.omega_a + qubits.omega_b) ** 2, (qubits.omega_a - qubits.omega_b) ** 2
 
 
 def _decay(a: float, q2: float) -> float:

@@ -10,6 +10,11 @@ themselves with SciPy's QUADPACK, so the tests check each closed form
 against a route that does not share its derivation. The T << w_c form
 bath_dephasing_low_temperature is a third, approximate, referee.
 
+dephasing_exponent_reference is the closed-form Q(t) as the package
+evaluated it before its per-reservoir kernel, the ladder and Stirling
+products recomputed at every call: the tests pin that kernel to it bit for
+bit.
+
 discord_point_reference is the closed-form discord at one point, composed
 call by call as the package did before its per-table kernel: the tests pin
 that kernel to it bit for bit.
@@ -18,6 +23,11 @@ conditional_entropies_reference is the brute-force oracle's conditional
 entropy as the package computed it before its Bloch-form kernel: each
 basis ket is contracted with the full density by einsum, so the tests can
 check the Bloch-vector route against a route that does not share it.
+
+critic_time_reference is omega_c t_c to 40 digits: mpmath's findroot of
+the crossing condition (|mu| + |nu|)/2 = |c3|, with Q(t) from mpmath's
+complex log-Gamma, so it shares neither the package's thermal series nor
+its solver.
 
 measurement_spread_reference is the spread of the conditional state of
 qubit A at any basis of qubit B, in the closed L^2 form of an X state, the
@@ -37,6 +47,7 @@ from xdiscord import (
     xlog2,
 )
 from xdiscord.discord import _measurement_branch
+from xdiscord.reservoir import _STIRLING, _STIRLING_MIN_W, _log1p_square
 from xdiscord.states import _x_spectrum
 
 
@@ -201,6 +212,53 @@ def bath_dephasing_low_temperature(t: float, res: ReservoirConfig) -> float:
     return vacuum + res.eta * _log_sinhc(math.pi * t * res.temperature)
 
 
+def _thermal_exponent(w: float, y: float) -> float:
+    """ln |G(w)/G(w + i y)|^2 = 2 [ln G(w) - Re ln G(w + i y)] for w >= 1, 0 <= y < inf.
+
+    Each term vanishes with y on its own, so no two large values cancel.
+    """
+    total = 0.0
+    while w < _STIRLING_MIN_W:
+        total += _log1p_square(y / w)
+        w += 1.0
+    # with z = w (1 + i s): Re ln G(z) - ln G(w) = (w - 1/2) ln|1 + i s| - y atan(s)
+    # + sum_k c_k w^(-m) [Re (1 + i s)^(-m) - 1], m = 2k - 1, where
+    # Re (1 + i s)^(-m) - 1 = (r - 1) - 2 sin^2(m theta/2) r, r = |1 + i s|^(-m)
+    s = y / w
+    log_mod = 0.5 * _log1p_square(s)
+    theta = math.atan(s)
+    inner = (w - 0.5) * log_mod - y * theta
+    w_pow = 1.0 / w
+    inv_w2 = w_pow * w_pow
+    for m, c in zip(range(1, 2 * len(_STIRLING), 2), _STIRLING):
+        r_minus_1 = math.expm1(-m * log_mod)
+        h = math.sin(0.5 * m * theta)
+        inner += c * w_pow * (r_minus_1 - 2.0 * h * h * (r_minus_1 + 1.0))
+        w_pow *= inv_w2
+    return total - 2.0 * inner
+
+
+def dephasing_exponent_reference(t: float, res: ReservoirConfig) -> float:
+    """Q(t) with the thermal loop run from scratch at every call."""
+    if t < 0.0:
+        raise DomainError(f"t={t!r} must be nonnegative")
+    if t == 0.0:
+        return 0.0
+    try:
+        vacuum = 0.5 * res.eta * math.log1p((res.omega_c * t) ** 2)
+    except OverflowError:
+        # (w_c t)^2 > 1.8e308, where log1p(u^2) = 2 ln u to double precision
+        vacuum = res.eta * math.log(res.omega_c * t)
+    temperature = res.temperature
+    if temperature == 0.0:
+        return vacuum
+    y = temperature * t
+    if y == math.inf:
+        # the thermal series would read inf - inf
+        return math.inf
+    return vacuum + res.eta * _thermal_exponent(1.0 + temperature / res.omega_c, y)
+
+
 def discord_point_reference(mu: float, nu: float, c3: float, tc_regime: str = "unknown"):
     """(I, C, D, chi, regime) at one (mu, nu, c3), one call per quantity.
 
@@ -266,3 +324,33 @@ def measurement_spread_reference(theta: float, phi: float, x) -> float:
         x.mu**2 + x.nu**2 + 2.0 * x.mu * x.nu * cross
     ) * sin2t**2
     return math.sqrt(max(val, 0.0))
+
+
+def critic_time_reference(params, qubits, res, large_detuning_limit: bool, guess: float):
+    """omega_c t_c solving the crossing condition at 40 digits, searched from guess.
+
+    Every input float is taken exactly; the root is bracketed between
+    guess/2 and 2 guess, so a guess off by more than that fails loudly.
+    """
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    f = mp.mpf
+    c1, c2, c3 = (f(v) for v in params)
+    wa, wb = f(qubits.omega_a), f(qubits.omega_b)
+    a1, a2 = (wa * wa, wa * wa) if large_detuning_limit else ((wa + wb) ** 2, (wa - wb) ** 2)
+    eta, omega_c, temperature = (f(v) for v in res)
+    w = 1 + temperature / omega_c
+
+    def gap(tau):
+        q = eta * mp.log1p(tau * tau) / 2
+        if temperature:
+            y = temperature * tau / omega_c
+            q += 2 * eta * (mp.loggamma(w) - mp.re(mp.loggamma(mp.mpc(w, y))))
+        return (abs(c1 - c2) * mp.exp(-a1 * q) + abs(c1 + c2) * mp.exp(-a2 * q)) / 2 - abs(c3)
+
+    # over s = ln(omega_c t) the gap is smooth and far from flat
+    s = mp.findroot(lambda s: gap(mp.exp(s)), (mp.log(f(guess) / 2), mp.log(2 * f(guess))),
+                    solver="illinois", tol=mp.mpf(10) ** -80)
+    return mp.exp(s)

@@ -8,6 +8,7 @@ from xdiscord import (
     REGIME_BEFORE,
     DomainError,
     EvolvedXState,
+    InvalidStateError,
     QubitPairConfig,
     ReservoirConfig,
     RootFindError,
@@ -28,7 +29,14 @@ from xdiscord import (
     x_state_density,
 )
 
-from helpers import sample_slope_params
+import xdiscord.analysis as analysis
+
+from helpers import sample_slope_params, sample_x_params
+from oracles import critic_time_reference
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 RES0 = ReservoirConfig(1.0, 1.0, 0.0)
 IDENTICAL = QubitPairConfig(1.0, 1.0)
@@ -105,8 +113,7 @@ def test_critic_time_unreachable_within_horizon():
 
 
 def test_critic_time_searches_up_to_the_horizon():
-    # the doubling bracket passes 2^19 / w_c; a crossing at 7e5 / w_c lies
-    # beyond it but inside the horizon omega_c t = 1e6
+    # a crossing at 7e5 / w_c, inside the horizon omega_c t = 1e6, is answered
     params = XStateParams(1.0, -0.5, 0.5)
 
     def eta_crossing_at(omega_c_tc):
@@ -123,6 +130,135 @@ def test_critic_time_searches_up_to_the_horizon():
     late = ReservoirConfig(eta_crossing_at(1.1e6), 1.0, 0.0)
     with pytest.raises(RootFindError):
         critic_time(params, IDENTICAL, late, large_detuning_limit=True)
+
+
+def test_critic_time_refuses_past_the_horizon_when_warm():
+    # at T > 0 the horizon is checked on Q(t) itself, not on the T = 0 answer
+    feeble = ReservoirConfig(1e-9, 1.0, 1e-3)
+    with pytest.raises(RootFindError, match=r"omega_c t = 1e\+06.*\(eta, omega_c, T\)"):
+        critic_time(XStateParams(0.4, 0.0, 0.3999), DETUNED, feeble)
+
+
+def _crossing_draw(rng):
+    """A state, a qubit pair and a limit flag whose branches cross at a finite time."""
+    while True:
+        params = sample_x_params(rng)
+        detuned = QubitPairConfig(float(rng.uniform(1.05, 4.0)), 1.0)
+        qubits = detuned if rng.random() < 0.7 else IDENTICAL
+        limit = bool(rng.random() < 0.25)
+        if _crosses(params, qubits, limit):
+            return params, qubits, limit
+
+
+def _crosses(params, qubits, limit):
+    # the equatorial spread starts above |c3| and decays below it
+    floor = 0.5 * abs(params.c1 + params.c2) if qubits.identical and not limit else 0.0
+    return floor < abs(params.c3) < max(abs(params.c1), abs(params.c2))
+
+
+def test_critic_time_matches_a_40_digit_referee(rng):
+    # identical qubits (kappa = 0, closed form), detuned ones (Newton in
+    # ln gamma1) and the large-detuning limit (kappa = 1, closed form), at
+    # T = 0 (closed-form inverse of Q) and T > 0 (root of Q); eta from 1e-2 to
+    # 1e6 spreads omega_c t_c over about 1e-4 .. 1e5
+    pytest.importorskip("mpmath")
+    taus, worst, routes = [], 0.0, set()
+    while len(taus) < 160:
+        params, qubits, limit = _crossing_draw(rng)
+        eta = float(10.0 ** rng.uniform(-2.0, 6.0))
+        omega_c = float(10.0 ** rng.uniform(-1.0, 1.0))
+        temperature = 0.0 if len(taus) % 2 else float(omega_c * 10.0 ** rng.uniform(-2.0, 0.5))
+        res = ReservoirConfig(eta, omega_c, temperature)
+        try:
+            tau = omega_c * critic_time(params, qubits, res, limit).tc
+        except RootFindError:
+            continue  # past the horizon at weak coupling
+        want = critic_time_reference(params, qubits, res, limit, tau)
+        worst = max(worst, float(abs(tau - want) / want))
+        taus.append(tau)
+        kind = "limit" if limit else ("identical" if qubits.identical else "detuned")
+        routes.add((kind, temperature > 0.0))
+    assert worst <= 1e-13
+    assert min(taus) < 1e-3 and max(taus) > 1e4
+    assert len(routes) == 6  # (identical, detuned, limit) x (cold, warm)
+
+
+def test_critic_time_evaluates_q_sparingly(rng, monkeypatch):
+    # an answered T = 0 query inverts Q in closed form; a warm one evaluates
+    # it at the two bracket ends and a few secant points: at most 14 over
+    # 12,000 solves with eta over 1e-3 .. 1e6 and T/omega_c over 1e-6 .. 1e4
+    evaluations = []
+    kernel = analysis._exponent_kernel
+
+    def counting_kernel(res):
+        q = kernel(res)
+
+        def counted(t):
+            evaluations[-1] += 1
+            return q(t)
+
+        return counted
+
+    monkeypatch.setattr(analysis, "_exponent_kernel", counting_kernel)
+    worst = {False: 0, True: 0}
+    for i in range(1200):
+        params, qubits, limit = _crossing_draw(rng)
+        omega_c = float(10.0 ** rng.uniform(-1.0, 1.0))
+        temperature = float(omega_c * 10.0 ** rng.uniform(-3.0, 1.0)) if i % 2 else 0.0
+        res = ReservoirConfig(float(10.0 ** rng.uniform(-2.0, 0.3)), omega_c, temperature)
+        evaluations.append(0)
+        try:
+            critic_time(params, qubits, res, limit)
+        except RootFindError:
+            continue
+        warm = temperature > 0.0
+        worst[warm] = max(worst[warm], evaluations[-1])
+    assert worst[False] == 0
+    assert 0 < worst[True] <= 20
+
+
+@st.composite
+def crossing_cases(draw):
+    # valid X family: |c1 - c2| <= 1 + c3 and |c1 + c2| <= 1 - c3
+    c3 = draw(st.floats(-0.99, 0.99))
+    outer = draw(st.floats(0.0, 1.0)) * (1.0 + c3)
+    inner = draw(st.floats(0.0, 1.0)) * (1.0 - c3)
+    s_outer, s_inner = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
+    try:
+        params = XStateParams(0.5 * (s_inner * inner + s_outer * outer),
+                              0.5 * (s_inner * inner - s_outer * outer), c3)
+    except InvalidStateError:
+        assume(False)  # rounding pushed a boundary draw out of the family
+    qubits = QubitPairConfig(draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0))), 1.0)
+    limit = draw(st.booleans())
+    assume(_crosses(params, qubits, limit))
+    return params, qubits, limit
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    case=crossing_cases(),
+    etas=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)).map(sorted),
+    temperatures=st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                           st.floats(0.0, 3.0)).map(sorted),
+    omega_c=st.floats(0.2, 5.0),
+)
+def test_critic_time_never_grows_with_coupling_or_temperature(case, etas, temperatures, omega_c):
+    # Q(t) grows with eta and with T, so the crossing comes no later
+    params, qubits, limit = case
+
+    def tc(eta, temperature):
+        try:
+            res = ReservoirConfig(eta, omega_c, temperature)
+            return critic_time(params, qubits, res, limit).tc
+        except RootFindError:
+            return math.inf  # past the horizon
+
+    (eta_lo, eta_hi), (t_lo, t_hi) = etas, temperatures
+    base = tc(eta_lo, t_lo)
+    assume(base < math.inf)
+    assert tc(eta_hi, t_lo) <= base * (1.0 + 1e-12)
+    assert tc(eta_lo, t_hi) <= base * (1.0 + 1e-12)
 
 
 def test_closed_form_identical_domain():

@@ -3,9 +3,12 @@
 Each tests/golden/<name>.csv is the `-o` output of the command listed
 under its name below. The evolve, discord, critic-surface and
 amplification files were written by the row-by-row implementation that
-the time-grid pipeline replaced; the critic-time files by the bracketing
-root finder, before any other critic-time route existed. A changed byte
-anywhere (a digit, a label, the stamp or a line ending) fails the test.
+the time-grid pipeline replaced. The no-crossing, tie and infinite
+critic-time files come from the bracketing root finder that came first;
+the finite, thermal and large-detuning ones were re-captured when the
+critic time moved to decay-factor space, each nearer to a 40-digit mpmath
+root than before. A changed byte anywhere (a digit, a label, the stamp or a
+line ending) fails the test.
 
 DIGESTS pins tables of the size the benchmark runs, 1,000 rows and more, by
 the sha256 of their `-o` output. They were captured before the discord
@@ -45,7 +48,7 @@ GOLDEN = {
     "amplification_subrange": [
         "amplification", "--c1-min", "0.2", "--c1-max", "0.5", "--c1-step", "0.005",
     ],
-    # one critic time per status, from the bracketing root finder
+    # one critic time per status, and one per route to a finite one
     "critic_time_finite": ["critic-time", "--ratio", "2"],
     "critic_time_infinite": ["critic-time", "--c1", "0.5", "--c3", "0.25"],
     "critic_time_no_crossing": ["critic-time", "--c1", "0.2", "--c3", "0.5"],

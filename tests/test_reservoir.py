@@ -15,10 +15,13 @@ from xdiscord import (
     phase_exponent,
 )
 
+from xdiscord.reservoir import _exponent_kernel
+
 from oracles import (
     bath_dephasing_integral,
     bath_dephasing_low_temperature,
     bath_phase_integral,
+    dephasing_exponent_reference,
 )
 
 
@@ -163,6 +166,30 @@ def test_dephasing_exponent_matches_high_precision_referee(rng):
         )
         worst = max(worst, float(abs(got - want) / want))
     assert worst <= 1e-14
+
+
+def test_exponent_kernel_is_the_reference_bit_for_bit(rng):
+    # 200 reservoirs, a fifth at T = 0, times log-uniform over the whole float
+    # range plus the edges; y/w passes the 1e150 split of ln(1 + s^2) from
+    # about t = 1e150 on
+    edges = [0.0, 5e-324, 1e-300, 1.0, 1e150, 1e308, math.inf]
+    pairs = 0
+    for _ in range(200):
+        eta, omega_c = (float(10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(2))
+        temperature = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-6.0, 8.0))
+        res = ReservoirConfig(eta, omega_c, temperature)
+        q = _exponent_kernel(res)
+        times = edges + [float(10.0 ** v) for v in rng.uniform(-320.0, 308.0, 100)]
+        for t in times:
+            want = dephasing_exponent_reference(t, res)
+            assert q(t).hex() == want.hex() == dephasing_exponent(t, res).hex(), (t, res)
+            pairs += 1
+    assert pairs >= 20_000
+    for q in (_exponent_kernel(ReservoirConfig(1.0, 1.0, 0.0)),
+              _exponent_kernel(ReservoirConfig(1.0, 1.0, 0.5))):
+        with pytest.raises(DomainError, match="t=-1.0"):
+            q(-1.0)
+        assert math.isnan(q(math.nan))
 
 
 @pytest.mark.parametrize("temperature", [1e-6, 1e-2, 1.0, 1e3, 1e8])
