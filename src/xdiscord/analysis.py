@@ -12,11 +12,16 @@ import math
 import sys
 from collections import namedtuple
 
-from .discord import REGIME_AFTER, _measurement_branch, classical_correlation_value
+from .discord import (
+    REGIME_AFTER,
+    _discord_columns,
+    _measurement_branch,
+    classical_correlation_value,
+)
 from .errors import DomainError, RootFindError
 from .evolution import EvolvedXState
 from .reservoir import ReservoirConfig, _decay_rates, _exponent_kernel, decay_factors
-from .states import QubitPairConfig, XStateParams, xlog2
+from .states import QubitPairConfig, XStateParams
 
 # the search horizon for the critic time, in omega_c t units
 _HORIZON_TAU = 1e6
@@ -219,74 +224,25 @@ def critic_time_closed_form_identical(
     xi = 2.0 * c3 / c1 - 1.0
     if xi == 0.0:
         return math.inf
-    return _crossing_time(xi, -1.0 / (2.0 * eta * omega**2), omega_c)
-
-
-def critic_time_closed_form_detuned(
-    c: float, eta: float, omega_a: float, omega_c: float
-) -> float:
-    """Closed-form critic time of the protected family c1 = 1, -c2 = c3 = c
-    in the exact large-detuning limit (gamma2 = gamma1) at T = 0:
-
-        t_c = (1/w_c) sqrt[ c^(-2/(eta w_a^2)) - 1 ].
-    """
-    for name, v in (("eta", eta), ("omega_a", omega_a), ("omega_c", omega_c)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise DomainError(f"{name}={v!r} must be positive")
-    if not (0.0 < c < 1.0):
-        raise DomainError(f"c={c!r} outside (0, 1)")
-    return _crossing_time(c, -2.0 / (eta * omega_a**2), omega_c)
-
-
-def _crossing_time(base: float, power: float, omega_c: float) -> float:
-    """(1/w_c) sqrt(base^power - 1), or math.inf where base^power overflows a float."""
     try:
-        return math.sqrt(base**power - 1.0) / omega_c
+        return math.sqrt(xi ** (-1.0 / (2.0 * eta * omega**2)) - 1.0) / omega_c
     except OverflowError:
         # w_c t_c is beyond the float range; inf is the IEEE overflow result
         return math.inf
 
 
-def _check_family_parameter(c1):
-    # c1 is a float or a NumPy array of them; its extremes decide
-    for v in (c1,) if isinstance(c1, (float, int)) else (float(c1.min()), float(c1.max())):
-        if not (0.0 < v <= 2.0 / 3.0):
-            raise DomainError(
-                f"c1={v!r} outside (0, 2/3]; the 2 c3 = c1 family is only a "
-                "state there"
-            )
+def _family_discords(c1: float):
+    """D(0) and D(inf) of the stable family c2 = 0, 2 c3 = c1 at r = 1.
 
-
-def asymptotic_discord_identical(c1):
-    """Late-time discord of the stable family (c2 = 0, 2 c3 = c1, r = 1):
-
-        D(inf) = (2+c1)/8 log2(2+c1) - (2-c1)/4 log2(2-c1)
-                 + (2-3c1)/8 log2(2-3c1).
-
-    Equals 1/3 exactly at c1 = 2/3. Takes a float or an array of c1.
+    At t = 0 the state has (mu, nu) = (c1, c1); late, the outer coherence
+    has died and the inner one survives intact, (mu, nu) = (0, c1), which
+    ties the two spreads at c1/2 and so takes the pole branch. D(0) > 0 on
+    (0, 2/3], so a D(0) of 0 means c1^2 underflowed, and is refused.
     """
-    _check_family_parameter(c1)
-    return (
-        xlog2(2.0 + c1) - 2.0 * xlog2(2.0 - c1) + xlog2(2.0 - 3.0 * c1)
-    ) / 8.0
-
-
-def initial_discord_identical(c1):
-    """Initial discord of the same family:
-
-        D(0) = -1 + [ (2-c1) log2(2-c1) + (2+c1) log2(2+c1)
-                      + (2+3c1) log2(2+3c1) + (2-3c1) log2(2-3c1) ]/8
-                  - [ (1+c1) log2(1+c1) + (1-c1) log2(1-c1) ]/2.
-    """
-    _check_family_parameter(c1)
-    quarters = (
-        xlog2(2.0 - c1)
-        + xlog2(2.0 + c1)
-        + xlog2(2.0 + 3.0 * c1)
-        + xlog2(2.0 - 3.0 * c1)
-    ) / 8.0
-    halves = (xlog2(1.0 + c1) + xlog2(1.0 - c1)) / 2.0
-    return -1.0 + quarters - halves
+    d0, dinf = _discord_columns((c1, 0.0), (c1, c1), 0.5 * c1)[2]
+    if d0 <= 0.0:
+        raise DomainError(f"initial discord underflowed at c1={c1!r}; rate undefined")
+    return d0, dinf
 
 
 class AmplificationReport(namedtuple("AmplificationReport", "c1 initial asymptotic rate")):
@@ -296,12 +252,12 @@ class AmplificationReport(namedtuple("AmplificationReport", "c1 initial asymptot
 
 
 def amplification_rate(c1: float) -> AmplificationReport:
-    """Amplification rate D(inf)/D(0) of the stable family."""
-    d0 = initial_discord_identical(c1)
-    dinf = asymptotic_discord_identical(c1)
-    if d0 <= 0.0:
-        # only reachable through underflow; the family has d0 > 0 on (0, 2/3]
-        raise DomainError(f"initial discord underflowed at c1={c1!r}; rate undefined")
+    """Amplification rate D(inf)/D(0) of the stable family (c2 = 0, 2 c3 = c1, r = 1)."""
+    if not 0.0 < c1 <= 2.0 / 3.0:
+        raise DomainError(
+            f"c1={c1!r} outside (0, 2/3]; the 2 c3 = c1 family is only a state there"
+        )
+    d0, dinf = _family_discords(c1)
     return AmplificationReport(c1=c1, initial=d0, asymptotic=dinf, rate=dinf / d0)
 
 
@@ -309,8 +265,9 @@ class AmplificationScan(namedtuple(
         "AmplificationScan", "c1 initial asymptotic rate rate_max c1_at_max")):
     """Amplification rate over a c1 grid plus the refined maximum.
 
-    c1, initial, asymptotic and rate are NumPy arrays over the grid;
-    rate_max is the refined maximum, found at the float c1_at_max.
+    c1, initial, asymptotic and rate are NumPy arrays over the grid, the
+    discords D(0) and D(inf) of the stable family (c2 = 0, 2 c3 = c1,
+    r = 1); rate_max is the refined maximum, found at the float c1_at_max.
     """
 
     __slots__ = ()
@@ -321,9 +278,10 @@ def scan_amplification_rate(
 ) -> AmplificationScan:
     """Dense scan of D(inf)/D(0) with parabolic refinement of the peak.
 
-    The closed forms cancel for small c1, where both discords are O(c1^2)
-    differences of O(1) terms; a c1 whose D(0) rounds to zero or below, or
-    whose D(inf) rounds below zero, has no rate and is refused.
+    Each c1 takes the discord route of discord_analytic, which keeps both
+    discords, O(c1^2) as c1 -> 0, to full relative accuracy; the rate then
+    tends to 2. Only a c1 whose c1^2 underflows, so that D(0) rounds to
+    zero, has no rate: the first one is refused.
     """
     import numpy as np
 
@@ -333,15 +291,7 @@ def scan_amplification_rate(
         )
     c = np.arange(c1_min, c1_max - step / 2.0, step)
     c = np.append(c, c1_max)
-    dinf = asymptotic_discord_identical(c)
-    d0 = initial_discord_identical(c)
-    bad = (d0 <= 0.0) | (dinf < 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"discord rounds to {float(d0[i])!r} initially and {float(dinf[i])!r} late "
-            f"at c1={float(c[i])!r}; rate undefined"
-        )
+    d0, dinf = (np.array(column) for column in zip(*map(_family_discords, c.tolist())))
     rate = dinf / d0
     i = int(np.argmax(rate))
     best_c, best_rate = float(c[i]), float(rate[i])

@@ -4,7 +4,11 @@ Two independent routes are provided. The analytic route uses the known
 optimal-measurement structure of X states with maximally mixed marginals:
 the conditional-entropy minimum over one-qubit projective measurements on
 qubit B is attained either at the equatorial angle (spread (|mu|+|nu|)/2)
-or at the pole (spread |c3|), whichever is larger. The brute-force route
+or at the pole (spread |c3|), whichever is larger. It writes I, C and D
+through phi(x) = (1 + x) log2(1 + x) + (1 - x) log2(1 - x) (Luo, PRA 77,
+042303 (2008), rearranged), which is x^2/ln 2 + O(x^4) and is evaluated
+without a difference of O(1) terms, so each quantity keeps its relative
+accuracy however small the correlations are. The brute-force route
 minimizes over an explicit (theta, phi) measurement grid with local
 refinement and serves as the oracle for the analytic one. The analytic
 route runs on Python floats, at one time or over a list of times; the
@@ -45,6 +49,7 @@ _REGIME_ZERO = 1e-14
 # the largest spread, |c3| or (|mu| + |nu|)/2, whose state passes the
 # spectrum check: every eigenvalue (1 +/- c3 -/+ mu or nu)/4 >= EIGENVALUE_FLOOR
 _SPREAD_MAX = 1.0 - 4.0 * EIGENVALUE_FLOOR
+_LN2 = math.log(2.0)
 
 _MIN_GRID = (64, 128)
 _REFINE_ROUNDS = 3
@@ -84,6 +89,23 @@ def _broken_breakdown(info, cc, d):
     return None
 
 
+def _phi(m: float, a: float = 1.0) -> float:
+    """a phi(m/a), where phi(x) = (1 + x) log2(1 + x) + (1 - x) log2(1 - x).
+
+    phi is even, >= 0 and 2 at |x| = 1. Below |x| = 1/2 it is taken as
+    [2 x atanh(x) + log1p(-x^2)]/ln 2 = x^2/ln 2 + O(x^4), with no O(1)
+    terms to cancel; above, as written, with a - m (exact there) in place of
+    a (1 - x), whose rounding the log magnifies near |x| = 1. |m| >= a (a
+    weight at 0, or within EIGENVALUE_FLOOR below) gives 2 a.
+    """
+    if not -a < m < a:
+        return 2.0 * a
+    x = m / a
+    if -0.5 < x < 0.5:
+        return a * (2.0 * x * math.atanh(x) + math.log1p(-x * x)) / _LN2
+    return (a + m) * math.log2((a + m) / a) + (a - m) * math.log2((a - m) / a)
+
+
 def _branch_rule(pole, tc_regime: str):
     """Threshold and the equatorial and pole regime labels of the branch rule.
 
@@ -110,16 +132,51 @@ def _measurement_branch(c3, mu, nu, tc_regime: str = "unknown"):
 
 
 def classical_correlation_value(chi: float) -> float:
-    """C at a given optimal spread: sum_n (1 + (-1)^n chi)/2 log2(1 + (-1)^n chi).
+    """C at a given optimal spread: phi(chi)/2, with
+    phi(x) = (1 + x) log2(1 + x) + (1 - x) log2(1 - x).
 
-    Equals 1 - h2((1 + chi)/2) with h2 the binary entropy. A chi up to
-    1 - 4 EIGENVALUE_FLOOR, which a state's spectrum check admits, is
-    clamped to 1.
+    Equals 1 - h2((1 + chi)/2) with h2 the binary entropy, and keeps every
+    digit for small chi, where C = chi^2/(2 ln 2) + O(chi^4). A chi up to
+    1 - 4 EIGENVALUE_FLOOR, which a state's spectrum check admits, gives 1.
     """
     if not 0.0 <= chi <= _SPREAD_MAX:
         raise InvalidStateError(f"spread chi={chi!r} outside [0, 1]")
-    chi = min(chi, 1.0)
-    return 0.5 * (xlog2(1.0 + chi) + xlog2(1.0 - chi))
+    return 0.5 * _phi(chi)
+
+
+def _discord_columns(mus, nus, c3, tc_regime: str = "unknown"):
+    """Lists of I, C, D, chi and regime over the points (mu, nu) of one c3.
+
+    With T = [(1 + c3) phi(mu/(1 + c3)) + (1 - c3) phi(nu/(1 - c3))]/4 >= 0,
+    I = phi(c3)/2 + T, C = phi(chi)/2 and D = T + [phi(c3) - phi(chi)]/2,
+    so no O(1) terms cancel for small correlations. On the pole branch
+    chi = |c3| and D is T exactly.
+    """
+    pole = abs(c3)
+    # EvolvedXState has refused a nan, so a forced branch is never missed
+    threshold, equator_label, pole_label = _branch_rule(pole, tc_regime)
+    plus, minus = 1.0 + c3, 1.0 - c3
+    cc_pole = 0.5 * _phi(c3)
+    fields = infos, ccs, ds, chis, regimes = [], [], [], [], []
+    for mu, nu in zip(mus, nus):
+        excess = (_phi(mu, plus) + _phi(nu, minus)) / 4.0
+        infos.append(cc_pole + excess)
+        equator = 0.5 * (abs(mu) + abs(nu))
+        if equator > threshold:
+            cc = classical_correlation_value(equator)
+            # D >= 0 on either branch, so a negative one is rounding: -5.6e-16
+            # at worst in a search near mu = nu, c3 = 0
+            d = excess + (cc_pole - cc)
+            ccs.append(cc)
+            ds.append(0.0 if d < 0.0 else d)
+            chis.append(equator)
+            regimes.append(equator_label)
+        else:
+            ccs.append(cc_pole)
+            ds.append(excess)
+            chis.append(pole)
+            regimes.append(pole_label)
+    return fields
 
 
 def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBreakdown:
@@ -128,43 +185,14 @@ def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBre
     tc_regime may force the branch ("before" uses the equatorial spread,
     "after" the pole spread); "unknown" takes the larger spread, which is
     the correct minimizing branch at any instant. Ties are labeled
-    after-critic. An x over a time grid gives a breakdown of lists.
+    after-critic. An x over a time grid gives a breakdown of lists. No O(1)
+    entropies are subtracted (see _discord_columns), so I, C and D keep
+    their relative accuracy however small the correlations are.
     """
-    c3 = x.c3
-    pole = abs(c3)
-    # EvolvedXState has refused a nan, so a forced branch is never missed
-    threshold, equator_label, pole_label = _branch_rule(pole, tc_regime)
-    plus, minus, log2, fsum = 1.0 + c3, 1.0 - c3, math.log2, math.fsum
-    cc_pole = None  # C at the pole spread, once a point takes that branch
-    fields = infos, ccs, ds, chis, regimes = [], [], [], [], []
-    grid = type(x.mu) is list
-    for mu, nu in zip(x.mu, x.nu) if grid else ((x.mu, x.nu),):
-        # the spectrum (1 + c3 -/+ mu)/4, (1 - c3 -/+ nu)/4; xlog2 keeps the
-        # floor check for a weight that is not positive
-        w1, w2 = (plus - mu) / 4.0, (plus + mu) / 4.0
-        w3, w4 = (minus - nu) / 4.0, (minus + nu) / 4.0
-        info = 2.0 + fsum((w1 * log2(w1) if w1 > 0.0 else xlog2(w1),
-                           w2 * log2(w2) if w2 > 0.0 else xlog2(w2),
-                           w3 * log2(w3) if w3 > 0.0 else xlog2(w3),
-                           w4 * log2(w4) if w4 > 0.0 else xlog2(w4)))
-        equator = 0.5 * (abs(mu) + abs(nu))
-        if equator > threshold:
-            chi, regime, cc = equator, equator_label, classical_correlation_value(equator)
-        else:
-            if cc_pole is None:
-                cc_pole = classical_correlation_value(pole)
-            chi, regime, cc = pole, pole_label, cc_pole
-        d = info - cc
-        infos.append(info)
-        ccs.append(cc)
-        # D >= 0 on either measurement branch, so a negative I - C is
-        # rounding (-1.9e-16 once mu = nu = 0 on the after-critic branch)
-        ds.append(0.0 if d < 0.0 else d)
-        chis.append(chi)
-        regimes.append(regime)
-    if not grid:
-        fields = [column[0] for column in fields]
-    return DiscordBreakdown(*fields, t=x.t)
+    if type(x.mu) is list:
+        return DiscordBreakdown(*_discord_columns(x.mu, x.nu, x.c3, tc_regime), t=x.t)
+    fields = _discord_columns((x.mu,), (x.nu,), x.c3, tc_regime)
+    return DiscordBreakdown(*[column[0] for column in fields], t=x.t)
 
 
 def _bloch_blocks(r4: np.ndarray) -> np.ndarray:

@@ -52,6 +52,10 @@ class ReservoirConfig(_record("ReservoirConfig", "eta omega_c temperature", (0.0
             raise InvalidStateError(f"omega_c={omega_c!r} must be positive")
         if not (math.isfinite(temperature) and temperature >= 0.0):
             raise InvalidStateError(f"temperature={temperature!r} must be nonnegative")
+        if not math.isfinite(temperature / omega_c):  # Q(t) needs w = 1 + T/omega_c
+            raise InvalidStateError(
+                f"(omega_c, temperature)=({omega_c!r}, {temperature!r}): "
+                "temperature/omega_c overflows a float")
         return super().__new__(cls, eta, omega_c, temperature)
 
 

@@ -44,8 +44,7 @@ def xlog2(x):
 
     Small negative inputs (roundoff from eigensolvers) are clipped to zero;
     anything below EIGENVALUE_FLOOR raises. Floats go through math.log2,
-    arrays (the amplification scan, the brute-force oracle) elementwise
-    through np.log2.
+    arrays (the brute-force oracle) elementwise through np.log2.
     """
     # type() is the fast path for floats; isinstance admits np.float64 and ints
     if type(x) is not float and not isinstance(x, (float, int)):

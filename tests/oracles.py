@@ -16,8 +16,18 @@ products recomputed at every call: the tests pin that kernel to it bit for
 bit.
 
 discord_point_reference is the closed-form discord at one point, composed
-call by call as the package did before its per-table kernel: the tests pin
-that kernel to it bit for bit.
+call by call from phi as the package did before its per-table kernel: the
+tests pin that kernel to it bit for bit. discord_entropy_reference is the
+composition before phi, I = 2 - S(spectrum) less C = 1 - h2, which the
+tests hold the kernel to within its rounding, 1e-15 absolute.
+
+discord_reference is I, C and D of an X state to 60 digits with mpmath,
+from the spectrum and the binary entropy, and family_rate_reference the
+amplification rate of the stable family from it. The closed forms D(0)
+and D(inf) of that family (initial_discord_identical,
+asymptotic_discord_identical) and the large-detuning critic time
+critic_time_closed_form_detuned are kept here as referees too: the
+package computes each of them by its general route.
 
 conditional_entropies_reference is the brute-force oracle's conditional
 entropy as the package computed it before its Bloch-form kernel: each
@@ -46,7 +56,7 @@ from xdiscord import (
     entropy_bits,
     xlog2,
 )
-from xdiscord.discord import _measurement_branch
+from xdiscord.discord import _measurement_branch, _phi
 from xdiscord.reservoir import _STIRLING, _STIRLING_MIN_W, _log1p_square
 from xdiscord.states import _x_spectrum
 
@@ -262,15 +272,71 @@ def dephasing_exponent_reference(t: float, res: ReservoirConfig) -> float:
 def discord_point_reference(mu: float, nu: float, c3: float, tc_regime: str = "unknown"):
     """(I, C, D, chi, regime) at one (mu, nu, c3), one call per quantity.
 
-    I = 2 - S(spectrum), the branch from _measurement_branch, C from
-    classical_correlation_value, and D = I - C with a negative rounding
-    residue clamped to 0.
+    T = [(1 + c3) phi(mu/(1 + c3)) + (1 - c3) phi(nu/(1 - c3))]/4, I =
+    phi(c3)/2 + T, the branch from _measurement_branch, C from
+    classical_correlation_value, and D = T + [phi(c3)/2 - C] with a
+    negative rounding residue clamped to 0.
     """
-    info = 2.0 - entropy_bits(_x_spectrum(mu, nu, c3))
+    excess = (_phi(mu, 1.0 + c3) + _phi(nu, 1.0 - c3)) / 4.0
+    half_c3 = 0.5 * _phi(c3)
     chi, regime = _measurement_branch(c3, mu, nu, tc_regime)
     cc = classical_correlation_value(chi)
+    d = excess + (half_c3 - cc)
+    return half_c3 + excess, cc, 0.0 if d < 0.0 else d, chi, regime
+
+
+def discord_entropy_reference(mu: float, nu: float, c3: float, tc_regime: str = "unknown"):
+    """(I, C, D) at one (mu, nu, c3) as 2 - S(spectrum) and 1 - h2((1 + chi)/2).
+
+    The composition the package used before phi: I and C each carry an
+    absolute rounding error of a few ulp of 1, so D = I - C does too, which
+    is no relative accuracy at all for a small discord.
+    """
+    info = 2.0 - entropy_bits(_x_spectrum(mu, nu, c3))
+    chi, _ = _measurement_branch(c3, mu, nu, tc_regime)
+    cc = 0.5 * (xlog2(1.0 + chi) + xlog2(1.0 - chi))
     d = info - cc
-    return info, cc, 0.0 if d < 0.0 else d, chi, regime
+    return info, cc, 0.0 if d < 0.0 else d
+
+
+def discord_reference(mu: float, nu: float, c3: float):
+    """(I, C, D) of the X state (mu, nu, c3) to 60 digits, as mpmath floats.
+
+    Every input float is taken exactly. I = 2 + sum_k w_k log2 w_k over the
+    spectrum w = (1 + c3 -/+ mu)/4, (1 - c3 -/+ nu)/4, C = 1 - h2((1 + chi)/2)
+    at the larger spread chi = max((|mu| + |nu|)/2, |c3|), and D = I - C. D
+    is a difference of O(1) terms that can be as small as the square of the
+    smallest nonzero parameter, so the working precision grows by twice
+    that parameter's decimal exponent; a D within 1e-10 of that precision
+    is 0.
+    """
+    import mpmath
+
+    smallest = min((abs(v) for v in (mu, nu, c3) if v), default=1.0)
+    mp = mpmath.mp.clone()
+    mp.dps = 70 + 2 * max(0, -math.floor(math.log10(smallest)))
+    f = mp.mpf
+    mu, nu, c3 = f(mu), f(nu), f(c3)
+
+    def xlog(w):
+        return w * mp.log(w, 2) if w > 0 else f(0)
+
+    info = 2 + sum(xlog(w) for w in ((1 + c3 - mu) / 4, (1 + c3 + mu) / 4,
+                                     (1 - c3 - nu) / 4, (1 - c3 + nu) / 4))
+    chi = max((abs(mu) + abs(nu)) / 2, abs(c3))
+    cc = 1 + xlog((1 + chi) / 2) + xlog((1 - chi) / 2)
+    d = info - cc
+    # a D this far below the working precision is that precision's rounding of 0
+    return info, cc, d if abs(d) > mp.mpf(10) ** (10 - mp.dps) else f(0)
+
+
+def family_rate_reference(c1: float):
+    """D(inf)/D(0) of the stable family c2 = 0, 2 c3 = c1 at r = 1, from discord_reference.
+
+    At t = 0 the state is (mu, nu, c3) = (c1, c1, c1/2); late, the outer
+    coherence has died and the inner one survives, (0, c1, c1/2).
+    """
+    return discord_reference(0.0, c1, c1 / 2)[2] / discord_reference(c1, c1, c1 / 2)[2]
 
 
 def conditional_entropies_reference(r4, thetas, phis):
@@ -304,6 +370,73 @@ def conditional_entropies_reference(r4, thetas, phis):
     (p_par, s_par), (p_perp, s_perp) = out
     s_cond = p_par * s_par + p_perp * s_perp
     return s_cond, p_par, s_par, p_perp, s_perp
+
+
+def _check_family_parameter(c1):
+    # c1 is a float or a NumPy array of them; its extremes decide
+    for v in (c1,) if isinstance(c1, (float, int)) else (float(c1.min()), float(c1.max())):
+        if not (0.0 < v <= 2.0 / 3.0):
+            raise DomainError(
+                f"c1={v!r} outside (0, 2/3]; the 2 c3 = c1 family is only a "
+                "state there"
+            )
+
+
+def asymptotic_discord_identical(c1):
+    """Late-time discord of the stable family (c2 = 0, 2 c3 = c1, r = 1):
+
+        D(inf) = (2+c1)/8 log2(2+c1) - (2-c1)/4 log2(2-c1)
+                 + (2-3c1)/8 log2(2-3c1).
+
+    Equals 1/3 exactly at c1 = 2/3. Takes a float or an array of c1.
+    """
+    _check_family_parameter(c1)
+    return (
+        xlog2(2.0 + c1) - 2.0 * xlog2(2.0 - c1) + xlog2(2.0 - 3.0 * c1)
+    ) / 8.0
+
+
+def initial_discord_identical(c1):
+    """Initial discord of the same family:
+
+        D(0) = -1 + [ (2-c1) log2(2-c1) + (2+c1) log2(2+c1)
+                      + (2+3c1) log2(2+3c1) + (2-3c1) log2(2-3c1) ]/8
+                  - [ (1+c1) log2(1+c1) + (1-c1) log2(1-c1) ]/2.
+    """
+    _check_family_parameter(c1)
+    quarters = (
+        xlog2(2.0 - c1)
+        + xlog2(2.0 + c1)
+        + xlog2(2.0 + 3.0 * c1)
+        + xlog2(2.0 - 3.0 * c1)
+    ) / 8.0
+    halves = (xlog2(1.0 + c1) + xlog2(1.0 - c1)) / 2.0
+    return -1.0 + quarters - halves
+
+
+def critic_time_closed_form_detuned(
+    c: float, eta: float, omega_a: float, omega_c: float
+) -> float:
+    """Closed-form critic time of the protected family c1 = 1, -c2 = c3 = c
+    in the exact large-detuning limit (gamma2 = gamma1) at T = 0:
+
+        t_c = (1/w_c) sqrt[ c^(-2/(eta w_a^2)) - 1 ].
+    """
+    for name, v in (("eta", eta), ("omega_a", omega_a), ("omega_c", omega_c)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise DomainError(f"{name}={v!r} must be positive")
+    if not (0.0 < c < 1.0):
+        raise DomainError(f"c={c!r} outside (0, 1)")
+    return _crossing_time(c, -2.0 / (eta * omega_a**2), omega_c)
+
+
+def _crossing_time(base: float, power: float, omega_c: float) -> float:
+    """(1/w_c) sqrt(base^power - 1), or math.inf where base^power overflows a float."""
+    try:
+        return math.sqrt(base**power - 1.0) / omega_c
+    except OverflowError:
+        # w_c t_c is beyond the float range; inf is the IEEE overflow result
+        return math.inf
 
 
 def measurement_spread_reference(theta: float, phi: float, x) -> float:

@@ -21,10 +21,8 @@ from xdiscord import (
     XStateParams,
     amplification_indicator,
     assemble_density,
-    asymptotic_discord_identical,
     classical_correlation_value,
     critic_time,
-    critic_time_closed_form_detuned,
     critic_time_closed_form_identical,
     decay_factors,
     discord_analytic,
@@ -39,9 +37,11 @@ from xdiscord import (
 
 from helpers import sample_slope_params, sample_x_params
 from oracles import (
+    asymptotic_discord_identical,
     bath_dephasing_integral,
     bath_dephasing_low_temperature,
     bath_phase_integral,
+    critic_time_closed_form_detuned,
 )
 
 

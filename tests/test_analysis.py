@@ -15,15 +15,12 @@ from xdiscord import (
     XStateParams,
     amplification_indicator,
     amplification_rate,
-    asymptotic_discord_identical,
     critic_time,
-    critic_time_closed_form_detuned,
     critic_time_closed_form_identical,
     decay_factors,
     discord_analytic,
     discord_bruteforce,
     evolve_x_state,
-    initial_discord_identical,
     protected_discord,
     scan_amplification_rate,
     x_state_density,
@@ -32,7 +29,13 @@ from xdiscord import (
 import xdiscord.analysis as analysis
 
 from helpers import sample_slope_params, sample_x_params
-from oracles import critic_time_reference
+from oracles import (
+    asymptotic_discord_identical,
+    critic_time_closed_form_detuned,
+    critic_time_reference,
+    family_rate_reference,
+    initial_discord_identical,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -235,7 +238,7 @@ def crossing_cases(draw):
     return params, qubits, limit
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(
     case=crossing_cases(),
     etas=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)).map(sorted),
@@ -367,12 +370,20 @@ def test_amplification_scan_domain():
         scan_amplification_rate(0.1, 0.7)
 
 
-@pytest.mark.parametrize("c1_min", [5e-324, 1e-9])
+@pytest.mark.parametrize("c1_min", [5e-324])
 def test_amplification_scan_refuses_discord_lost_to_rounding(c1_min):
-    # both discords are O(c1^2) differences of O(1) terms: D(0) rounds to 0
-    # at 5e-324 (the rate read nan) and below zero at 1e-9
+    # D(0) rounds to 0 where c1^2 underflows (the rate read nan)
     with pytest.raises(DomainError, match=r"at c1=.*rate undefined"):
         scan_amplification_rate(c1_min, 0.5, 0.1)
+
+
+def test_amplification_scan_keeps_small_c1_accurate():
+    # the closed forms cancelled here: D(0) rounded below 0 at c1 = 1e-9
+    scan = scan_amplification_rate(1e-9, 0.5, 0.1)
+    for c1, d0, dinf, rate in zip(scan.c1, scan.initial, scan.asymptotic, scan.rate):
+        assert rate == dinf / d0
+        assert abs(rate - family_rate_reference(c1)) <= 1e-13 * rate
+    assert scan.rate[0] == pytest.approx(2.0, abs=1e-8)
 
 
 # ------------------------------------------------------------ slope indicator

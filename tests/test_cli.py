@@ -22,6 +22,7 @@ from xdiscord import (
     evolve_x_state,
 )
 
+from oracles import discord_reference, family_rate_reference
 from test_golden import GOLDEN
 
 
@@ -271,11 +272,16 @@ def test_discord_oracle_column(capsys):
     ],
 )
 def test_discord_is_never_negative(args, capsys):
-    # after the critic time with mu = nu = 0, I - C rounds to -1.9e-16
+    # after the critic time D = T >= 0 exactly: I - C rounded it to -1.9e-16, and
+    # to 0 in place of the 1.8e-289 of the last evolve row
     assert run(args) == 0
-    _, header, data = parse_rows(capsys.readouterr().out)
-    discord = [float(row[header.index("discord")]) for row in data]
-    assert min(discord) == 0.0
+    comments, header, data = parse_rows(capsys.readouterr().out)
+    c3 = float(stamp_dict(comments)["c3"])
+    for row in data:
+        mu, nu, discord = (float(row[header.index(k)]) for k in ("mu", "nu", "discord"))
+        want = discord_reference(mu, nu, c3)[2]
+        assert discord >= 0.0
+        assert abs(discord - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize(
@@ -467,8 +473,14 @@ def test_time_nan_is_a_configuration_error(capsys):
         (["critic-surface", "--coupling-min", "1", "--coupling-max", "1",
           "--coupling-points", "1", "--fraction-points", "3", "--omega-c", "1e-320"], 0,
          "\n1,0.75,0.6435942529055827\n"),
+        # T/omega_c overflows: evolve exited 4 blaming "decay factors (nan, 1.0)"
+        (["evolve", "--omega-c", "1e-300", "-T", "1e10", "--points", "3", "--t-max", "1e-290"],
+         2, "(omega_c, temperature)=(1e-300, 10000000000.0)"),
+        (["critic-time", "--ratio", "2", "--omega-c", "1e-300", "-T", "1e10"], 2,
+         "(omega_c, temperature)=(1e-300, 10000000000.0)"),
     ],
-    ids=["discord", "evolve", "critic-time", "critic-surface"],
+    ids=["discord", "evolve", "critic-time", "critic-surface", "evolve-thermal",
+         "critic-time-thermal"],
 )
 def test_tiny_cutoff_answers_or_names_it(args, code, shown, capsys):
     # tau / omega_c overflows to t = inf, where every decay factor reads 0
@@ -627,12 +639,24 @@ def test_tiny_amplification_step_is_a_configuration_error(capsys):
     assert "c1_step give a table of" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("c1_min", ["5e-324", "1e-300", "1e-9"])
+@pytest.mark.parametrize("c1_min", ["5e-324", "1e-300"])
 def test_amplification_refuses_discord_lost_to_rounding(c1_min, capsys):
-    # D(0) rounded to 0 printed rate nan and "rate_max = nan"; at 1e-9 it rounds
-    # below zero, a negative discord
+    # D(0) rounded to 0 printed rate nan and "rate_max = nan"; c1^2 underflows here
     assert run(["amplification", "--c1-min", c1_min, "--c1-max", "0.5", "--c1-step", "0.1"]) == 4
     assert re.search(r"\bc1=", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("lo, hi, step", [("1e-9", "0.5", "0.1"), ("1e-7", "1e-6", "1e-7")])
+def test_amplification_at_small_c1_matches_the_family_rate(lo, hi, step, capsys):
+    # the closed forms cancelled here: D(0) rounded below 0 at c1 = 1e-9, and
+    # rate_max read 2.2719 on [1e-7, 1e-6]
+    assert run(["amplification", "--c1-min", lo, "--c1-max", hi, "--c1-step", step]) == 0
+    comments, header, data = parse_rows(capsys.readouterr().out)
+    for row in data:
+        c1, rate = float(row[0]), float(row[header.index("rate")])
+        assert abs(rate - family_rate_reference(c1)) <= 1e-13 * rate
+    rate_max, c1_at_max = map(float, re.findall(r"= (\S+)", comments[-1]))
+    assert abs(rate_max - family_rate_reference(c1_at_max)) <= 1e-13 * rate_max
 
 
 def test_critic_time_below_the_float_range_ends():

@@ -114,7 +114,7 @@ def check_table(command, text):
         assert footer and all(math.isfinite(float(v)) for v in footer.groups()), text
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200)
 @given(runs())
 def test_every_input_answers_or_names_its_error(run_args):
     command = run_args[0]

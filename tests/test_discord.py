@@ -15,6 +15,7 @@ from xdiscord import (
     QubitPairConfig,
     ReservoirConfig,
     XStateParams,
+    amplification_rate,
     assemble_density,
     classical_correlation_value,
     discord_analytic,
@@ -32,7 +33,11 @@ from xdiscord.discord import (
 from xdiscord.states import EIGENVALUE_FLOOR, TwoQubitDensity
 
 from helpers import sample_x_params
-from oracles import conditional_entropies_reference, measurement_spread_reference
+from oracles import (
+    conditional_entropies_reference,
+    discord_reference,
+    measurement_spread_reference,
+)
 
 
 def frozen_state(mu, nu, c3, delta1=0.0, delta2=0.0, t=0.0):
@@ -65,6 +70,35 @@ def test_boundary_eigenvalue_zero_accepted():
 def test_mutual_information_anchor():
     x = frozen_state(0.6, 0.6, 0.3)
     assert discord_analytic(x).mutual_information == pytest.approx(0.38976749375427655, abs=1e-15)
+
+
+def test_correlations_match_the_60_digit_referee(rng):
+    # the X family scaled by 10^-9 ... 1: I, C and D fall like the square of the scale
+    for _ in range(3000):
+        params = sample_x_params(rng)
+        scale = 10.0 ** -rng.uniform(0.0, 9.0)
+        mu, nu, c3 = (scale * v for v in (params.c1 - params.c2, params.c1 + params.c2,
+                                          params.c3))
+        b = discord_analytic(frozen_state(mu, nu, c3))
+        info, cc, d = discord_reference(mu, nu, c3)
+        assert abs(b.mutual_information - info) <= 2e-15 * info
+        assert abs(b.classical_correlation - cc) <= 2e-15 * cc
+        if b.regime == REGIME_AFTER:
+            assert abs(b.discord - d) <= 1e-13 * d
+        else:
+            # D = T + [phi(c3) - phi(chi)]/2 falls like (mu - nu)^2 near c3 = 0,
+            # mu = nu, where it is ill-conditioned: an error of I's rounding is owed
+            assert abs(b.discord - d) <= max(1e-13 * d, min(5e-16, 2e-15 * info))
+
+
+def test_stable_family_matches_the_60_digit_referee():
+    # D(0) at (c1, c1, c1/2) and D(inf) at (0, c1, c1/2), both O(c1^2) as c1 -> 0
+    for c1 in np.geomspace(1e-12, 2.0 / 3.0, 200).tolist():
+        report = amplification_rate(c1)
+        for got, (mu, nu) in ((report.initial, (c1, c1)), (report.asymptotic, (0.0, c1))):
+            want = discord_reference(mu, nu, 0.5 * c1)[2]
+            assert abs(got - want) <= 1e-13 * want
+            assert discord_analytic(frozen_state(mu, nu, 0.5 * c1)).discord == got
 
 
 def measurement_spread(theta, phi, x: EvolvedXState) -> float:

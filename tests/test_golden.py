@@ -1,18 +1,25 @@
 """Byte-exact CSV output for a fixed set of commands.
 
 Each tests/golden/<name>.csv is the `-o` output of the command listed
-under its name below. The evolve, discord, critic-surface and
-amplification files were written by the row-by-row implementation that
-the time-grid pipeline replaced. The no-crossing, tie and infinite
-critic-time files come from the bracketing root finder that came first;
-the finite, thermal and large-detuning ones were re-captured when the
-critic time moved to decay-factor space, each nearer to a 40-digit mpmath
-root than before. A changed byte anywhere (a digit, a label, the stamp or a
-line ending) fails the test.
+under its name below. The critic-surface file was written by the
+row-by-row implementation that the time-grid pipeline replaced. The
+no-crossing, tie and infinite critic-time files come from the bracketing
+root finder that came first; the finite, thermal and large-detuning ones
+were re-captured when the critic time moved to decay-factor space, each
+nearer to a 40-digit mpmath root than before. The evolve, discord and
+amplification files were re-captured when I, C and D moved to the
+cancellation-free phi route. Only I, C and D cells changed there, and in
+the amplification file the two discord columns, the rate and the rate_max
+comment; each changed I, C or D is within 4e-15 relative of the 60-digit
+referee oracles.discord_reference, or 5e-16 absolute for an
+ill-conditioned one before the critic time. A changed byte anywhere (a
+digit, a label, the stamp or a line ending) fails the test.
 
 DIGESTS pins tables of the size the benchmark runs, 1,000 rows and more, by
-the sha256 of their `-o` output. They were captured before the discord
-kernel and the decay-factor loop were rewritten for speed.
+the sha256 of their `-o` output. The critic-surface pin was captured before
+the discord kernel and the decay-factor loop were rewritten for speed; the
+evolve and amplification pins were re-captured with the goldens above, with
+every other column byte-identical.
 """
 
 import hashlib
@@ -71,23 +78,23 @@ def test_output_matches_golden(name, tmp_path):
 DIGESTS = {
     # ratio 1, T = 0, linear: before- then after-critic
     ("evolve", "--c1", "0.45", "--c2", "0.05", "--c3", "0.4", "--points", "1000"):
-        "1ffe19efd71ff50922f5c5d67c0bf97207bc97a90d6d50911eb8daea11b03b38",
+        "683a1b541b7a4b99693e762d0bead10153e745c757dd6e506a32e1d4c5c896bc",
     # a zero weight at t = 0: (1 + c3 - mu)/4 = 0
     ("evolve", "--ratio", "2.3", "--c1", "0.6", "--c2", "-0.1", "--c3", "-0.3",
      "--t-max", "50", "--points", "1000"):
-        "8277651de1eaaa4c45b351b6c0bcd83bb8cb3be18bb25f29320d4a631e105f6b",
+        "58f284e4f0431ea80c6e61490c87aeb183509843b8cca5046cbb3b90e9fb9b4c",
     ("evolve", "--ratio", "2", "--spacing", "log", "--t-min", "0.001", "--t-max", "1000",
      "--points", "1000"):
-        "34ac4a7c8d236110c8bd0798156383d04181d2714df524bd81965c764933e686",
+        "d0fd0b40824d4efd2b56fab5f0f83102e47cd9aa59eea7bf39dead424356e523",
     ("evolve", "-T", "0.2", "--ratio", "2", "--t-max", "30", "--points", "1000"):
-        "f116e2c4a7044fa88aaa1d9cb8487f7fa721d4acf49a3c2432f4600e36dd1eb2",
+        "894ff151a586d80a825b2aa13c1596c447d320309fb1dad579a5327ed77ab77e",
     ("evolve", "--large-detuning", "--ratio", "3", "--c1", "1", "--c2", "-0.5", "--c3", "0.5",
      "--points", "1000"):
-        "cf1a1687aa079606564a7118fef142b37de159eeb3698b5187d7884dbbaec15a",
+        "d7d4d6d0a69d5c9b4c9e91d914075e19c178c2de4d2cf33bc0435b35700b4731",
     # c3 = 0: no critic time
     ("evolve", "--ratio", "2", "--c1", "0.5", "--c3", "0", "--points", "1000"):
-        "4290ef680a10fa4738df828efb8133751603552fad52a5e4145859685113bd4d",
-    ("amplification",): "87b76e1fa8071444518966c434ed002616149a49e163fbfb25aa8605da3d3edc",
+        "f9f4129b2ac060f2f78d510176939c03b549b913782326f7c07da94af103fc6c",
+    ("amplification",): "b4b490f35aa2f52025d1d47391028cbb71a2a5b7de0ebf76a83863ced67458dc",
     ("critic-surface",): "d0f0ea6238e21a7da2dedd2f3d2252fc79205cdf1c97dfd35a58b608464f63f0",
 }
 

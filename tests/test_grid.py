@@ -29,7 +29,7 @@ from xdiscord import (
 )
 from xdiscord.cli import _linspace
 
-from oracles import discord_point_reference
+from oracles import discord_entropy_reference, discord_point_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -76,7 +76,7 @@ def runs(draw):
     return params, qubits, res, draw(st.booleans()), times
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(runs())
 def test_grid_route_equals_scalar_route_cell_by_cell(run):
     params, qubits, res, large_detuning, t = run
@@ -92,15 +92,16 @@ def test_grid_route_equals_scalar_route_cell_by_cell(run):
         assert grid[2].regime[i] == b.regime
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(runs())
 def test_correlations_stay_within_their_bounds(run):
     params, qubits, res, large_detuning, t = run
     b = grid_route(params, t, qubits, res, large_detuning)[2]
-    # C rounds below 0 for small spreads (-8e-17 at chi = 1e-16), so D may top I by that
+    # D = T + [phi(c3) - phi(chi)]/2 <= T <= I holds in rounding too; C may top
+    # I by rounding where D is about 0
     for info, cc, d in zip(b.mutual_information, b.classical_correlation, b.discord):
-        assert 0.0 <= d <= info + 1e-15
-        assert cc <= info + 1e-15
+        assert 0.0 <= d <= info
+        assert 0.0 <= cc <= info + 1e-15
 
 
 # c3 and the fractions of |mu| <= 1 + c3 and |nu| <= 1 - c3 that the kernel's
@@ -124,7 +125,7 @@ def discord_points(draw, c3):
             draw(fraction) * (1.0 - c3) * draw(SIGN))
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(data=st.data(), c3=st.one_of(EDGE_C3, st.floats(-1.0, 1.0)),
        tc_regime=st.sampled_from(["unknown", "before", "after"]), n=st.integers(0, 12))
 def test_discord_kernel_is_the_per_point_composition_bit_for_bit(data, c3, tc_regime, n):
@@ -134,11 +135,43 @@ def test_discord_kernel_is_the_per_point_composition_bit_for_bit(data, c3, tc_re
     for (mu, nu), cells in zip(points, want):
         b = discord_analytic(EvolvedXState(mu, nu, 0.0, 0.0, c3, 0.5), tc_regime)
         assert [repr(getattr(b, f)) for f in fields] == list(map(repr, cells))
+        # the entropy composition I = 2 - S(spectrum) it replaced, to its rounding
+        for new, old in zip(cells, discord_entropy_reference(mu, nu, c3, tc_regime)):
+            assert abs(new - old) <= 1e-15
     mu, nu = [p[0] for p in points], [p[1] for p in points]
     zero, t = [0.0] * n, [0.5] * n
     b = discord_analytic(EvolvedXState(mu, nu, zero, zero, c3, t), tc_regime)
     for f, column in zip(fields, zip(*want) if want else [()] * 5):
         assert list(map(repr, getattr(b, f))) == list(map(repr, column))
+
+
+@settings(max_examples=300)
+@given(c3=st.one_of(EDGE_C3, st.floats(-1.0, 1.0)),
+       share=st.one_of(EDGE_FRACTION, st.floats(0.0, 1.0)), s_mu=SIGN, s_nu=SIGN)
+def test_discord_is_nonnegative_and_continuous_where_the_branches_meet(c3, share, s_mu, s_nu):
+    # at (|mu| + |nu|)/2 = |c3| both branches have the same C, so they must give
+    # the same D; one ulp of the larger coherence to either side moves D by
+    # rounding only, though it switches the branch under "unknown"
+    pole = abs(c3)
+    mu = s_mu * 2.0 * pole * share
+    nu = s_nu * (2.0 * pole - abs(mu))
+    assume(0.5 * (abs(mu) + abs(nu)) == pole)
+    try:
+        x = EvolvedXState(mu, nu, 0.0, 0.0, c3, 0.5)
+    except InvalidStateError:
+        assume(False)  # a coherence past the spectrum's bound
+    tie = discord_analytic(x, "after").discord
+    assert discord_analytic(x, "before").discord == tie >= 0.0
+    field = "mu" if abs(mu) >= abs(nu) else "nu"
+    value = getattr(x, field)
+    for toward in (0.0, math.inf):
+        moved = math.copysign(math.nextafter(abs(value), toward), value)
+        try:
+            near = discord_analytic(x._replace(**{field: moved})).discord
+        except InvalidStateError:
+            continue  # the coherence sat on the spectrum's bound
+        assert near >= 0.0
+        assert abs(near - tie) <= 1e-13 * (abs(mu) + abs(nu))
 
 
 def test_one_point_grid_gives_the_scalar_types():
@@ -211,7 +244,7 @@ def test_spectrum_check_refuses_a_nan_and_names_its_point():
 BOUNDS = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(
     lo=st.one_of(st.just(0.0), BOUNDS),
     hi=st.one_of(st.just(0.0), BOUNDS),

@@ -196,13 +196,12 @@ ALL = [
     "DomainError", "EvolvedXState", "InvalidStateError", "ProtectedDiscord",
     "QubitPairConfig", "REGIME_AFTER", "REGIME_BEFORE", "REGIME_NONE", "ReservoirConfig",
     "RootFindError", "TwoQubitDensity", "XStateParams", "amplification_indicator",
-    "amplification_rate", "assemble_density", "asymptotic_discord_identical",
-    "classical_correlation_value", "critic_time", "critic_time_closed_form_detuned",
+    "amplification_rate", "assemble_density", "classical_correlation_value", "critic_time",
     "critic_time_closed_form_identical", "decay_factors", "dephasing_exponent",
     "discord_analytic", "discord_bruteforce", "entropy_bits", "evolve_density",
-    "evolve_x_state", "initial_discord_identical", "partial_trace", "phase_exponent",
-    "protected_discord", "scan_amplification_rate", "von_neumann_entropy",
-    "x_state_density", "x_state_from_factors", "xlog2",
+    "evolve_x_state", "partial_trace", "phase_exponent", "protected_discord",
+    "scan_amplification_rate", "von_neumann_entropy", "x_state_density",
+    "x_state_from_factors", "xlog2",
 ]
 
 

@@ -51,6 +51,10 @@ def test_reservoir_config_validation():
         ReservoirConfig(1.0, -1.0, 0.0)
     with pytest.raises(InvalidStateError):
         ReservoirConfig(1.0, 1.0, -0.1)
+    # Q(t) reads w = 1 + T/omega_c, which would be inf and Q nan at every t > 0
+    with pytest.raises(InvalidStateError,
+                       match=r"=\(1e-300, 10000000000\.0\): temperature/omega_c overflows"):
+        ReservoirConfig(1.0, 1e-300, 1e10)
 
 
 def test_phase_integral_matches_arctan():
