@@ -236,12 +236,12 @@ def _family_discords(c1: float):
 
     At t = 0 the state has (mu, nu) = (c1, c1); late, the outer coherence
     has died and the inner one survives intact, (mu, nu) = (0, c1), which
-    ties the two spreads at c1/2 and so takes the pole branch. D(0) > 0 on
-    (0, 2/3], so a D(0) of 0 means c1^2 underflowed, and is refused.
+    ties the two spreads at c1/2 and so takes the pole branch. D(0) is O(c1^2):
+    below c1 ~ 1e-154 it is subnormal or 0, too few digits for a rate, and refused.
     """
     d0, dinf = _discord_columns((c1, 0.0), (c1, c1), 0.5 * c1)[2]
-    if d0 <= 0.0:
-        raise DomainError(f"initial discord underflowed at c1={c1!r}; rate undefined")
+    if d0 < sys.float_info.min:
+        raise DomainError(f"initial discord {d0!r} underflowed at c1={c1!r}; rate undefined")
     return d0, dinf
 
 

@@ -21,6 +21,7 @@ All information quantities are in bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -57,8 +58,8 @@ _REFINE_POINTS = 21
 _REFINE_SHRINK = 10.0
 _CONVERGENCE_TOL = 1e-6
 _X_PATTERN_TOL = 1e-12
-# bases per block of the grid scan; a call then allocates about 0.2 MB at its peak
-_SCAN_CHUNK = 1024
+# bases per scan block: a 270 kB budget at the 130 bytes one basis holds at the kernel's peak
+_SCAN_BASES = 270_000 // 130
 
 
 class DiscordBreakdown(_record(
@@ -206,12 +207,37 @@ def _bloch_blocks(r4: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                       [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     blocks = np.stack([r4[0, :, 0, :], r4[1, :, 1, :], r4[0, :, 1, :]])
-    comps = 0.5 * np.einsum("mbc,scb->ms", blocks, paulis)
+    comps = 0.5 * np.einsum("mbc,scb->ms", blocks, _pauli_table())
     # R_00 and R_11 are hermitian, so their components are real
     return np.concatenate([comps.real, comps[2:].imag])
+
+
+@functools.cache
+def _pauli_table():
+    import numpy as np
+
+    return np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@functools.lru_cache(maxsize=4)
+def _coarse_grid(n_theta: int, n_phi: int):
+    """thetas and phis of a coarse grid, with (nx, ny, nz) for the default grid only: like
+    the Pauli table, built once per process on the first oracle call (about 0.13 MB)."""
+    import numpy as np
+
+    thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    return thetas, phis, _directions(thetas, phis) if (n_theta, n_phi) == _MIN_GRID else None
+
+
+def _directions(thetas: np.ndarray, phis: np.ndarray):
+    """Bloch vectors (nx, ny, nz) of the bases thetas x phis; nz is one column."""
+    import numpy as np
+
+    two_t = 2.0 * thetas[:, None]
+    sin2t = np.sin(two_t)
+    return sin2t * np.cos(phis), sin2t * np.sin(phis), np.cos(two_t)
 
 
 def _conditional_states(bloch: np.ndarray, nx, ny, nz):
@@ -219,29 +245,44 @@ def _conditional_states(bloch: np.ndarray, nx, ny, nz):
 
     p is the outcome probability and p/2 +/- h the two eigenvalues of the
     unnormalized conditional state; n = (nx, ny, nz) is a unit Bloch
-    vector, or arrays of them, and both outcomes share its dot products.
+    vector, or arrays of them. One pass takes all four components' dot =
+    nx c1 + ny c2 + nz c3, and the outcomes are c0 + dot and c0 - dot.
     """
     import numpy as np
 
-    signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(nx))
-    a, d, re, im = (c[0] + signs * (nx * c[1] + ny * c[2] + nz * c[3]) for c in bloch)
-    return a + d, np.hypot(0.5 * (a - d), np.hypot(re, im))
+    c0, c1, c2, c3 = bloch.T.reshape((4, 4) + (1,) * np.ndim(nx))
+    plus, minus = comps = np.empty((2, 4) + np.shape(nx))
+    np.multiply(nx, c1, out=minus)
+    minus += np.multiply(ny, c2, out=plus)
+    minus += np.multiply(nz, c3, out=plus)
+    np.add(c0, minus, out=plus)
+    np.subtract(c0, minus, out=minus)
+    a, d, re, im = comps.swapaxes(0, 1)
+    p = a + d
+    half_diff = np.multiply(np.subtract(a, d, out=a), 0.5, out=a)
+    return p, np.hypot(half_diff, np.hypot(re, im, out=re))
 
 
 def _conditional_entropies(bloch: np.ndarray, nx, ny, nz):
     """p_k S(rho_A^k) summed over both outcomes, at Bloch directions n.
 
-    Returns (s_cond, p_par, s_par, p_perp, s_perp) where s_* are the
-    normalized conditional entropies; par is the outcome along +n.
+    Returns (s_cond, p, s): p and the normalized conditional entropies s
+    stack the outcomes along +n and -n, whose four eigenvalue ratios go
+    through one xlog2 call.
     """
     import numpy as np
 
     p, half_gap = _conditional_states(bloch, nx, ny, nz)
-    mid = 0.5 * p
-    safe = np.maximum(p, 1e-300)
-    ent = -(xlog2((mid - half_gap) / safe) + xlog2((mid + half_gap) / safe))
-    ent = np.where(p > 1e-15, ent, 0.0)
-    return p[0] * ent[0] + p[1] * ent[1], p[0], ent[0], p[1], ent[1]
+    ratios = np.empty((2,) + p.shape)
+    np.add(np.multiply(0.5, p, out=ratios[0]), half_gap, out=ratios[1])
+    ratios[0] -= half_gap
+    ratios /= np.maximum(p, 1e-300, out=half_gap)
+    del half_gap  # freed before xlog2 allocates its result
+    ent = xlog2(ratios)
+    ent = np.negative(np.add(*ent, out=ent[0]), out=ent[0])
+    ent[~(p > 1e-15)] = 0.0
+    s_cond = np.multiply(p, ent, out=ratios[0])
+    return s_cond[0] + s_cond[1], p, ent
 
 
 def _looks_like_symmetric_x(m: np.ndarray) -> bool:
@@ -255,11 +296,12 @@ def _looks_like_symmetric_x(m: np.ndarray) -> bool:
 
 
 def _scan_minimum(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
-                  check_symmetry: bool = False):
+                  check_symmetry: bool = False, directions=None):
     """(value, theta, phi) of the first conditional-entropy minimum on thetas x phis.
 
-    The grid is walked in blocks of whole theta rows, about _SCAN_CHUNK
-    bases each, so the working set does not grow with the grid. A later
+    The grid is walked in blocks of whole theta rows, about _SCAN_BASES
+    bases each, so the working set does not grow with the grid; directions,
+    the whole grid's (nx, ny, nz), are sliced per block where given. A later
     block must be strictly lower to take over, which keeps the first
     minimum in row-major order, as one argmin over the whole grid would.
     check_symmetry asserts, to 1e-12, the equal outcome probabilities and
@@ -267,23 +309,22 @@ def _scan_minimum(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
     """
     import numpy as np
 
-    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
-    rows = max(1, _SCAN_CHUNK // len(phis))
+    rows = max(1, _SCAN_BASES // len(phis))
     best = None
     worst_p = worst_s = 0.0
     for lo in range(0, len(thetas), rows):
-        two_t = 2.0 * thetas[lo:lo + rows, None]
-        sin2t = np.sin(two_t)
-        s_cond, p_par, s_par, p_perp, s_perp = _conditional_entropies(
-            bloch, sin2t * cos_phi, sin2t * sin_phi, np.cos(two_t))
+        block = slice(lo, lo + rows)
+        n = [v[block] for v in directions] if directions else _directions(thetas[block], phis)
+        s_cond, p, ent = _conditional_entropies(bloch, *n)
         if check_symmetry:
-            worst_p = max(worst_p, np.abs(p_par - 0.5).max(), np.abs(p_perp - 0.5).max())
-            worst_s = max(worst_s, np.abs(s_par - s_perp).max())
+            worst_p = max(worst_p, np.abs(p - 0.5).max())
+            worst_s = max(worst_s, np.abs(ent[0] - ent[1]).max())
         idx = int(np.argmin(s_cond))
         val = float(s_cond.flat[idx])
         if best is None or val < best[0]:
             i, j = divmod(idx, len(phis))
             best = val, float(thetas[lo + i]), float(phis[j])
+        del s_cond, p, ent  # before the next block allocates its own
     if worst_p > 1e-12 or worst_s > 1e-12:
         raise InvalidStateError(
             "symmetric X state lost its measurement symmetry: "
@@ -292,79 +333,63 @@ def _scan_minimum(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
     return best
 
 
-def discord_bruteforce(rho: TwoQubitDensity, grid=(64, 128)) -> DiscordBreakdown:
+def discord_bruteforce(rho: TwoQubitDensity, grid=_MIN_GRID) -> DiscordBreakdown:
     """Discord by explicit minimization over measurement bases on qubit B.
 
     A coarse (theta, phi) grid is followed by up to three rounds of 10x
     local refinement around the running optimum; convergence means the
     minimum moved by less than 1e-6 between rounds. For symmetric X input
     the two outcome probabilities must both be 1/2 and the two conditional
-    entropies equal; this is asserted to 1e-12.
+    entropies equal, to 1e-12. Refusals name grid and (c3, 4 rho_03, 4 rho_12).
     """
     import numpy as np
 
     n_theta, n_phi = grid
     if n_theta < _MIN_GRID[0] or n_phi < _MIN_GRID[1]:
-        raise DomainError(
-            f"grid {grid!r} is coarser than the required minimum {_MIN_GRID}"
-        )
+        raise DomainError(f"grid {grid!r} is coarser than the required minimum {_MIN_GRID}")
     m = rho.entries
     s_a = von_neumann_entropy(partial_trace(rho, "A"))
-    s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    s_ab = von_neumann_entropy(m)
-    info = s_a + s_b - s_ab
+    info = s_a + von_neumann_entropy(partial_trace(rho, "B")) - von_neumann_entropy(m)
     bloch = _bloch_blocks(m.reshape(2, 2, 2, 2))
-    best_val, best_theta, best_phi = _scan_minimum(
-        bloch,
-        np.linspace(0.0, 0.5 * math.pi, n_theta),
-        np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
-        check_symmetry=_looks_like_symmetric_x(m),
-    )
+    thetas, phis, directions = _coarse_grid(n_theta, n_phi)
+    # the X parameters c3, mu, nu read off the matrix entries
+    x_params = (float((m[0, 0] + m[3, 3] - m[1, 1] - m[2, 2]).real), complex(4.0 * m[0, 3]),
+                complex(4.0 * m[1, 2]))
+    try:
+        best_val, best_theta, best_phi = _scan_minimum(
+            bloch, thetas, phis, _looks_like_symmetric_x(m), directions)
+    except InvalidStateError as exc:
+        raise InvalidStateError(f"{exc}; {_oracle_inputs(grid, *x_params)}") from None
 
-    spacing_theta = 0.5 * math.pi / (n_theta - 1)
-    spacing_phi = 2.0 * math.pi / n_phi
-    converged = False
+    spacing_theta, spacing_phi = 0.5 * math.pi / (n_theta - 1), 2.0 * math.pi / n_phi
     for _ in range(_REFINE_ROUNDS):
-        lo_t = max(best_theta - spacing_theta, 0.0)
-        hi_t = min(best_theta + spacing_theta, 0.5 * math.pi)
-        sub_t = np.linspace(lo_t, hi_t, _REFINE_POINTS)
-        sub_p = np.linspace(
-            best_phi - spacing_phi, best_phi + spacing_phi, _REFINE_POINTS
-        )
+        sub_t = np.linspace(max(best_theta - spacing_theta, 0.0),
+                            min(best_theta + spacing_theta, 0.5 * math.pi), _REFINE_POINTS)
+        sub_p = np.linspace(best_phi - spacing_phi, best_phi + spacing_phi, _REFINE_POINTS)
         new_val, new_theta, new_phi = _scan_minimum(bloch, sub_t, sub_p)
         if new_val < best_val:
             best_theta, best_phi = new_theta, new_phi
         change = best_val - min(new_val, best_val)
         best_val = min(new_val, best_val)
-        spacing_theta /= _REFINE_SHRINK
-        spacing_phi /= _REFINE_SHRINK
+        spacing_theta, spacing_phi = spacing_theta / _REFINE_SHRINK, spacing_phi / _REFINE_SHRINK
         if change < _CONVERGENCE_TOL:
-            converged = True
             break
 
     cc = s_a - best_val
-    # spread of the conditional state at the optimum, for the chi field
-    chi = _conditional_spread(bloch, best_theta, best_phi)
-    # the X parameters c3, mu, nu read off the matrix entries
-    _, regime = _measurement_branch(
-        (m[0, 0] + m[3, 3] - m[1, 1] - m[2, 2]).real, 4.0 * m[0, 3], 4.0 * m[1, 2]
-    )
-    breakdown = DiscordBreakdown(
-        mutual_information=info,
-        classical_correlation=cc,
-        # clamped as in discord_analytic: a negative I - C is rounding, -4.4e-16
-        # once the coherences have decayed
-        discord=max(info - cc, 0.0),
-        chi=chi,
-        regime=regime,
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"measurement grid refinement stalled: last change {change:.3e} "
-            f"above {_CONVERGENCE_TOL:.0e}",
-            best_so_far=breakdown,
-        )
+    # chi is the spread of the conditional state at the optimum; D is clamped as in
+    # discord_analytic: a negative I - C is rounding, -4.4e-16 once the coherences have decayed
+    breakdown = DiscordBreakdown(info, cc, max(info - cc, 0.0),
+                                 _conditional_spread(bloch, best_theta, best_phi),
+                                 _measurement_branch(*x_params)[1])
+    if not change < _CONVERGENCE_TOL:
+        raise ConvergenceError(f"measurement grid refinement stalled: last change {change:.3e} "
+                               f"above {_CONVERGENCE_TOL:.0e}; {_oracle_inputs(grid, *x_params)}",
+                               best_so_far=breakdown)
     return breakdown
+
+
+def _oracle_inputs(grid, c3, mu, nu) -> str:
+    return f"grid {tuple(grid)!r}, (c3, 4 rho_03, 4 rho_12) = ({c3!r}, {mu!r}, {nu!r})"
 
 
 def _conditional_spread(bloch: np.ndarray, theta: float, phi: float) -> float:

@@ -50,13 +50,13 @@ def xlog2(x):
     if type(x) is not float and not isinstance(x, (float, int)):
         import numpy as np
 
-        bad = x < EIGENVALUE_FLOOR
-        if bad.any():
-            raise InvalidStateError(
-                f"weight {x[bad].min():.6e} is negative beyond tolerance"
-            )
-        xc = np.maximum(x, 0.0)
-        return np.where(xc > 0.0, xc * np.log2(np.maximum(xc, 1e-300)), 0.0)
+        low = np.fmin.reduce(x, axis=None, initial=math.inf)  # nan is no weight below it
+        if low < EIGENVALUE_FLOOR:
+            raise InvalidStateError(f"weight {low:.6e} is negative beyond tolerance")
+        out = np.maximum(x, 1e-300, out=np.empty(np.shape(x)))
+        np.multiply(np.log2(out, out=out), x, out=out)
+        out[~(x > 0.0)] = 0.0
+        return out
     if x > 0.0:
         return x * math.log2(x)
     if x >= EIGENVALUE_FLOOR:

@@ -33,6 +33,10 @@ conditional_entropies_reference is the brute-force oracle's conditional
 entropy as the package computed it before its Bloch-form kernel: each
 basis ket is contracted with the full density by einsum, so the tests can
 check the Bloch-vector route against a route that does not share it.
+bloch_states_reference, bloch_entropies_reference and
+scan_minimum_reference are that Bloch-vector scan as the package ran it
+before its stacked kernel, a pass per component and outcome over blocks
+of about 1,024 bases: the tests pin the oracle to it bit for bit.
 
 critic_time_reference is omega_c t_c to 40 digits: mpmath's findroot of
 the crossing condition (|mu| + |nu|)/2 = |c3|, with Q(t) from mpmath's
@@ -50,6 +54,7 @@ import math
 
 from xdiscord import (
     DomainError,
+    InvalidStateError,
     ReservoirConfig,
     classical_correlation_value,
     dephasing_exponent,
@@ -370,6 +375,77 @@ def conditional_entropies_reference(r4, thetas, phis):
     (p_par, s_par), (p_perp, s_perp) = out
     s_cond = p_par * s_par + p_perp * s_perp
     return s_cond, p_par, s_par, p_perp, s_perp
+
+
+# bases per block of scan_minimum_reference's walk over the grid
+_SCAN_CHUNK = 1024
+
+
+def bloch_states_reference(bloch, nx, ny, nz):
+    """(p, h) of the conditional A state, stacked for the outcomes along +n and -n.
+
+    p is the outcome probability and p/2 +/- h the two eigenvalues of the
+    unnormalized conditional state; n = (nx, ny, nz) is a unit Bloch
+    vector, or arrays of them, and both outcomes share its dot products.
+    """
+    import numpy as np
+
+    signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(nx))
+    a, d, re, im = (c[0] + signs * (nx * c[1] + ny * c[2] + nz * c[3]) for c in bloch)
+    return a + d, np.hypot(0.5 * (a - d), np.hypot(re, im))
+
+
+def bloch_entropies_reference(bloch, nx, ny, nz):
+    """p_k S(rho_A^k) summed over both outcomes, at Bloch directions n.
+
+    Returns (s_cond, p_par, s_par, p_perp, s_perp) where s_* are the
+    normalized conditional entropies; par is the outcome along +n.
+    """
+    import numpy as np
+
+    p, half_gap = bloch_states_reference(bloch, nx, ny, nz)
+    mid = 0.5 * p
+    safe = np.maximum(p, 1e-300)
+    ent = -(xlog2((mid - half_gap) / safe) + xlog2((mid + half_gap) / safe))
+    ent = np.where(p > 1e-15, ent, 0.0)
+    return p[0] * ent[0] + p[1] * ent[1], p[0], ent[0], p[1], ent[1]
+
+
+def scan_minimum_reference(bloch, thetas, phis, check_symmetry: bool = False):
+    """(value, theta, phi) of the first conditional-entropy minimum on thetas x phis.
+
+    The grid is walked in blocks of whole theta rows, about _SCAN_CHUNK
+    bases each, so the working set does not grow with the grid. A later
+    block must be strictly lower to take over, which keeps the first
+    minimum in row-major order, as one argmin over the whole grid would.
+    check_symmetry asserts, to 1e-12, the equal outcome probabilities and
+    entropies a symmetric X state has at every basis.
+    """
+    import numpy as np
+
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+    rows = max(1, _SCAN_CHUNK // len(phis))
+    best = None
+    worst_p = worst_s = 0.0
+    for lo in range(0, len(thetas), rows):
+        two_t = 2.0 * thetas[lo:lo + rows, None]
+        sin2t = np.sin(two_t)
+        s_cond, p_par, s_par, p_perp, s_perp = bloch_entropies_reference(
+            bloch, sin2t * cos_phi, sin2t * sin_phi, np.cos(two_t))
+        if check_symmetry:
+            worst_p = max(worst_p, np.abs(p_par - 0.5).max(), np.abs(p_perp - 0.5).max())
+            worst_s = max(worst_s, np.abs(s_par - s_perp).max())
+        idx = int(np.argmin(s_cond))
+        val = float(s_cond.flat[idx])
+        if best is None or val < best[0]:
+            i, j = divmod(idx, len(phis))
+            best = val, float(thetas[lo + i]), float(phis[j])
+    if worst_p > 1e-12 or worst_s > 1e-12:
+        raise InvalidStateError(
+            "symmetric X state lost its measurement symmetry: "
+            f"|p - 1/2| <= {worst_p:.3e}, |S_par - S_perp| <= {worst_s:.3e}"
+        )
+    return best
 
 
 def _check_family_parameter(c1):

@@ -142,6 +142,17 @@ def test_critic_time_refuses_past_the_horizon_when_warm():
         critic_time(XStateParams(0.4, 0.0, 0.3999), DETUNED, feeble)
 
 
+def test_critic_time_refuses_where_the_lower_bracket_underflows():
+    # |c3| one ulp below the start and (omega_a + omega_b)^2 = 9e298 put
+    # Q(t_c) = 3.7e-315 below the normal floats; the bracket's lower end
+    # sqrt(Q(t_c)/(eta omega_c (omega_c/2 + T))) then rounds to 0, where Q = 0
+    params = XStateParams(0.3, 0.0, math.nextafter(0.3, 0.0))
+    with pytest.raises(RootFindError, match=r"^Q\(t\) leaves the float range on \[0\.0, "
+                       r"6\.66\d*e-158\]: Q = 0\.0 and \S+ at the ends; .*"
+                       r"\(eta, omega_c, T\)=\(1\.0, 1\.0, 10000000000\.0\)$"):
+        critic_time(params, QubitPairConfig(2e149, 1e149), ReservoirConfig(1.0, 1.0, 1e10))
+
+
 def _crossing_draw(rng):
     """A state, a qubit pair and a limit flag whose branches cross at a finite time."""
     while True:
@@ -375,6 +386,19 @@ def test_amplification_scan_refuses_discord_lost_to_rounding(c1_min):
     # D(0) rounds to 0 where c1^2 underflows (the rate read nan)
     with pytest.raises(DomainError, match=r"at c1=.*rate undefined"):
         scan_amplification_rate(c1_min, 0.5, 0.1)
+
+
+def test_amplification_rate_refuses_a_subnormal_initial_discord():
+    # D(0) = 1.8e-317 is subnormal: the rate read 1.99999945 where it is 2
+    with pytest.raises(DomainError, match=r"initial discord 1\.8\d*e-317 underflowed at "
+                       r"c1=1e-158; rate undefined"):
+        amplification_rate(1e-158)
+    with pytest.raises(DomainError, match=r"at c1=1e-154;"):
+        scan_amplification_rate(1e-154, 1e-150, 1e-151)
+    # D(0) is normal from c1 ~ 1e-154 on, and every rate keeps its digits
+    for c1 in np.geomspace(1e-150, 1e-100, 51).tolist():
+        rate = amplification_rate(c1).rate
+        assert abs(rate - family_rate_reference(c1)) <= 1e-13 * rate
 
 
 def test_amplification_scan_keeps_small_c1_accurate():

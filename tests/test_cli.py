@@ -646,6 +646,14 @@ def test_amplification_refuses_discord_lost_to_rounding(c1_min, capsys):
     assert re.search(r"\bc1=", capsys.readouterr().err)
 
 
+def test_amplification_refuses_a_subnormal_initial_discord(capsys):
+    # D(0) is subnormal on this range: rates 1.75 and 2.017 printed with exit 0
+    assert run(["amplification", "--c1-min", "1e-161", "--c1-max", "1e-160",
+                "--c1-step", "3e-161"]) == 4
+    assert re.search(r"initial discord \S+ underflowed at c1=1e-161; rate undefined",
+                     capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("lo, hi, step", [("1e-9", "0.5", "0.1"), ("1e-7", "1e-6", "1e-7")])
 def test_amplification_at_small_c1_matches_the_family_rate(lo, hi, step, capsys):
     # the closed forms cancelled here: D(0) rounded below 0 at c1 = 1e-9, and

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import xdiscord.discord
 from xdiscord import (
     REGIME_AFTER,
     REGIME_BEFORE,
     REGIME_NONE,
+    ConvergenceError,
     DiscordBreakdown,
     DomainError,
     EvolvedXState,
@@ -24,7 +26,7 @@ from xdiscord import (
     x_state_density,
 )
 from xdiscord.discord import (
-    _SCAN_CHUNK,
+    _SCAN_BASES,
     _bloch_blocks,
     _conditional_entropies,
     _conditional_spread,
@@ -34,9 +36,11 @@ from xdiscord.states import EIGENVALUE_FLOOR, TwoQubitDensity
 
 from helpers import sample_x_params
 from oracles import (
+    bloch_states_reference,
     conditional_entropies_reference,
     discord_reference,
     measurement_spread_reference,
+    scan_minimum_reference,
 )
 
 
@@ -275,18 +279,18 @@ def test_bloch_kernel_matches_the_ket_referee(rng):
     phis = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 2.0 * math.pi, 400)])
     for _ in range(20):
         r4 = random_full_rank_density(rng).entries.reshape(2, 2, 2, 2)
-        got = _conditional_entropies(_bloch_blocks(r4), *bloch_directions(thetas, phis))
+        s_cond, p, ent = _conditional_entropies(_bloch_blocks(r4), *bloch_directions(thetas, phis))
         want = conditional_entropies_reference(r4, thetas, phis)
-        for g, w in zip(got, want):
+        for g, w in zip((s_cond, p[0], ent[0], p[1], ent[1]), want):
             np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-13)
 
 
 def test_scan_keeps_the_first_minimum_across_blocks():
-    # 65 x 129 bases are not a whole number of scan blocks. The classical
+    # the theta rows are not a whole number of scan blocks. The classical
     # state's entropy depends on cos(2 theta) alone, and its minimum ties
     # exactly on the theta = 0 row (first block) and theta = pi/2 row (last)
-    thetas = np.linspace(0.0, 0.5 * math.pi, 65)
     phis = np.linspace(0.0, 2.0 * math.pi, 129, endpoint=False)
+    thetas = np.linspace(0.0, 0.5 * math.pi, 2 * (_SCAN_BASES // len(phis)) + 1)
     for rho in (np.eye(4) / 4.0, np.diag([0.4, 0.1, 0.1, 0.4])):
         bloch = _bloch_blocks(TwoQubitDensity(rho).entries.reshape(2, 2, 2, 2))
         s_cond = _conditional_entropies(
@@ -296,14 +300,16 @@ def test_scan_keeps_the_first_minimum_across_blocks():
 
 
 def test_scan_finds_a_minimum_inside_a_later_block(rng):
-    thetas = np.linspace(0.0, 0.5 * math.pi, 65)
+    # nine scan blocks of whole theta rows, the last one partial
     phis = np.linspace(0.0, 2.0 * math.pi, 129, endpoint=False)
+    rows = _SCAN_BASES // len(phis)
+    thetas = np.linspace(0.0, 0.5 * math.pi, 8 * rows + 1)
     for _ in range(5):
         bloch = _bloch_blocks(random_full_rank_density(rng).entries.reshape(2, 2, 2, 2))
         s_cond = _conditional_entropies(
             bloch, *bloch_directions(thetas[:, None], phis[None, :]))[0]
         i, j = np.unravel_index(np.argmin(s_cond), s_cond.shape)
-        assert i >= _SCAN_CHUNK // len(phis)  # past the first block of rows
+        assert i >= rows  # past the first block of rows
         val, theta, phi = _scan_minimum(bloch, thetas, phis)
         assert (theta, phi) == (thetas[i], phis[j])
         assert val == pytest.approx(s_cond[i, j], abs=1e-15)
@@ -318,14 +324,111 @@ def test_bruteforce_on_a_grid_off_the_block_size(rng):
 
 
 def test_bruteforce_working_set_stays_bounded():
-    # the grid is scanned in blocks: one call on the default 64 x 128 grid
-    # must not allocate more than 0.5 MB at its peak
+    # the grid is scanned in blocks sized from a byte budget: one call on the
+    # default 64 x 128 grid, or on a large grid of many blocks, must not
+    # allocate more than 0.5 MB at its peak
     rho = x_state_density(XStateParams(0.6, 0.1, -0.25))
-    discord_bruteforce(rho)  # imports and first-call caches
-    tracemalloc.start()
+    for grid in ((64, 128), (256, 512)):
+        discord_bruteforce(rho, grid)  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            discord_bruteforce(rho, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500_000
+
+
+def random_x_density(rng) -> TwoQubitDensity:
+    """An X state with random populations and complex coherences, rarely symmetric."""
+    pops = rng.dirichlet(np.ones(4))
+    m = np.diag(pops).astype(complex)
+    for i, j in ((0, 3), (1, 2)):
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        m[i, j] = math.sqrt(pops[i] * pops[j]) * rng.uniform() * phase
+        m[j, i] = np.conj(m[i, j])
+    return TwoQubitDensity(m)
+
+
+def random_symmetric_x_density(rng) -> TwoQubitDensity:
+    params = sample_x_params(rng)
+    delta1, delta2 = rng.uniform(-10.0, 10.0, 2)
+    return assemble_density(frozen_state(params.c1 - params.c2, params.c1 + params.c2, params.c3,
+                                         delta1=float(delta1), delta2=float(delta2)))
+
+
+def random_low_rank_density(rng) -> TwoQubitDensity:
+    """Rank 1 (pure) or 2: G G^dagger / Tr for a complex Gaussian 4 x rank G."""
+    rank = 1 + int(rng.integers(2))
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    return TwoQubitDensity(0.5 * (m + m.conj().T) / m.trace().real)
+
+
+def oracle_outcome(rho, grid):
+    """float.hex of every field of the oracle's result, or its refusal."""
+    def fields(b):
+        return tuple(v.hex() if isinstance(v, float) else v for v in b)
     try:
-        discord_bruteforce(rho)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 500_000
+        return fields(discord_bruteforce(rho, grid=grid))
+    except ConvergenceError as exc:
+        return "ConvergenceError", str(exc), fields(exc.best_so_far)
+    except InvalidStateError as exc:
+        return "InvalidStateError", str(exc)
+
+
+def test_bruteforce_is_the_reference_scan_bit_for_bit(rng, monkeypatch):
+    # the stacked kernel runs the reference scan's IEEE operations basis by
+    # basis, in larger blocks: every field and every refusal is the same
+    def reference_scan(bloch, thetas, phis, check_symmetry=False, directions=None):
+        return scan_minimum_reference(bloch, thetas, phis, check_symmetry)
+
+    def both(rho, grid):
+        got = oracle_outcome(rho, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(xdiscord.discord, "_scan_minimum", reference_scan)
+            patch.setattr(xdiscord.discord, "_conditional_states", bloch_states_reference)
+            return got, oracle_outcome(rho, grid)
+
+    makers = (random_x_density, random_symmetric_x_density, random_full_rank_density,
+              random_low_rank_density)
+    densities = [makers[i % 4](rng) for i in range(304)]
+    densities += [TwoQubitDensity(np.diag(w).astype(complex))
+                  for w in ([1, 0, 0, 0], [0.5, 0.5, 0, 0], [0.5, 0, 0, 0.5])]
+    outcomes = set()
+    # 100 rows of 140 bases span more than three scan blocks
+    assert 100 > 3 * (_SCAN_BASES // 140)
+    for grid in ((64, 128), (65, 129), (100, 140)):
+        for rho in densities:
+            got, want = both(rho, grid)
+            assert got == want
+            outcomes.add(got[0])
+    # each refusal, forced on a quarter of the states: refinement that never
+    # converges, and every state taken for a symmetric X state
+    for name, value in (("_CONVERGENCE_TOL", 0.0), ("_X_PATTERN_TOL", 1.0)):
+        with monkeypatch.context() as forced:
+            forced.setattr(xdiscord.discord, name, value)
+            for rho in densities[::4]:
+                got, want = both(rho, (64, 128))
+                assert got == want
+                outcomes.add(got[0])
+    assert {"ConvergenceError", "InvalidStateError"} <= outcomes
+
+
+def test_oracle_refusals_name_the_grid_and_the_state(monkeypatch):
+    rho = x_state_density(XStateParams(0.6, 0.1, -0.25))
+    named = (r"; grid \(65, 129\), \(c3, 4 rho_03, 4 rho_12\) = "
+             r"\(-0\.25, \(0\.5\+0j\), \(0\.7\+0j\)\)$")
+    monkeypatch.setattr(xdiscord.discord, "_CONVERGENCE_TOL", 0.0)
+    with pytest.raises(ConvergenceError,
+                       match=r"^measurement grid refinement stalled: last change \S+ above 0e\+00"
+                       + named):
+        discord_bruteforce(rho, grid=(65, 129))
+    # a state off the X pattern, taken for a symmetric X state
+    monkeypatch.setattr(xdiscord.discord, "_X_PATTERN_TOL", 1.0)
+    m = rho.entries.copy()
+    m[[0, 1, 2, 3], [1, 0, 3, 2]] = 0.01
+    with pytest.raises(InvalidStateError,
+                       match=r"^symmetric X state lost its measurement symmetry: "
+                       r"\|p - 1/2\| <= \S+, \|S_par - S_perp\| <= \S+" + named):
+        discord_bruteforce(TwoQubitDensity(m), grid=(65, 129))
