@@ -15,6 +15,7 @@ from collections import namedtuple
 from .discord import (
     REGIME_AFTER,
     _discord_columns,
+    _dphi,
     _measurement_branch,
     classical_correlation_value,
 )
@@ -265,12 +266,18 @@ class AmplificationScan(namedtuple(
         "AmplificationScan", "c1 initial asymptotic rate rate_max c1_at_max")):
     """Amplification rate over a c1 grid plus the refined maximum.
 
-    c1, initial, asymptotic and rate are NumPy arrays over the grid, the
+    c1, initial, asymptotic and rate are lists of floats over the grid, the
     discords D(0) and D(inf) of the stable family (c2 = 0, 2 c3 = c1,
     r = 1); rate_max is the refined maximum, found at the float c1_at_max.
     """
 
     __slots__ = ()
+
+
+def _arange(x0: float, stop: float, step: float) -> list:
+    """np.arange(x0, stop, step).tolist() in Python floats, bit for bit on the scan's inputs."""
+    d = (x0 + step) - x0
+    return [x0 + i * d for i in range(math.ceil((stop - x0) / step))]
 
 
 def scan_amplification_rate(
@@ -283,35 +290,26 @@ def scan_amplification_rate(
     tends to 2. Only a c1 whose c1^2 underflows, so that D(0) rounds to
     zero, has no rate: the first one is refused.
     """
-    import numpy as np
-
     if not (0.0 < c1_min < c1_max <= 2.0 / 3.0):
         raise DomainError(
             f"scan range ({c1_min!r}, {c1_max!r}) outside (0, 2/3]"
         )
-    c = np.arange(c1_min, c1_max - step / 2.0, step)
-    c = np.append(c, c1_max)
-    d0, dinf = (np.array(column) for column in zip(*map(_family_discords, c.tolist())))
-    rate = dinf / d0
-    i = int(np.argmax(rate))
-    best_c, best_rate = float(c[i]), float(rate[i])
+    c = _arange(c1_min, c1_max - step / 2.0, step) + [c1_max]
+    d0, dinf = (list(column) for column in zip(*map(_family_discords, c)))
+    rate = [b / a for a, b in zip(d0, dinf)]
+    i = rate.index(max(rate))
+    best_c, best_rate = c[i], rate[i]
     if 0 < i < len(c) - 1:
         num = rate[i + 1] - rate[i - 1]
         den = rate[i + 1] - 2.0 * rate[i] + rate[i - 1]
         if den < 0.0:
-            vertex = float(c[i] - 0.5 * (c[i + 1] - c[i]) * num / den)
+            vertex = c[i] - 0.5 * (c[i + 1] - c[i]) * num / den
             if c[i - 1] < vertex < c[i + 1]:
                 refined = amplification_rate(vertex)
                 if refined.rate > best_rate:
                     best_c, best_rate = vertex, refined.rate
-    return AmplificationScan(
-        c1=c,
-        initial=d0,
-        asymptotic=dinf,
-        rate=rate,
-        rate_max=best_rate,
-        c1_at_max=best_c,
-    )
+    return AmplificationScan(c1=c, initial=d0, asymptotic=dinf, rate=rate,
+                             rate_max=best_rate, c1_at_max=best_c)
 
 
 class AmplificationIndicator(namedtuple(
@@ -339,7 +337,12 @@ def amplification_indicator(
     large_detuning_limit: bool = False,
     tc_regime: str = "unknown",
 ) -> AmplificationIndicator:
-    """Analytic slope of the discord with respect to gamma1 at x.t."""
+    """Analytic slope of the discord with respect to gamma1 at x.t.
+
+    F = -(|c1 - c2| + |h|) phi'((|mu| + |nu|)/2)/4 and G = [(c1 - c2)
+    phi'(mu/(1 + c3)) + h phi'(nu/(1 - c3))]/4, with phi'(x) = 2 atanh(x)/ln 2:
+    no log of a ratio near 1, so both keep their digits for small correlations.
+    """
     factors = decay_factors(x.t, qubits, res, large_detuning_limit)
     gamma1 = factors.gamma1
     if gamma1 <= 0.0:
@@ -354,18 +357,17 @@ def amplification_indicator(
         kappa = ratio * ratio
     h = x.nu / gamma1 * kappa
     mu, nu, c3 = x.mu, x.nu, x.c3
-    shrink = 2.0 - abs(mu) - abs(nu)
-    grow = 2.0 + abs(mu) + abs(nu)
-    args = (shrink, 1.0 + c3 - mu, 1.0 + c3 + mu, 1.0 - c3 - nu, 1.0 - c3 + nu)
+    equator = 0.5 * (abs(mu) + abs(nu))
+    # each > 0 puts the phi' argument it guards strictly inside (-1, 1), rounding included
+    args = (1.0 - equator, 1.0 + c3 - mu, 1.0 + c3 + mu, 1.0 - c3 - nu, 1.0 - c3 + nu)
     if min(args) <= 0.0:
         raise DomainError(
             "slope undefined: the evolved spectrum touches zero "
             f"(log arguments {args!r})"
         )
-    f_value = 0.25 * (abs(params.c1 - params.c2) + abs(h)) * math.log2(shrink / grow)
-    g_value = 0.25 * (params.c1 - params.c2) * math.log2(
-        (1.0 + c3 + mu) / (1.0 + c3 - mu)
-    ) + 0.25 * h * math.log2((1.0 - c3 + nu) / (1.0 - c3 - nu))
+    f_value = -0.25 * (abs(params.c1 - params.c2) + abs(h)) * _dphi(equator)
+    g_value = (0.25 * (params.c1 - params.c2) * _dphi(mu / (1.0 + c3))
+               + 0.25 * h * _dphi(nu / (1.0 - c3)))
     _, regime = _measurement_branch(c3, mu, nu, tc_regime)
     slope = f_value + g_value if regime != REGIME_AFTER else g_value
     if x.t == 0.0:

@@ -31,9 +31,9 @@ finding, grid refinement), 4 domain error during computation. A table of
 more than _MAX_ROWS rows is a configuration error, refused before it is
 built.
 
-Only log-spaced grids, the amplification scan and the brute-force oracle
-load NumPy; every other run computes on Python floats. Only critic-time,
-critic-surface and amplification load the analysis module, when they run.
+Only the brute-force oracle (discord --oracle) loads NumPy; every other
+run computes on Python floats. Only critic-time, critic-surface and
+amplification load the analysis module, when they run.
 """
 
 from __future__ import annotations
@@ -134,13 +134,13 @@ class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[_KEYS[k].default for 
 
     def time_grid(self) -> list:
         # values of omega_c * t; conversion to bare time happens per row
+        lo, hi, n = self.t_min, self.t_max, self.points
         if self.spacing == "linear":
-            return _linspace(self.t_min, self.t_max, self.points)
-        # math.log10 and 10.0**y round otherwise than NumPy's, so the bits
-        # of np.geomspace need NumPy itself
-        import numpy as np
-
-        return np.geomspace(self.t_min, self.t_max, self.points).tolist()
+            return _linspace(lo, hi, n)
+        # from the nearer end, exp(v) sees -ln(hi/lo)/2 <= v <= 0: less to magnify, no overflow
+        r = (math.log(hi / lo) if hi / lo < math.inf else math.log(hi) - math.log(lo)) / (n - 1)
+        return [lo / math.exp(-i * r) if 2 * i < n else hi * math.exp((i + 1 - n) * r)
+                for i in range(n)]
 
 
 def _linspace(lo: float, hi: float, n: int) -> list:
@@ -388,7 +388,11 @@ def cmd_discord(cfg: RunConfig, w: _CsvWriter):
     header, formats = _SERIES_HEADER, _SERIES_FORMATS
     if cfg.oracle:
         point = EvolvedXState(x.mu[0], x.nu[0], x.delta1[0], x.delta2[0], x.c3, x.t[0])
-        columns.append([discord_bruteforce(assemble_density(point)).discord])
+        try:
+            rho = assemble_density(point)  # the first NumPy import
+        except ImportError:
+            raise ConfigError("--oracle needs NumPy: pip install 'xdiscord[oracle]'") from None
+        columns.append([discord_bruteforce(rho).discord])
         header, formats = header + ("discord_bruteforce",), formats + _FLOAT
     w.table(header, formats, zip(*columns))
 
@@ -471,9 +475,8 @@ def cmd_amplification(cfg: RunConfig, w: _CsvWriter):
     span = (hi - lo) / step
     _check_rows(math.floor(span) + 2 if span <= _MAX_ROWS else span, "c1_step")
     scan = scan_amplification_rate(lo, hi, step)
-    columns = (scan.c1, scan.initial, scan.asymptotic, scan.rate)
     w.table(("c1", "initial_discord", "asymptotic_discord", "rate"), _FLOAT * 4,
-            zip(*(c.tolist() for c in columns)))
+            zip(scan.c1, scan.initial, scan.asymptotic, scan.rate))
     w.comment(
         f"rate_max = {_format_value(scan.rate_max)} "
         f"at c1 = {_format_value(scan.c1_at_max)}"

@@ -107,6 +107,11 @@ def _phi(m: float, a: float = 1.0) -> float:
     return (a + m) * math.log2((a + m) / a) + (a - m) * math.log2((a - m) / a)
 
 
+def _dphi(x: float) -> float:
+    """phi'(x) = log2((1 + x)/(1 - x)) = 2 atanh(x)/ln 2, odd, for |x| < 1."""
+    return 2.0 * math.atanh(x) / _LN2
+
+
 def _branch_rule(pole, tc_regime: str):
     """Threshold and the equatorial and pole regime labels of the branch rule.
 

@@ -23,7 +23,8 @@ tests hold the kernel to within its rounding, 1e-15 absolute.
 
 discord_reference is I, C and D of an X state to 60 digits with mpmath,
 from the spectrum and the binary entropy, and family_rate_reference the
-amplification rate of the stable family from it. The closed forms D(0)
+amplification rate of the stable family from it; slope_reference is the
+F and G of amplification_indicator to 60 digits. The closed forms D(0)
 and D(inf) of that family (initial_discord_identical,
 asymptotic_discord_identical) and the large-detuning critic time
 critic_time_closed_form_detuned are kept here as referees too: the
@@ -342,6 +343,30 @@ def family_rate_reference(c1: float):
     coherence has died and the inner one survives, (0, c1, c1/2).
     """
     return discord_reference(0.0, c1, c1 / 2)[2] / discord_reference(c1, c1, c1 / 2)[2]
+
+
+def slope_reference(x, params, r: float, gamma1: float):
+    """(F, G) of amplification_indicator at x to 60 digits, as mpmath floats.
+
+    Every input float is taken exactly, with h = nu kappa/gamma1 and
+    kappa = ((r - 1)/(r + 1))^2; F = (|c1 - c2| + |h|) log2((1 - e)/(1 + e))/4
+    at e = (|mu| + |nu|)/2 and G = [(c1 - c2) log2((1 + c3 + mu)/(1 + c3 - mu))
+    + h log2((1 - c3 + nu)/(1 - c3 - nu))]/4, each log of a ratio as written:
+    at 60 digits its nearness to 1 costs no digit that matters.
+    """
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    f = mp.mpf
+    mu, nu, c3, r = f(x.mu), f(x.nu), f(x.c3), f(r)
+    h = nu * ((r - 1) / (r + 1)) ** 2 / f(gamma1)
+    k = f(params.c1) - f(params.c2)
+    e = (abs(mu) + abs(nu)) / 2
+    big_f = (abs(k) + abs(h)) * mp.log((1 - e) / (1 + e), 2) / 4
+    big_g = (k * mp.log((1 + c3 + mu) / (1 + c3 - mu), 2)
+             + h * mp.log((1 - c3 + nu) / (1 - c3 - nu), 2)) / 4
+    return big_f, big_g
 
 
 def conditional_entropies_reference(r4, thetas, phis):

@@ -173,7 +173,7 @@ def test_criterion_4_stable_amplification(capsys):
 
 def test_criterion_5_amplification_rate(capsys):
     scan = scan_amplification_rate()
-    rate_min = float(scan.rate.min())
+    rate_min = min(scan.rate)
     ok = abs(scan.rate_max - 2.17) < 0.05 and rate_min > 1.0
     _report(
         capsys, ok, "amplification rate",

@@ -35,6 +35,7 @@ from oracles import (
     critic_time_reference,
     family_rate_reference,
     initial_discord_identical,
+    slope_reference,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -365,11 +366,11 @@ def test_amplification_scan_default():
     scan = scan_amplification_rate()
     assert 2.12 < scan.rate_max < 2.22
     assert scan.c1_at_max == pytest.approx(0.3284, abs=2e-3)
-    assert scan.rate_max >= scan.rate.max()
+    assert scan.rate_max >= max(scan.rate)
     # the late-time discord grows monotonically with c1
     assert np.all(np.diff(scan.asymptotic) > 0.0)
     # amplification never drops below one on the family
-    assert scan.rate.min() > 1.0
+    assert min(scan.rate) > 1.0
     # the rate tends to 2 as c1 -> 0
     assert scan.rate[0] == pytest.approx(2.0, abs=1e-3)
 
@@ -465,6 +466,29 @@ def test_indicator_signs_over_sampled_states(rng):
         ) ** 2
         assert ind.h_value == pytest.approx(expected_h, rel=1e-12, abs=1e-300)
         assert ind.time_slope_sign == -int(np.sign(ind.d_discord_d_gamma1))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8, 1e-12, 1e-15])
+def test_indicator_matches_the_60_digit_slope(scale):
+    # the log2 of ratios near 1 that phi' replaced was off by 1.1e-3 relative
+    # at scale 1e-12, and at 1e-15 gave 30 of these 300 time_slope_signs wrongly
+    rng = np.random.default_rng(11)
+    qubits, res = QubitPairConfig(2.0, 1.0), ReservoirConfig(0.3, 1.0, 0.0)
+    for _ in range(300):
+        p = sample_slope_params(rng)
+        params = XStateParams(scale * p.c1, scale * p.c2, scale * p.c3)
+        t = float(rng.uniform(0.01, 5.0))
+        x = evolve_x_state(params, t, qubits, res)
+        ind = amplification_indicator(x, params, qubits, res)
+        f, g = slope_reference(x, params, qubits.r, decay_factors(t, qubits, res).gamma1)
+        assert abs(ind.f_value - f) <= 1e-13 * abs(f)
+        assert abs(ind.g_value - g) <= 1e-13 * abs(g)
+        slope = g if ind.regime == REGIME_AFTER else f + g
+        # F < 0 < G may cancel: the sum is held to the parts' size, and its
+        # sign is the exact one where the slope is beyond that bound
+        assert abs(ind.d_discord_d_gamma1 - slope) <= 1e-13 * (abs(f) + abs(g))
+        if abs(slope) > 1e-12 * (abs(f) + abs(g)):
+            assert ind.time_slope_sign == (-1 if slope > 0 else 1)
 
 
 def test_indicator_identical_qubits_have_flat_inner_slope():

@@ -550,10 +550,10 @@ def test_failed_run_writes_only_the_stamp(error, code, monkeypatch, tmp_path, ca
     assert rows == []
 
 
-# SciPy is a test dependency only; NumPy serves log grids, the amplification
-# scan and the brute-force oracle, and no other run may load it. No run
-# loads dataclasses, and only critic-time, critic-surface and amplification
-# load the analysis layer
+# SciPy is a test dependency only; NumPy serves the brute-force oracle
+# (discord --oracle) alone, and no other run may load it. No run loads
+# dataclasses, and only critic-time, critic-surface and amplification load
+# the analysis layer
 SCIPY = ("scipy", "dataclasses")
 BOTH = ("scipy", "numpy", "dataclasses")
 ANALYSIS = ("xdiscord.analysis",)
@@ -564,19 +564,28 @@ ANALYSIS = ("xdiscord.analysis",)
     [
         pytest.param(["evolve", "-T", "0.5", "--points", "50"], BOTH + ANALYSIS, id="evolve"),
         pytest.param(["evolve", "--points", "50"], BOTH + ANALYSIS, id="evolve-vacuum"),
-        pytest.param(["evolve", "--spacing", "log", "--t-min", "0.1"], SCIPY + ANALYSIS,
+        pytest.param(["evolve", "--spacing", "log", "--t-min", "0.1"], BOTH + ANALYSIS,
                      id="evolve-log"),
         pytest.param(["discord", "--oracle"], SCIPY + ANALYSIS, id="discord"),
         pytest.param(["discord", "--time", "1.5"], BOTH + ANALYSIS, id="discord-analytic"),
         pytest.param(["critic-time", "-T", "0.3"], BOTH, id="critic-time"),
         pytest.param(["critic-surface"], BOTH, id="critic-surface"),
-        pytest.param(["amplification"], SCIPY, id="amplification"),
+        pytest.param(["amplification"], BOTH, id="amplification"),
     ],
 )
 def test_import_leaves_quadrature_unloaded(args, blocked, tmp_path):
     # a blocked module adds its import time to every start: each run must
-    # succeed with it unimportable. A name blocks itself and its submodules
+    # succeed with it unimportable
     out = tmp_path / "out.csv"
+    done = run_blocked(args + ["-o", str(out)], blocked)
+    assert done.returncode == 0, done.stderr
+    _, header, data = parse_rows(out.read_text())
+    assert header and data
+
+
+def run_blocked(argv, blocked):
+    """cli.main(argv) in a fresh interpreter where each name in blocked, and
+    each of its submodules, fails to import."""
     code = (
         "import sys\n"
         "class Block:\n"
@@ -585,12 +594,22 @@ def test_import_leaves_quadrature_unloaded(args, blocked, tmp_path):
         "            raise ImportError(f'{name} is blocked')\n"
         "sys.meta_path.insert(0, Block())\n"
         "import xdiscord.cli\n"
-        f"sys.exit(xdiscord.cli.main({args + ['-o', str(out)]!r}))\n"
+        f"sys.exit(xdiscord.cli.main({argv!r}))\n"
     )
-    done = run_fresh(["-c", code])
+    return run_fresh(["-c", code])
+
+
+def test_oracle_without_numpy_names_the_extra(tmp_path):
+    # NumPy is no runtime dependency: the oracle alone needs it, from the oracle extra
+    out = tmp_path / "out.csv"
+    done = run_blocked(["discord", "--oracle", "-o", str(out)], ("numpy",))
+    assert done.returncode == 2
+    assert done.stderr == "error: --oracle needs NumPy: pip install 'xdiscord[oracle]'\n"
+    # a configuration error: no stamp, no table
+    assert not out.exists()
+    # the analytic discord runs as before
+    done = run_blocked(["discord", "-o", str(out)], ("numpy",))
     assert done.returncode == 0, done.stderr
-    _, header, data = parse_rows(out.read_text())
-    assert header and data
 
 
 def test_cli_import_loads_no_numpy():

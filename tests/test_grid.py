@@ -5,11 +5,14 @@ route must give, cell by cell, the bits the scalar route gives, and its
 checks must raise the same error type at the same inputs, naming the
 first offending t. The discord kernel must give, field by field, the bits
 of the per-point composition it replaced (oracles.discord_point_reference).
-The linear grid of the command line is built in Python floats and must be
-np.linspace bit for bit.
+The linear grid of the command line and the c1 grid of the amplification
+scan are built in Python floats and must be np.linspace and np.arange bit
+for bit. The log grid has no NumPy twin: it must keep its end points, rise
+strictly and come no farther from a 40-digit grid than np.geomspace.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -27,7 +30,8 @@ from xdiscord import (
     evolve_x_state,
     x_state_from_factors,
 )
-from xdiscord.cli import _linspace
+from xdiscord.analysis import _arange
+from xdiscord.cli import RunConfig, _linspace
 
 from oracles import discord_entropy_reference, discord_point_reference
 
@@ -260,3 +264,83 @@ def test_linear_grid_is_numpy_linspace_bit_for_bit(lo, hi, n, same):
     with np.errstate(all="ignore"):  # an overflowing hi - lo warns
         want = np.linspace(lo, hi, n).tolist()
     assert [repr(v) for v in _linspace(lo, hi, n)] == [repr(v) for v in want]
+
+
+def scan_draws(seed: int, count: int):
+    """(lo, hi, step) of amplification scans, count of each of three kinds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        # the benchmark's scans: 1,000 steps over about [0.001, 0.05] to [0.5, 0.66]
+        lo, hi = rng.uniform(1e-3, 0.05), rng.uniform(0.5, 0.66)
+        yield lo, hi, (hi - lo) / 1000.0
+        # the steps of the command-line tests, over ranges of up to 300 steps
+        step = rng.choice([1e-4, 0.005, 0.01, 0.0105, 0.1, 3e-161])
+        lo = step * 10.0 ** rng.uniform(-2.0, 0.5)
+        yield lo, min(2.0 / 3.0, lo + step * rng.uniform(1.0, 300.0)), step
+        # any scale, subnormal c1_min included, and 1 to 1,000 steps
+        lo = 10.0 ** rng.uniform(-323.0, -0.2)
+        hi = min(2.0 / 3.0, lo * 10.0 ** rng.uniform(1e-3, 5.0))
+        yield lo, hi, (hi - lo) * 10.0 ** rng.uniform(-3.0, 0.0)
+
+
+def test_scan_grid_is_numpy_arange_bit_for_bit():
+    draws = list(scan_draws(21, 1000))
+    assert len(draws) == 3000
+    wrong = []
+    for lo, hi, step in draws:
+        assert 0.0 < lo < hi <= 2.0 / 3.0 and 0.0 < step <= hi - lo
+        # the call scan_amplification_rate makes, before it appends c1_max
+        got = _arange(lo, hi - step / 2.0, step)
+        want = np.arange(lo, hi - step / 2.0, step).tolist()
+        if list(map(float.hex, got)) != list(map(float.hex, want)):
+            wrong.append((lo, hi, step))
+    assert wrong == []
+
+
+def log_grid(lo: float, hi: float, n: int) -> list:
+    return RunConfig(t_min=lo, t_max=hi, points=n, spacing="log").time_grid()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_log_grid_keeps_its_ends_and_rises_strictly(seed):
+    rng = random.Random(seed)
+    cases = [(5e-324, 1e308, 50), (1e-300, 1e300, 1000), (0.001, 1000.0, 60)]
+    for _ in range(200):
+        lo = 10.0 ** rng.uniform(-300.0, 299.0)
+        cases.append((lo, lo * 10.0 ** rng.uniform(0.01, 8.0), rng.randint(2, 1000)))
+    for lo, hi, n in cases:
+        grid = log_grid(lo, hi, n)
+        assert len(grid) == n and grid[0] == lo and grid[-1] == hi
+        assert all(a < b for a, b in zip(grid, grid[1:])), (lo, hi, n)
+
+
+def ulps_from_exact(grid: list, lo: float, hi: float) -> float:
+    """The largest distance of a grid point from lo (hi/lo)^(i/(n - 1)) at 40
+    digits, in ulp of the exact value."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    lo_, ratio, div = mp.mpf(lo), mp.mpf(hi) / mp.mpf(lo), len(grid) - 1
+    worst = 0.0
+    for i, v in enumerate(grid):
+        exact = lo_ * ratio ** (mp.mpf(i) / div)
+        worst = max(worst, float(abs(mp.mpf(v) - exact)) / math.ulp(float(exact)))
+    return worst
+
+
+def test_log_grid_is_no_farther_from_the_exact_grid_than_geomspace():
+    pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    # the golden and pinned grids, the benchmark's and any up to 8 decades wide
+    cases = [(0.001, 1000.0, 60), (0.001, 1000.0, 1000)]
+    for _ in range(60):
+        hi = 10.0 ** rng.uniform(0.0, 2.0)
+        cases.append((hi * 10.0 ** rng.uniform(-4.0, -2.0), hi, rng.randint(2, 120)))
+    for _ in range(150):
+        lo = 10.0 ** rng.uniform(-8.0, 4.0)
+        cases.append((lo, lo * 10.0 ** rng.uniform(0.01, 8.0), rng.randint(2, 120)))
+    ours = [ulps_from_exact(log_grid(lo, hi, n), lo, hi) for lo, hi, n in cases]
+    numpy = [ulps_from_exact(np.geomspace(lo, hi, n).tolist(), lo, hi) for lo, hi, n in cases]
+    # np.geomspace is nearer on some inputs; no grid of ours is as far as its farthest
+    assert max(ours) <= max(numpy)
