@@ -17,7 +17,7 @@ only for the layers the command line needs.
 _EXPORTS = {
     "analysis": "AmplificationIndicator AmplificationReport AmplificationScan CriticTimeResult "
                 "ProtectedDiscord amplification_indicator amplification_rate critic_time "
-                "critic_time_closed_form_identical protected_discord scan_amplification_rate",
+                "protected_discord scan_amplification_rate",
     "discord": "REGIME_AFTER REGIME_BEFORE REGIME_NONE DiscordBreakdown "
                "classical_correlation_value discord_analytic discord_bruteforce",
     "errors": "ConfigError ConvergenceError DomainError InvalidStateError RootFindError",

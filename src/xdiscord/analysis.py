@@ -64,30 +64,18 @@ def critic_time(
     a unique finite root otherwise. With gamma2 = gamma1^kappa the crossing
     depends on the bath only through gamma1, so it is solved for
     u = ln gamma1 (_crossing_log_gamma1), and then Q(t_c) = -u/a1. At T = 0
-    that inverts in closed form, omega_c t_c = sqrt(expm1(2 Q/eta)); above,
-    Q only grows, so t_c is one bracketed root of ln Q(t) below the T = 0
-    answer. A crossing past omega_c t = 1e6, or a t_c that leaves the
-    float range, raises RootFindError.
+    that inverts in closed form, omega_c t_c = sqrt(expm1(2 Q/eta)), in
+    _zero_temperature_crossing, which also decides the status and which
+    critic-surface calls per cell; above, Q only grows, so t_c is one
+    bracketed root of ln Q(t) below the T = 0 answer. A crossing past
+    omega_c t = 1e6 raises RootFindError naming the T = 0 answer, and so
+    does a t_c that leaves the float range.
     """
-    pole = abs(params.c3)
-    k_outer = abs(params.c1 - params.c2)
-    k_inner = abs(params.c1 + params.c2)
-    start = 0.5 * (k_outer + k_inner)
-    if pole > start:
-        return CriticTimeResult(tc=None)
-    if pole == start:
-        return CriticTimeResult(tc=0.0)
-    if qubits.identical and not large_detuning_limit:
-        floor = 0.5 * k_inner
-    else:
-        floor = 0.0
-    if pole <= floor:
-        return CriticTimeResult(tc=math.inf)
-    a1, a2 = _decay_rates(qubits, large_detuning_limit)
-    q_star = -_crossing_log_gamma1(k_outer, k_inner, pole, a2 / a1) / a1
-    x = 2.0 * q_star / res.eta
-    # expm1 overflows past x = 709.78, far beyond the horizon
-    tau = math.sqrt(math.expm1(x)) if x < 700.0 else math.inf
+    q_star, tau = _zero_temperature_crossing(
+        params.c1, params.c2, params.c3, qubits, res.eta, large_detuning_limit
+    )
+    if q_star is None:
+        return CriticTimeResult(tc=None if math.isnan(tau) else tau)
     hi = min(tau, _HORIZON_TAU) / res.omega_c
     if hi == math.inf:
         raise _refusal(f"the bare time passes the float range at omega_c={res.omega_c!r}",
@@ -117,6 +105,42 @@ def critic_time(
         raise _refusal(f"t_c = {tc!r} falls below the float range: at omega_c="
                        f"{res.omega_c!r} the bare time underflows", params, qubits, res)
     return CriticTimeResult(tc=tc)
+
+
+def _zero_temperature_crossing(
+    c1: float, c2: float, c3: float, qubits: QubitPairConfig, eta: float,
+    large_detuning_limit: bool,
+) -> tuple:
+    """(q_star, tau): the Q(t_c) of the crossing, and omega_c t_c in the T = 0 bath.
+
+    Where nothing is crossed q_star is None and tau is the status: nan when
+    the pole spread already dominates at t = 0, 0.0 on a tie, inf when the
+    equatorial spread never descends to |c3|. Otherwise
+    tau = sqrt(expm1(2 q_star/eta)), which reads inf only past the float
+    range, about 1.8e308.
+    """
+    pole = abs(c3)
+    k_outer = abs(c1 - c2)
+    k_inner = abs(c1 + c2)
+    start = 0.5 * (k_outer + k_inner)
+    if pole > start:
+        return None, math.nan
+    if pole == start:
+        return None, 0.0
+    if qubits.identical and not large_detuning_limit:
+        floor = 0.5 * k_inner
+    else:
+        floor = 0.0
+    if pole <= floor:
+        return None, math.inf
+    a1, a2 = _decay_rates(qubits, large_detuning_limit)
+    q_star = -_crossing_log_gamma1(k_outer, k_inner, pole, a2 / a1) / a1
+    x = 2.0 * q_star / eta
+    try:
+        # from x = 709 on expm1(x) = e^x to double precision; e^(x/2) overflows only where tau does
+        return q_star, math.sqrt(math.expm1(x)) if x < 709.0 else math.exp(0.5 * x)
+    except OverflowError:
+        return q_star, math.inf
 
 
 def _past_horizon(q_star: float, tau: float) -> str:
@@ -202,34 +226,6 @@ def _root_of_log_q(q, q_star: float, lo: float, hi: float, q_lo: float, q_hi: fl
         else:
             break
     return hi * math.exp(best)
-
-
-def critic_time_closed_form_identical(
-    c1: float, c3: float, eta: float, omega: float, omega_c: float
-) -> float:
-    """Closed-form critic time for identical qubits at T = 0 with c2 = 0:
-
-        t_c = (1/w_c) sqrt[ (2 c3/c1 - 1)^(-1/(2 eta w^2)) - 1 ],
-
-    valid for 0 < c1/2 <= c3 <= c1 <= 2/3. The 2 c3 = c1 boundary gives an
-    infinite critic time, the c3 = c1 boundary gives zero.
-    """
-    for name, v in (("eta", eta), ("omega", omega), ("omega_c", omega_c)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise DomainError(f"{name}={v!r} must be positive")
-    if not (0.0 < c1 <= 2.0 / 3.0 and c1 / 2.0 <= c3 <= c1):
-        raise DomainError(
-            f"(c1, c3)=({c1!r}, {c3!r}) outside the validity window "
-            "0 < c1/2 <= c3 <= c1 <= 2/3"
-        )
-    xi = 2.0 * c3 / c1 - 1.0
-    if xi == 0.0:
-        return math.inf
-    try:
-        return math.sqrt(xi ** (-1.0 / (2.0 * eta * omega**2)) - 1.0) / omega_c
-    except OverflowError:
-        # w_c t_c is beyond the float range; inf is the IEEE overflow result
-        return math.inf
 
 
 def _family_discords(c1: float):

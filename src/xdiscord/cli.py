@@ -17,14 +17,17 @@ subcommand it runs. The time grid keys are shared but flags of evolve only.
 Output contract: a leading `#` comment block with the fully resolved
 configuration, one header row, then comma-separated values with 17
 significant digits and LF line endings. Infinite values are emitted as
-`inf`, invalid surface cells as `nan`; a surface cell whose omega_c t_c
-overflows a float reads `inf`. Runs with identical configuration
-produce byte-identical output, and the comment block minus its
-`command` line, read back with --config, replays the run. In evolve and
-discord, a finite omega_c t whose bare time (omega_c t)/omega_c
-overflows a float is a configuration error. A run that fails with exit
-code 3 or 4 writes only the comment block, which names its inputs, and
-no header or rows.
+`inf`. A surface cell is critic-time's omega_c t_c for c1 = 1/2, c2 = 0,
+c3 = c1 c3/c1 at eta = the coupling and T = 0, with no horizon: `nan`
+where the pole branch already wins at t = 0 (|c3/c1| > 1, no crossing),
+`inf` where the branches meet only as t -> inf (|c3/c1| <= 1/2) or where
+omega_c t_c overflows a float, `0` on the tie |c3/c1| = 1. Runs with
+identical configuration produce byte-identical output, and the comment
+block minus its `command` line, read back with --config, replays the
+run. In evolve and discord, a finite omega_c t whose bare time
+(omega_c t)/omega_c overflows a float is a configuration error. A run
+that fails with exit code 3 or 4 writes only the comment block, which
+names its inputs, and no header or rows.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (root
 finding, grid refinement), 4 domain error during computation. A table of
@@ -416,7 +419,7 @@ def cmd_critic_time(cfg: RunConfig, w: _CsvWriter):
 
 def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
     """scaled critic time over coupling strength and c3/c1"""
-    from .analysis import critic_time_closed_form_identical
+    from .analysis import _zero_temperature_crossing
 
     if cfg.temperature != 0.0:
         raise ConfigError(
@@ -446,18 +449,14 @@ def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
         raise ConfigError(
             f"coupling_min={cfg.coupling_min!r}: the coupling eta * omega^2 must be positive"
         )
-    rows = []
-    for coupling in axes[0]:
-        for fraction in axes[1]:
-            try:
-                # only c3/c1 and eta*omega^2 enter; c1 = 1/2 is representative,
-                # and at omega_c = 1 the time is omega_c t_c itself
-                scaled = critic_time_closed_form_identical(
-                    c1=0.5, c3=0.5 * fraction, eta=coupling, omega=1.0, omega_c=1.0
-                )
-            except DomainError:
-                scaled = math.nan
-            rows.append((coupling, fraction, scaled))
+    # only c3/c1 and eta*omega^2 enter: c1 = 1/2 keeps 2 c3 - c1 exact, and at
+    # omega = omega_c = 1 the cell is omega_c t_c itself, as critic-time prints it
+    identical = QubitPairConfig(1.0, 1.0)
+    rows = [
+        (coupling, fraction,
+         _zero_temperature_crossing(0.5, 0.0, 0.5 * fraction, identical, coupling, False)[1])
+        for coupling in axes[0] for fraction in axes[1]
+    ]
     w.table(("eta_omega_sq", "c3_over_c1", "omega_c_tc"), _FLOAT * 3, rows)
 
 

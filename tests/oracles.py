@@ -26,9 +26,11 @@ from the spectrum and the binary entropy, and family_rate_reference the
 amplification rate of the stable family from it; slope_reference is the
 F and G of amplification_indicator to 60 digits. The closed forms D(0)
 and D(inf) of that family (initial_discord_identical,
-asymptotic_discord_identical) and the large-detuning critic time
-critic_time_closed_form_detuned are kept here as referees too: the
-package computes each of them by its general route.
+asymptotic_discord_identical) and the critic times
+critic_time_closed_form_identical (identical qubits, c2 = 0) and
+critic_time_closed_form_detuned (the exact large-detuning limit) are kept
+here as referees too: the package computes each of them by its general
+route.
 
 conditional_entropies_reference is the brute-force oracle's conditional
 entropy as the package computed it before its Bloch-form kernel: each
@@ -513,6 +515,34 @@ def initial_discord_identical(c1):
     ) / 8.0
     halves = (xlog2(1.0 + c1) + xlog2(1.0 - c1)) / 2.0
     return -1.0 + quarters - halves
+
+
+def critic_time_closed_form_identical(
+    c1: float, c3: float, eta: float, omega: float, omega_c: float
+) -> float:
+    """Closed-form critic time for identical qubits at T = 0 with c2 = 0:
+
+        t_c = (1/w_c) sqrt[ (2 c3/c1 - 1)^(-1/(2 eta w^2)) - 1 ],
+
+    valid for 0 < c1/2 <= c3 <= c1 <= 2/3. The 2 c3 = c1 boundary gives an
+    infinite critic time, the c3 = c1 boundary gives zero.
+    """
+    for name, v in (("eta", eta), ("omega", omega), ("omega_c", omega_c)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise DomainError(f"{name}={v!r} must be positive")
+    if not (0.0 < c1 <= 2.0 / 3.0 and c1 / 2.0 <= c3 <= c1):
+        raise DomainError(
+            f"(c1, c3)=({c1!r}, {c3!r}) outside the validity window "
+            "0 < c1/2 <= c3 <= c1 <= 2/3"
+        )
+    xi = 2.0 * c3 / c1 - 1.0
+    if xi == 0.0:
+        return math.inf
+    try:
+        return math.sqrt(xi ** (-1.0 / (2.0 * eta * omega**2)) - 1.0) / omega_c
+    except OverflowError:
+        # w_c t_c is beyond the float range; inf is the IEEE overflow result
+        return math.inf
 
 
 def critic_time_closed_form_detuned(

@@ -23,7 +23,6 @@ from xdiscord import (
     assemble_density,
     classical_correlation_value,
     critic_time,
-    critic_time_closed_form_identical,
     decay_factors,
     discord_analytic,
     discord_bruteforce,
@@ -42,6 +41,7 @@ from oracles import (
     bath_dephasing_low_temperature,
     bath_phase_integral,
     critic_time_closed_form_detuned,
+    critic_time_closed_form_identical,
 )
 
 

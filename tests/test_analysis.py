@@ -16,7 +16,6 @@ from xdiscord import (
     amplification_indicator,
     amplification_rate,
     critic_time,
-    critic_time_closed_form_identical,
     decay_factors,
     discord_analytic,
     discord_bruteforce,
@@ -32,6 +31,7 @@ from helpers import sample_slope_params, sample_x_params
 from oracles import (
     asymptotic_discord_identical,
     critic_time_closed_form_detuned,
+    critic_time_closed_form_identical,
     critic_time_reference,
     family_rate_reference,
     initial_discord_identical,

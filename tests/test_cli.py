@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -344,7 +345,7 @@ def test_critic_surface_sentinels(capsys):
     assert header == ["eta_omega_sq", "c3_over_c1", "omega_c_tc"]
     assert len(data) == 13
     cells = {round(float(r[1]), 9): r[2] for r in data}
-    assert cells[0.4] == "nan"      # outside the validity window
+    assert cells[0.4] == "inf"      # |c3| <= c1/2: the spread never descends to |c3|
     assert cells[0.5] == "inf"      # boundary of the window
     assert float(cells[1.0]) == 0.0
     assert float(cells[0.75]) == pytest.approx(0.6435942529055827, rel=1e-9)
@@ -358,6 +359,95 @@ def test_critic_surface_weak_coupling_reads_inf(capsys):
     ]) == 0
     _, _, data = parse_rows(capsys.readouterr().out)
     assert [r[2] for r in data] == ["inf", "inf", "0"] * 2
+
+
+def surface_cell(coupling, fraction):
+    """The one-cell critic-surface run at (eta omega^2, c3/c1)."""
+    return ["critic-surface", "--coupling-min", repr(coupling), "--coupling-max", repr(coupling),
+            "--coupling-points", "1", "--fraction-min", repr(fraction),
+            "--fraction-max", repr(fraction), "--fraction-points", "1"]
+
+
+def test_critic_surface_cells_match_a_50_digit_referee(capsys):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = random.Random(20100501)
+    # c3/c1 = 1 - 2^-k, where (2 c3/c1 - 1)^p - 1 cancels, from weak to strong coupling
+    cells = [(c, 1.0 - 2.0**-k) for k in range(1, 53)
+             for c in (1e-4, 10.0 ** rng.uniform(-4.0, math.log10(2.0)), 2.0)]
+    cells += [(10.0 ** rng.uniform(-4.0, math.log10(2.0)), rng.uniform(0.5, 1.0))
+              for _ in range(60)]
+    # omega_c t_c between 1.34e154, where (2 c3/c1 - 1)^p overflowed, and 1.8e308
+    for _ in range(40):
+        fraction = rng.uniform(0.5, 1.0)
+        log_tau = rng.uniform(math.log(1.34e154), math.log(1.7e308))
+        cells.append((-math.log(2.0 * fraction - 1.0) / (4.0 * log_tau), fraction))
+    # the cells that read inf and 1.4901161193847656e-08 before
+    cells += [(3.76e-4, 0.75), (1.0, 0.99999999999999989)]
+    printed = {}
+    for coupling, fraction in cells:
+        assert run(surface_cell(coupling, fraction)) == 0
+        got = printed[coupling, fraction] = parse_rows(capsys.readouterr().out)[2][0][2]
+        xi = 2 * mpmath.mpf(fraction) - 1
+        want = mpmath.sqrt(mpmath.expm1(-mpmath.log(xi) / (2 * mpmath.mpf(coupling))))
+        if want > sys.float_info.max:
+            assert got == "inf", (coupling, fraction)
+            continue
+        # one ulp of eta moves omega_c t_c by about ln(omega_c t_c) ulp
+        bound = max(1e-13, float(mpmath.log(want)) * 2.0**-50)
+        assert abs(float(got) - want) <= bound * want, (coupling, fraction, got)
+    assert printed[3.76e-4, 0.75] == "1.4220754823488261e+200"
+    assert printed[1.0, 0.99999999999999989] == "1.0536712127723509e-08"
+
+
+@pytest.mark.parametrize(
+    "axes, statuses",
+    [
+        (["--coupling-points", "25", "--fraction-points", "40"], {"finite", "infinite", "tie"}),
+        # |c3/c1| <= 1/2 never crosses, |c3/c1| = 1 ties, and weak coupling passes the horizon
+        (["--coupling-min", "1e-3", "--coupling-max", "0.05", "--coupling-points", "5",
+          "--fraction-min", "-1", "--fraction-max", "1", "--fraction-points", "9"],
+         {"finite", "infinite", "tie", "past-horizon"}),
+        # just past |c3| = c1 a state stays valid and nothing crosses
+        (["--coupling-min", "1", "--coupling-max", "1", "--coupling-points", "1",
+          "--fraction-min", "1.0000000002", "--fraction-max", "1.25", "--fraction-points", "3"],
+         {"no-crossing", "not-a-state"}),
+    ],
+    ids=["default-range", "statuses", "no-crossing"],
+)
+def test_critic_surface_cells_are_what_critic_time_prints(axes, statuses, capsys):
+    # a cell is critic-time at c1 = 1/2, c2 = 0, c3 = c1 * c3/c1, eta = the coupling
+    assert run(["critic-surface", *axes]) == 0
+    seen = set()
+    for coupling, fraction, cell in parse_rows(capsys.readouterr().out)[2]:
+        c3 = 0.5 * float(fraction)
+        code = run(["critic-time", "--c1", "0.5", "--c2", "0", "--c3", repr(c3),
+                    "--eta", coupling])
+        out = capsys.readouterr().out
+        if code == 2:
+            # no state: |c3| > c1 past the spectrum's tolerance
+            assert cell == "nan" and abs(c3) > 0.5
+            seen.add("not-a-state")
+        elif code == 3:
+            assert float(cell) > 1e6
+            seen.add("past-horizon")
+        else:
+            assert code == 0
+            value, status, _ = parse_rows(out)[2][0]
+            assert cell == value, (coupling, fraction)
+            if cell == "0":
+                assert abs(c3) == 0.5
+                status = "tie"
+            seen.add(status)
+            assert {"inf": "infinite", "nan": "no-crossing"}.get(cell, status) == status
+    assert seen == statuses
+
+
+def test_horizon_refusal_names_the_zero_temperature_answer(capsys):
+    assert run(["critic-time", "--ratio", "2", "--eta", "0.0005"]) == 3
+    err = capsys.readouterr().err
+    assert "no crossing up to omega_c t = 1e+06" in err
+    assert "which the T = 0 bath reaches at omega_c t = 6.742e+167;" in err
 
 
 def test_amplification_footer(capsys):
@@ -472,7 +562,7 @@ def test_time_nan_is_a_configuration_error(capsys):
         # omega_c t_c does not depend on omega_c
         (["critic-surface", "--coupling-min", "1", "--coupling-max", "1",
           "--coupling-points", "1", "--fraction-points", "3", "--omega-c", "1e-320"], 0,
-         "\n1,0.75,0.6435942529055827\n"),
+         "\n1,0.75,0.64359425290558259\n"),
         # T/omega_c overflows: evolve exited 4 blaming "decay factors (nan, 1.0)"
         (["evolve", "--omega-c", "1e-300", "-T", "1e10", "--points", "3", "--t-max", "1e-290"],
          2, "(omega_c, temperature)=(1e-300, 10000000000.0)"),

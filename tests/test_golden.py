@@ -1,9 +1,12 @@
 """Byte-exact CSV output for a fixed set of commands.
 
 Each tests/golden/<name>.csv is the `-o` output of the command listed
-under its name below. The critic-surface file was written by the
-row-by-row implementation that the time-grid pipeline replaced. The
-no-crossing, tie and infinite critic-time files come from the bracketing
+under its name below. The critic-surface file was re-captured when its
+cells moved from the closed form (2 c3/c1 - 1)^p - 1 to the critic time's
+own T = 0 route: 16 cells with |c3/c1| < 1/2 went from nan to inf, their
+status in critic-time, and 21 finite cells changed in their last digits,
+each within 1.3e-16 relative of a 50-digit mpmath value (1.0e-15 before).
+The no-crossing, tie and infinite critic-time files come from the bracketing
 root finder that came first; the finite, thermal and large-detuning ones
 were re-captured when the critic time moved to decay-factor space, each
 nearer to a 40-digit mpmath root than before. The evolve, discord and
@@ -23,12 +26,14 @@ time. A changed byte anywhere (a digit, a label, the stamp or a line
 ending) fails the test.
 
 DIGESTS pins tables of the size the benchmark runs, 1,000 rows and more, by
-the sha256 of their `-o` output. The critic-surface pin was captured before
-the discord kernel and the decay-factor loop were rewritten for speed; the
-evolve and amplification pins were re-captured with the goldens above, with
-every other column byte-identical. The log-spaced evolve pin was re-captured
-with evolve_large_detuning_log, on the Python log grid (5.4 ulp from the
-40-digit grid at worst, against 10.0 for np.geomspace).
+the sha256 of their `-o` output. The critic-surface pin was re-captured
+with critic_surface_small: 5,819 of its 10,000 cells changed in their last
+digits, each within 4.7e-16 relative of the 50-digit value (2.5e-14
+before). The evolve and amplification pins were re-captured with the
+goldens above, with every other column byte-identical. The log-spaced
+evolve pin was re-captured with evolve_large_detuning_log, on the Python
+log grid (5.4 ulp from the 40-digit grid at worst, against 10.0 for
+np.geomspace).
 """
 
 import hashlib
@@ -104,7 +109,7 @@ DIGESTS = {
     ("evolve", "--ratio", "2", "--c1", "0.5", "--c3", "0", "--points", "1000"):
         "f9f4129b2ac060f2f78d510176939c03b549b913782326f7c07da94af103fc6c",
     ("amplification",): "b4b490f35aa2f52025d1d47391028cbb71a2a5b7de0ebf76a83863ced67458dc",
-    ("critic-surface",): "d0f0ea6238e21a7da2dedd2f3d2252fc79205cdf1c97dfd35a58b608464f63f0",
+    ("critic-surface",): "cd9d55531eca70d36acec6707084ae840f5fa3222bff1ab9b6193ab3aca81628",
 }
 
 

@@ -197,10 +197,9 @@ ALL = [
     "QubitPairConfig", "REGIME_AFTER", "REGIME_BEFORE", "REGIME_NONE", "ReservoirConfig",
     "RootFindError", "TwoQubitDensity", "XStateParams", "amplification_indicator",
     "amplification_rate", "assemble_density", "classical_correlation_value", "critic_time",
-    "critic_time_closed_form_identical", "decay_factors", "dephasing_exponent",
-    "discord_analytic", "discord_bruteforce", "entropy_bits", "evolve_density",
-    "evolve_x_state", "partial_trace", "phase_exponent", "protected_discord",
-    "scan_amplification_rate", "von_neumann_entropy", "x_state_density",
+    "decay_factors", "dephasing_exponent", "discord_analytic", "discord_bruteforce",
+    "entropy_bits", "evolve_density", "evolve_x_state", "partial_trace", "phase_exponent",
+    "protected_discord", "scan_amplification_rate", "von_neumann_entropy", "x_state_density",
     "x_state_from_factors", "xlog2",
 ]
 
