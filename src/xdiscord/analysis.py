@@ -69,13 +69,17 @@ def critic_time(
     critic-surface calls per cell; above, Q only grows, so t_c is one
     bracketed root of ln Q(t) below the T = 0 answer. A crossing past
     omega_c t = 1e6 raises RootFindError naming the T = 0 answer, and so
-    does a t_c that leaves the float range.
+    does a t_c that leaves the float range or a decay rate a1 too small for Q(t_c).
     """
     q_star, tau = _zero_temperature_crossing(
         params.c1, params.c2, params.c3, qubits, res.eta, large_detuning_limit
     )
     if q_star is None:
         return CriticTimeResult(tc=None if math.isnan(tau) else tau)
+    if q_star == math.inf:
+        a1 = _decay_rates(qubits, large_detuning_limit)[0]
+        raise _refusal(f"gamma1's decay rate a1 = {a1!r} is too small for a float "
+                       "Q(t_c) = -ln(gamma1)/a1", params, qubits, res)
     hi = min(tau, _HORIZON_TAU) / res.omega_c
     if hi == math.inf:
         raise _refusal(f"the bare time passes the float range at omega_c={res.omega_c!r}",
@@ -133,8 +137,12 @@ def _zero_temperature_crossing(
         floor = 0.0
     if pole <= floor:
         return None, math.inf
-    a1, a2 = _decay_rates(qubits, large_detuning_limit)
-    q_star = -_crossing_log_gamma1(k_outer, k_inner, pole, a2 / a1) / a1
+    a1 = _decay_rates(qubits, large_detuning_limit)[0]
+    # kappa = a2/a1 from w_a, w_b scaled by one power of 2, so no square of a tiny one underflows
+    s, e = math.frexp(qubits.omega_a + qubits.omega_b)
+    u = _crossing_log_gamma1(k_outer, k_inner, pole, 1.0 if large_detuning_limit else
+                             math.ldexp(qubits.omega_a - qubits.omega_b, -e) ** 2 / s ** 2)
+    q_star = -u / a1 if a1 >= sys.float_info.min else math.inf  # critic_time refuses inf
     x = 2.0 * q_star / eta
     try:
         # from x = 709 on expm1(x) = e^x to double precision; e^(x/2) overflows only where tau does

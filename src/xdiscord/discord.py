@@ -8,13 +8,13 @@ or at the pole (spread |c3|), whichever is larger. It writes I, C and D
 through phi(x) = (1 + x) log2(1 + x) + (1 - x) log2(1 - x) (Luo, PRA 77,
 042303 (2008), rearranged), which is x^2/ln 2 + O(x^4) and is evaluated
 without a difference of O(1) terms, so each quantity keeps its relative
-accuracy however small the correlations are. The brute-force route
-minimizes over an explicit (theta, phi) measurement grid with local
-refinement and serves as the oracle for the analytic one. The analytic
-route runs on Python floats, at one time or over a list of times; the
-brute-force route works on dense matrices and imports NumPy when it runs.
-It reads each conditional state of qubit A off the Bloch components of
-the density's qubit-B blocks, which assumes no X structure.
+accuracy however small the correlations are. The brute-force route, the
+oracle for the analytic one, scans the rows 2 theta <= pi/2 of a (theta,
+phi) measurement grid, as n and -n are one basis, and refines locally.
+The analytic route runs on Python floats, at one time or over a list of
+times; the brute-force route works on dense matrices and imports NumPy
+when it runs. It reads each conditional state of qubit A off the Bloch
+components of the density's qubit-B blocks, which assumes no X structure.
 
 All information quantities are in bits.
 """
@@ -58,7 +58,8 @@ _REFINE_POINTS = 21
 _REFINE_SHRINK = 10.0
 _CONVERGENCE_TOL = 1e-6
 _X_PATTERN_TOL = 1e-12
-# bases per scan block: a 270 kB budget at the 130 bytes one basis holds at the kernel's peak
+# bases per scan block: a 270 kB budget at the 130 bytes one basis holds at the kernel's peak;
+# the default grid's coarse scan takes 2 blocks of 16 rows
 _SCAN_BASES = 270_000 // 130
 
 
@@ -227,11 +228,12 @@ def _pauli_table():
 
 @functools.lru_cache(maxsize=4)
 def _coarse_grid(n_theta: int, n_phi: int):
-    """thetas and phis of a coarse grid, with (nx, ny, nz) for the default grid only: like
-    the Pauli table, built once per process on the first oracle call (about 0.13 MB)."""
+    """thetas, phis and, for the default grid only, (nx, ny, nz) of the coarse scan (0.07 MB). It
+    keeps the rows with 2 theta <= pi/2: row n_theta - 1 - i at phi + pi is row i's mirror -n,
+    the same basis, for an even n_phi; for an odd one the mirrors fall between the phi samples."""
     import numpy as np
 
-    thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)
+    thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)[:(n_theta + 1) // 2]
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     return thetas, phis, _directions(thetas, phis) if (n_theta, n_phi) == _MIN_GRID else None
 
@@ -341,11 +343,11 @@ def _scan_minimum(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
 def discord_bruteforce(rho: TwoQubitDensity, grid=_MIN_GRID) -> DiscordBreakdown:
     """Discord by explicit minimization over measurement bases on qubit B.
 
-    A coarse (theta, phi) grid is followed by up to three rounds of 10x
-    local refinement around the running optimum; convergence means the
-    minimum moved by less than 1e-6 between rounds. For symmetric X input
-    the two outcome probabilities must both be 1/2 and the two conditional
-    entropies equal, to 1e-12. Refusals name grid and (c3, 4 rho_03, 4 rho_12).
+    A coarse scan of the (theta, phi) grid's rows with 2 theta <= pi/2 (see _coarse_grid)
+    is followed by up to three rounds of 10x local refinement around the running optimum;
+    convergence means the minimum moved by less than 1e-6 between rounds. For symmetric X
+    input the two outcome probabilities must both be 1/2 and the two conditional entropies
+    equal, to 1e-12. Refusals name grid and (c3, 4 rho_03, 4 rho_12).
     """
     import numpy as np
 

@@ -579,6 +579,23 @@ def test_tiny_cutoff_answers_or_names_it(args, code, shown, capsys):
     assert shown in (captured.err if code else captured.out)
 
 
+@pytest.mark.parametrize(
+    "args, rate",
+    [
+        # (omega_a + omega_b)^2 underflows to 0: this was a ZeroDivisionError, exit 1
+        (["critic-time", "--omega", "1e-170", "--ratio", "2"], "a1 = 0.0"),
+        # omega_a^2 is subnormal: this exited 3 with "t_c needs Q = inf" and no cause
+        (["critic-time", "--large-detuning", "--omega", "1e-160"], "a1 = 1e-320"),
+        (["critic-time", "--large-detuning", "--omega", "1e-160", "-T", "0.1"], "a1 = 1e-320"),
+    ],
+    ids=["detuned", "large-detuning", "large-detuning-thermal"],
+)
+def test_tiny_frequencies_name_the_underflowing_decay_rate(args, rate, capsys):
+    assert run(args) == 3
+    assert (f"numeric failure: gamma1's decay rate {rate} is too small for a float "
+            "Q(t_c) = -ln(gamma1)/a1;") in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- failure paths
 
 

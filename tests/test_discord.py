@@ -36,6 +36,7 @@ from xdiscord.states import EIGENVALUE_FLOOR, TwoQubitDensity
 
 from helpers import sample_x_params
 from oracles import (
+    bloch_entropies_reference,
     bloch_states_reference,
     conditional_entropies_reference,
     discord_reference,
@@ -323,11 +324,28 @@ def test_bruteforce_on_a_grid_off_the_block_size(rng):
         assert got.discord == pytest.approx(discord_analytic(x).discord, abs=1e-7)
 
 
-def test_bruteforce_working_set_stays_bounded():
+def test_bruteforce_working_set_stays_bounded(monkeypatch):
     # the grid is scanned in blocks sized from a byte budget: one call on the
     # default 64 x 128 grid, or on a large grid of many blocks, must not
     # allocate more than 0.5 MB at its peak
     rho = x_state_density(XStateParams(0.6, 0.1, -0.25))
+    # the default grid's coarse scan hands the kernel its 32 rows with
+    # 2 theta <= pi/2, each basis {n, -n} once: 2 blocks of 16 x 128 bases
+    scans = []
+
+    def counted_scan(*args, **kwargs):
+        scans.append([])
+        return _scan_minimum(*args, **kwargs)
+
+    def counted_kernel(bloch, *n):
+        scans[-1].append(np.broadcast(*n).size)
+        return _conditional_entropies(bloch, *n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(xdiscord.discord, "_scan_minimum", counted_scan)
+        patch.setattr(xdiscord.discord, "_conditional_entropies", counted_kernel)
+        discord_bruteforce(rho)
+    assert scans[0] == [16 * 128, 16 * 128]
     for grid in ((64, 128), (256, 512)):
         discord_bruteforce(rho, grid)  # imports and first-call caches
         tracemalloc.start()
@@ -377,6 +395,15 @@ def oracle_outcome(rho, grid):
         return "InvalidStateError", str(exc)
 
 
+def referee_densities(rng):
+    """304 seeded densities, a quarter of each kind, and three diagonal ones."""
+    makers = (random_x_density, random_symmetric_x_density, random_full_rank_density,
+              random_low_rank_density)
+    densities = [makers[i % 4](rng) for i in range(304)]
+    return densities + [TwoQubitDensity(np.diag(w).astype(complex))
+                        for w in ([1, 0, 0, 0], [0.5, 0.5, 0, 0], [0.5, 0, 0, 0.5])]
+
+
 def test_bruteforce_is_the_reference_scan_bit_for_bit(rng, monkeypatch):
     # the stacked kernel runs the reference scan's IEEE operations basis by
     # basis, in larger blocks: every field and every refusal is the same
@@ -390,11 +417,7 @@ def test_bruteforce_is_the_reference_scan_bit_for_bit(rng, monkeypatch):
             patch.setattr(xdiscord.discord, "_conditional_states", bloch_states_reference)
             return got, oracle_outcome(rho, grid)
 
-    makers = (random_x_density, random_symmetric_x_density, random_full_rank_density,
-              random_low_rank_density)
-    densities = [makers[i % 4](rng) for i in range(304)]
-    densities += [TwoQubitDensity(np.diag(w).astype(complex))
-                  for w in ([1, 0, 0, 0], [0.5, 0.5, 0, 0], [0.5, 0, 0, 0.5])]
+    densities = referee_densities(rng)
     outcomes = set()
     # 100 rows of 140 bases span more than three scan blocks
     assert 100 > 3 * (_SCAN_BASES // 140)
@@ -413,6 +436,28 @@ def test_bruteforce_is_the_reference_scan_bit_for_bit(rng, monkeypatch):
                 assert got == want
                 outcomes.add(got[0])
     assert {"ConvergenceError", "InvalidStateError"} <= outcomes
+
+
+def test_coarse_scan_drops_only_mirror_bases(rng):
+    # row n_theta - 1 - i at phi + pi is the mirror -n of row i, the same
+    # basis: the reference kernel's entropies agree there to 5e-14 (1.1e-14
+    # at worst seen), and the kept rows' minimum is the full grid's to 4e-15
+    # (8.9e-16 at worst seen), for even n_phi
+    densities = referee_densities(rng)
+    for n_theta, n_phi in ((64, 128), (100, 140)):
+        thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)
+        phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+        kept_thetas, kept_phis = xdiscord.discord._coarse_grid(n_theta, n_phi)[:2]
+        assert (kept_thetas == thetas[:(n_theta + 1) // 2]).all() and (kept_phis == phis).all()
+        n = bloch_directions(thetas[:, None], phis[None, :])
+        for rho in densities:
+            bloch = _bloch_blocks(rho.entries.reshape(2, 2, 2, 2))
+            s_cond = bloch_entropies_reference(bloch, *n)[0]
+            mirrored = np.roll(s_cond[::-1], -(n_phi // 2), axis=1)
+            np.testing.assert_allclose(mirrored, s_cond, rtol=0.0, atol=5e-14)
+            kept = _scan_minimum(bloch, kept_thetas, kept_phis)[0]
+            assert kept == pytest.approx(scan_minimum_reference(bloch, thetas, phis)[0],
+                                         rel=0.0, abs=4e-15)
 
 
 def test_oracle_refusals_name_the_grid_and_the_state(monkeypatch):
