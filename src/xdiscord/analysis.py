@@ -61,23 +61,21 @@ def critic_time(
     solution structure is decided up front: no crossing when |c3| exceeds
     the initial value, t = 0 on a tie, infinite when the left side never
     descends to |c3| (identical qubits keep the inner coherence alive), and
-    a unique finite root otherwise. With gamma2 = gamma1^kappa the crossing
-    depends on the bath only through gamma1, so it is solved for
-    u = ln gamma1 (_crossing_log_gamma1), and then Q(t_c) = -u/a1. At T = 0
-    that inverts in closed form, omega_c t_c = sqrt(expm1(2 Q/eta)), in
-    _zero_temperature_crossing, which also decides the status and which
-    critic-surface calls per cell; above, Q only grows, so t_c is one
-    bracketed root of ln Q(t) below the T = 0 answer. A crossing past
-    omega_c t = 1e6 raises RootFindError naming the T = 0 answer, and so
-    does a t_c that leaves the float range or a decay rate a1 too small for Q(t_c).
+    a unique finite root otherwise. With the a1 and kappa of one _decay_rates
+    call, gamma2 = gamma1^kappa, the crossing depends on the bath only
+    through gamma1: it is solved for u = ln gamma1 (_crossing_log_gamma1),
+    and Q(t_c) = -u/a1. At T = 0 that inverts in closed form, omega_c t_c =
+    sqrt(expm1(2 Q/eta)), in _zero_temperature_crossing, which also decides
+    the status and which critic-surface calls per cell; above, Q only grows,
+    so t_c is one bracketed root of ln Q(t) below the T = 0 answer. A
+    crossing past omega_c t = 1e6 raises RootFindError naming the T = 0
+    answer, and so does a t_c that leaves the float range or an a1 too small for Q(t_c).
     """
-    q_star, tau = _zero_temperature_crossing(
-        params.c1, params.c2, params.c3, qubits, res.eta, large_detuning_limit
-    )
+    a1, _, kappa = _decay_rates(qubits, large_detuning_limit)
+    q_star, tau = _zero_temperature_crossing(params.c1, params.c2, params.c3, a1, kappa, res.eta)
     if q_star is None:
         return CriticTimeResult(tc=None if math.isnan(tau) else tau)
     if q_star == math.inf:
-        a1 = _decay_rates(qubits, large_detuning_limit)[0]
         raise _refusal(f"gamma1's decay rate a1 = {a1!r} is too small for a float "
                        "Q(t_c) = -ln(gamma1)/a1", params, qubits, res)
     hi = min(tau, _HORIZON_TAU) / res.omega_c
@@ -112,14 +110,15 @@ def critic_time(
 
 
 def _zero_temperature_crossing(
-    c1: float, c2: float, c3: float, qubits: QubitPairConfig, eta: float,
-    large_detuning_limit: bool,
+    c1: float, c2: float, c3: float, a1: float, kappa: float, eta: float
 ) -> tuple:
     """(q_star, tau): the Q(t_c) of the crossing, and omega_c t_c in the T = 0 bath.
 
-    Where nothing is crossed q_star is None and tau is the status: nan when
-    the pole spread already dominates at t = 0, 0.0 on a tie, inf when the
-    equatorial spread never descends to |c3|. Otherwise
+    a1 and kappa are those of _decay_rates. Where nothing is crossed q_star
+    is None and tau is the status: nan when the pole spread already
+    dominates at t = 0, 0.0 on a tie, inf when the equatorial spread never
+    descends to |c3|; at kappa = 0 (identical qubits) the inner coherence
+    survives, and the spread stops at |c1 + c2|/2. Otherwise
     tau = sqrt(expm1(2 q_star/eta)), which reads inf only past the float
     range, about 1.8e308.
     """
@@ -131,17 +130,9 @@ def _zero_temperature_crossing(
         return None, math.nan
     if pole == start:
         return None, 0.0
-    if qubits.identical and not large_detuning_limit:
-        floor = 0.5 * k_inner
-    else:
-        floor = 0.0
-    if pole <= floor:
+    if pole <= (0.5 * k_inner if kappa == 0.0 else 0.0):
         return None, math.inf
-    a1 = _decay_rates(qubits, large_detuning_limit)[0]
-    # kappa = a2/a1 from w_a, w_b scaled by one power of 2, so no square of a tiny one underflows
-    s, e = math.frexp(qubits.omega_a + qubits.omega_b)
-    u = _crossing_log_gamma1(k_outer, k_inner, pole, 1.0 if large_detuning_limit else
-                             math.ldexp(qubits.omega_a - qubits.omega_b, -e) ** 2 / s ** 2)
+    u = _crossing_log_gamma1(k_outer, k_inner, pole, kappa)
     q_star = -u / a1 if a1 >= sys.float_info.min else math.inf  # critic_time refuses inf
     x = 2.0 * q_star / eta
     try:
@@ -346,6 +337,7 @@ def amplification_indicator(
     F = -(|c1 - c2| + |h|) phi'((|mu| + |nu|)/2)/4 and G = [(c1 - c2)
     phi'(mu/(1 + c3)) + h phi'(nu/(1 - c3))]/4, with phi'(x) = 2 atanh(x)/ln 2:
     no log of a ratio near 1, so both keep their digits for small correlations.
+    h = nu kappa/gamma1 takes kappa from _decay_rates, exact near w_a = w_b too.
     """
     factors = decay_factors(x.t, qubits, res, large_detuning_limit)
     gamma1 = factors.gamma1
@@ -354,12 +346,7 @@ def amplification_indicator(
             "gamma1 underflowed to zero; the slope is not defined this deep "
             "in the decay tail"
         )
-    if large_detuning_limit:
-        kappa = 1.0
-    else:
-        ratio = (qubits.r - 1.0) / (qubits.r + 1.0)
-        kappa = ratio * ratio
-    h = x.nu / gamma1 * kappa
+    h = x.nu / gamma1 * _decay_rates(qubits, large_detuning_limit)[2]
     mu, nu, c3 = x.mu, x.nu, x.c3
     equator = 0.5 * (abs(mu) + abs(nu))
     # each > 0 puts the phi' argument it guards strictly inside (-1, 1), rounding included

@@ -58,7 +58,7 @@ from .errors import (
     RootFindError,
 )
 from .evolution import EvolvedXState, assemble_density, x_state_from_factors
-from .reservoir import ReservoirConfig, decay_factors
+from .reservoir import ReservoirConfig, _decay_rates, decay_factors
 from .states import QubitPairConfig, XStateParams
 
 # either give both absolute frequencies, or a reference omega_b plus ratio
@@ -451,10 +451,10 @@ def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
         )
     # only c3/c1 and eta*omega^2 enter: c1 = 1/2 keeps 2 c3 - c1 exact, and at
     # omega = omega_c = 1 the cell is omega_c t_c itself, as critic-time prints it
-    identical = QubitPairConfig(1.0, 1.0)
+    a1, _, kappa = _decay_rates(QubitPairConfig(1.0, 1.0), False)
     rows = [
         (coupling, fraction,
-         _zero_temperature_crossing(0.5, 0.0, 0.5 * fraction, identical, coupling, False)[1])
+         _zero_temperature_crossing(0.5, 0.0, 0.5 * fraction, a1, kappa, coupling)[1])
         for coupling in axes[0] for fraction in axes[1]
     ]
     w.table(("eta_omega_sq", "c3_over_c1", "omega_c_tc"), _FLOAT * 3, rows)

@@ -400,9 +400,9 @@ def _oracle_inputs(grid, c3, mu, nu) -> str:
 
 
 def _conditional_spread(bloch: np.ndarray, theta: float, phi: float) -> float:
-    """Spread L of the conditional A state for the outcome along the basis
-    (theta, phi): its eigenvalues are (1 +/- L)/2."""
+    """Spread L of the conditional A state, p-weighted over both outcomes of the basis
+    (theta, phi), 2 (h+ + h-)/(p+ + p-), so n and -n give one L; eigenvalues (1 +/- L)/2."""
     sin2t = math.sin(2.0 * theta)
     p, half_gap = _conditional_states(
         bloch, sin2t * math.cos(phi), sin2t * math.sin(phi), math.cos(2.0 * theta))
-    return 0.0 if p[0] <= 1e-15 else float(2.0 * half_gap[0] / p[0])
+    return float(2.0 * (half_gap[0] + half_gap[1]) / (p[0] + p[1]))

@@ -185,32 +185,35 @@ def decay_factors(
 
         gamma1 = exp[-(w_a + w_b)^2 Q(t)],  gamma2 = exp[-(w_a - w_b)^2 Q(t)]
 
-    so ln(gamma2)/ln(gamma1) = ((r-1)/(r+1))^2 with r = w_a/w_b. With
+    so gamma2 = gamma1^kappa with the kappa of _decay_rates. With
     large_detuning_limit set, both exponents collapse to w_a^2, the exact
     r >> 1 limit in which gamma2 = gamma1. A list of times gives lists of
-    factors, each element computed as for a float.
+    factors; a float runs the same loop on [t] and gives floats.
     """
-    a1, a2 = _decay_rates(qubits, large_detuning_limit)
+    a1, a2, _ = _decay_rates(qubits, large_detuning_limit)
+    times = t if type(t) is list else [t]
+    gamma1, gamma2, exp, q = [], [], math.exp, _exponent_kernel(res)
+    for v in times:
+        q2 = q(v)
+        # a zero rate keeps the coherence at Q = inf too, where a * Q is nan
+        gamma1.append(1.0 if a1 == 0.0 else exp(-a1 * q2))
+        gamma2.append(1.0 if a2 == 0.0 else exp(-a2 * q2))
     if type(t) is list:
-        gamma1, gamma2, exp, q = [], [], math.exp, _exponent_kernel(res)
-        for v in t:
-            q2 = q(v)
-            # _decay inlined: a call per factor would cost a tenth of the loop
-            gamma1.append(1.0 if a1 == 0.0 else exp(-a1 * q2))
-            gamma2.append(1.0 if a2 == 0.0 else exp(-a2 * q2))
         return DecayFactors(gamma1, gamma2, t)
-    q2 = dephasing_exponent(t, res)
-    gamma1 = _decay(a1, q2)
-    return DecayFactors(gamma1, gamma1 if large_detuning_limit else _decay(a2, q2), t)
+    return DecayFactors(gamma1[0], gamma2[0], t)
 
 
 def _decay_rates(qubits: QubitPairConfig, large_detuning_limit: bool) -> tuple:
-    """(a1, a2) with gamma_i = exp(-a_i Q(t)); a1 = a2 = w_a^2 in the large-detuning limit."""
+    """(a1, a2, kappa): gamma_i = exp(-a_i Q(t)), and gamma2 = gamma1^kappa.
+
+    a1 = (w_a + w_b)^2 and a2 = (w_a - w_b)^2, or both w_a^2 with kappa = 1
+    in the large-detuning limit. kappa = ((w_a - w_b)/(w_a + w_b))^2 scales
+    both by one power of 2, so it keeps its digits where a1 and a2 under- or
+    overflow, and is 0.0 exactly when w_a == w_b. No other code turns a
+    qubit pair into decay rates.
+    """
+    w_a, w_b = qubits
     if large_detuning_limit:
-        return qubits.omega_a**2, qubits.omega_a**2
-    return (qubits.omega_a + qubits.omega_b) ** 2, (qubits.omega_a - qubits.omega_b) ** 2
-
-
-def _decay(a: float, q2: float) -> float:
-    # a zero coefficient keeps the coherence at Q = inf too, where a * Q is nan
-    return 1.0 if a == 0.0 else math.exp(-a * q2)
+        return w_a**2, w_a**2, 1.0
+    s, e = math.frexp(w_a + w_b)
+    return (w_a + w_b) ** 2, (w_a - w_b) ** 2, math.ldexp(w_a - w_b, -e) ** 2 / s ** 2

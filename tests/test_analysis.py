@@ -468,21 +468,32 @@ def test_indicator_signs_over_sampled_states(rng):
         assert ind.time_slope_sign == -int(np.sign(ind.d_discord_d_gamma1))
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8, 1e-12, 1e-15])
-def test_indicator_matches_the_60_digit_slope(scale):
+# (2, 1) and three pairs near w_a = w_b, where a kappa from the rounded
+# r = w_a/w_b was off by up to 1.5e-4 relative and G by 1.5e-10
+SLOPE_PAIRS = {"": (2.0, 1.0), "-3(1+1e-6),3": (3.0 * (1.0 + 1e-6), 3.0),
+               "-3(1+1e-10),3": (3.0 * (1.0 + 1e-10), 3.0),
+               "-0.7(1+1e-3),0.7": (0.7 * (1.0 + 1e-3), 0.7)}
+
+
+@pytest.mark.parametrize("scale, pair", [
+    pytest.param(scale, pair, id=f"{scale}{label}")
+    for label, pair in SLOPE_PAIRS.items() for scale in (1.0, 1e-4, 1e-8, 1e-12, 1e-15)
+])
+def test_indicator_matches_the_60_digit_slope(scale, pair):
     # the log2 of ratios near 1 that phi' replaced was off by 1.1e-3 relative
     # at scale 1e-12, and at 1e-15 gave 30 of these 300 time_slope_signs wrongly
     rng = np.random.default_rng(11)
-    qubits, res = QubitPairConfig(2.0, 1.0), ReservoirConfig(0.3, 1.0, 0.0)
+    qubits, res = QubitPairConfig(*pair), ReservoirConfig(0.3, 1.0, 0.0)
     for _ in range(300):
         p = sample_slope_params(rng)
         params = XStateParams(scale * p.c1, scale * p.c2, scale * p.c3)
         t = float(rng.uniform(0.01, 5.0))
         x = evolve_x_state(params, t, qubits, res)
         ind = amplification_indicator(x, params, qubits, res)
-        f, g = slope_reference(x, params, qubits.r, decay_factors(t, qubits, res).gamma1)
+        f, g, h = slope_reference(x, params, qubits, decay_factors(t, qubits, res).gamma1)
         assert abs(ind.f_value - f) <= 1e-13 * abs(f)
         assert abs(ind.g_value - g) <= 1e-13 * abs(g)
+        assert abs(ind.h_value - h) <= 1e-13 * abs(h)
         slope = g if ind.regime == REGIME_AFTER else f + g
         # F < 0 < G may cancel: the sum is held to the parts' size, and its
         # sign is the exact one where the slope is beyond that bound

@@ -375,6 +375,27 @@ def random_symmetric_x_density(rng) -> TwoQubitDensity:
                                          delta1=float(delta1), delta2=float(delta2)))
 
 
+def test_oracle_spread_is_one_for_a_basis_and_its_mirror(rng):
+    # n and -n are one basis with its outcomes swapped: the spread weighs both
+    # outcomes by p, where the +n outcome alone moved by up to 0.77
+    for rho in referee_densities(rng):
+        bloch = _bloch_blocks(rho.entries.reshape(2, 2, 2, 2))
+        for _ in range(5):
+            theta, phi = rng.uniform(0.0, 0.5 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
+            mirror = _conditional_spread(bloch, 0.5 * math.pi - theta, phi + math.pi)
+            assert abs(_conditional_spread(bloch, theta, phi) - mirror) <= 1e-12
+
+
+def test_oracle_spread_matches_the_closed_form_on_symmetric_x_states(rng):
+    for _ in range(200):
+        params = sample_x_params(rng)
+        delta1, delta2 = rng.uniform(-10.0, 10.0, 2)
+        x = frozen_state(params.c1 - params.c2, params.c1 + params.c2, params.c3,
+                         delta1=float(delta1), delta2=float(delta2))
+        got = discord_bruteforce(assemble_density(x)).chi
+        assert abs(got - discord_analytic(x).chi) <= 1e-6
+
+
 def random_low_rank_density(rng) -> TwoQubitDensity:
     """Rank 1 (pure) or 2: G G^dagger / Tr for a complex Gaussian 4 x rank G."""
     rank = 1 + int(rng.integers(2))

@@ -1,10 +1,11 @@
 """The time-grid route of decay_factors -> x_state_from_factors -> discord_analytic.
 
-Each of the three takes a list of times as well as a float. The grid
-route must give, cell by cell, the bits the scalar route gives, and its
-checks must raise the same error type at the same inputs, naming the
-first offending t. The discord kernel must give, field by field, the bits
-of the per-point composition it replaced (oracles.discord_point_reference).
+Each of the three takes a list of times as well as a float; decay_factors
+runs one loop for both, a float as the list [t]. The grid route must give,
+cell by cell, the bits the scalar route gives, and its checks must raise
+the same error type at the same inputs, naming the first offending t. The
+discord kernel must give, field by field, the bits of the per-point
+composition it replaced (oracles.discord_point_reference).
 The linear grid of the command line and the c1 grid of the amplification
 scan are built in Python floats and must be np.linspace and np.arange bit
 for bit. The log grid has no NumPy twin: it must keep its end points, rise

@@ -15,7 +15,7 @@ from xdiscord import (
     phase_exponent,
 )
 
-from xdiscord.reservoir import _exponent_kernel
+from xdiscord.reservoir import _decay_rates, _exponent_kernel
 
 from oracles import (
     bath_dephasing_integral,
@@ -240,6 +240,31 @@ def test_decay_factors_large_detuning_mode():
     want = math.exp(-1.0 * dephasing_exponent(t, res))
     assert f.gamma1 == pytest.approx(want, rel=1e-15)
     assert f.gamma2 == f.gamma1
+
+
+def test_kappa_is_the_exact_ratio_at_every_scale():
+    # kappa = ((w_a - w_b)/(w_a + w_b))^2 from the frequencies themselves: a1
+    # and a2 under- or overflow at these scales, and r = w_a/w_b rounds r - 1
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    rng = np.random.default_rng(24)
+    for _ in range(2000):
+        w_b = 10.0 ** float(rng.uniform(-170.0, 150.0))
+        w_a = w_b * (1.0 + 10.0 ** float(rng.uniform(-12.0, 1.0)))
+        if rng.uniform() < 0.5:
+            w_a, w_b = w_b, w_a
+        kappa = _decay_rates(QubitPairConfig(w_a, w_b), False)[2]
+        want = float(((mp.mpf(w_a) - w_b) / (mp.mpf(w_a) + w_b)) ** 2)
+        assert abs(kappa - want) <= 8 * math.ulp(want), (w_a, w_b)
+    for w in (5e-324, 1e-170, 0.7, 3.0, 1e150):
+        assert _decay_rates(QubitPairConfig(w, w), False)[2] == 0.0
+        assert _decay_rates(QubitPairConfig(math.nextafter(w, math.inf), w), False)[2] > 0.0
+        assert _decay_rates(QubitPairConfig(w, 2.0 * w), True)[2] == 1.0
+    # both squares underflow; kappa rounds two scaled squares and their quotient
+    a1, a2, kappa = _decay_rates(QubitPairConfig(2e-170, 1e-170), False)
+    assert a1 == a2 == 0.0
+    assert abs(kappa - 1.0 / 9.0) <= 2 * math.ulp(1.0 / 9.0)
 
 
 def test_decay_factors_validation():
