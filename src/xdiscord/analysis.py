@@ -22,7 +22,7 @@ from .discord import (
 from .errors import DomainError, RootFindError
 from .evolution import EvolvedXState
 from .reservoir import ReservoirConfig, _decay_rates, _exponent_kernel, decay_factors
-from .states import QubitPairConfig, XStateParams
+from .states import _MAX_ROWS, QubitPairConfig, XStateParams
 
 # the search horizon for the critic time, in omega_c t units
 _HORIZON_TAU = 1e6
@@ -78,6 +78,9 @@ def critic_time(
     if q_star == math.inf:
         raise _refusal(f"gamma1's decay rate a1 = {a1!r} is too small for a float "
                        "Q(t_c) = -ln(gamma1)/a1", params, qubits, res)
+    if q_star < sys.float_info.min:
+        raise _refusal(f"Q(t_c) = -ln(gamma1)/a1 = {q_star!r} at a1 = {a1!r} is below the "
+                       "normal floats, too few digits for t_c", params, qubits, res)
     hi = min(tau, _HORIZON_TAU) / res.omega_c
     if hi == math.inf:
         raise _refusal(f"the bare time passes the float range at omega_c={res.omega_c!r}",
@@ -96,8 +99,10 @@ def critic_time(
             # at the T = 0 answer the thermal part of Q is below its rounding
             tc = hi
         else:
-            # Q(t) <= eta omega_c t^2 (omega_c/2 + T), as ln(1 + v) <= v and coth v <= 1 + 1/v
-            lo = math.sqrt(q_star / (res.eta * res.omega_c * (0.5 * res.omega_c + res.temperature)))
+            # Q(t) <= eta omega_c t^2 (omega_c/2 + T), as ln(1 + v) <= v and coth v <= 1 + 1/v;
+            # taken in logs, as the product of the three can underflow
+            lo = min(hi, math.exp(0.5 * (math.log(q_star) - math.log(res.eta) - math.log(
+                res.omega_c) - math.log(0.5 * res.omega_c + res.temperature))))
             q_lo = q(lo)
             if not (q_lo > 0.0 and q_hi < math.inf):
                 raise _refusal(f"Q(t) leaves the float range on [{lo!r}, {hi!r}]: Q = "
@@ -275,6 +280,12 @@ def _arange(x0: float, stop: float, step: float) -> list:
     return [x0 + i * d for i in range(math.ceil((stop - x0) / step))]
 
 
+def _scan_rows(c1_min: float, c1_max: float, step: float) -> float:
+    """At least the rows of the scan, or its span in steps where that passes _MAX_ROWS."""
+    span = (c1_max - c1_min) / step
+    return math.floor(span) + 2 if span <= _MAX_ROWS else span
+
+
 def scan_amplification_rate(
     c1_min: float = 1e-4, c1_max: float = 2.0 / 3.0, step: float = 1e-4
 ) -> AmplificationScan:
@@ -283,12 +294,20 @@ def scan_amplification_rate(
     Each c1 takes the discord route of discord_analytic, which keeps both
     discords, O(c1^2) as c1 -> 0, to full relative accuracy; the rate then
     tends to 2. Only a c1 whose c1^2 underflows, so that D(0) rounds to
-    zero, has no rate: the first one is refused.
+    zero, has no rate: the first one is refused. A step that is not a
+    positive finite float, or gives more than _MAX_ROWS rows, is refused
+    before any row is built.
     """
     if not (0.0 < c1_min < c1_max <= 2.0 / 3.0):
         raise DomainError(
             f"scan range ({c1_min!r}, {c1_max!r}) outside (0, 2/3]"
         )
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step={step!r} must be a positive finite float")
+    rows = _scan_rows(c1_min, c1_max, step)
+    if rows > _MAX_ROWS:
+        raise DomainError(f"step={step!r} gives a scan of {rows:.6g} rows, more than the "
+                          f"{_MAX_ROWS} allowed")
     c = _arange(c1_min, c1_max - step / 2.0, step) + [c1_max]
     d0, dinf = (list(column) for column in zip(*map(_family_discords, c)))
     rate = [b / a for a, b in zip(d0, dinf)]

@@ -30,13 +30,14 @@ that fails with exit code 3 or 4 writes only the comment block, which
 names its inputs, and no header or rows.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (root
-finding, grid refinement), 4 domain error during computation. A table of
-more than _MAX_ROWS rows is a configuration error, refused before it is
-built.
+finding, the oracle's Newton steps), 4 domain error during computation.
+A table of more than _MAX_ROWS rows is a configuration error, refused
+before it is built.
 
-Only the brute-force oracle (discord --oracle) loads NumPy; every other
-run computes on Python floats. Only critic-time, critic-surface and
-amplification load the analysis module, when they run.
+Every run computes on Python floats and complex numbers and loads no
+NumPy, the brute-force oracle (discord --oracle) included. Only
+critic-time, critic-surface and amplification load the analysis module,
+when they run.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .errors import (
 )
 from .evolution import EvolvedXState, assemble_density, x_state_from_factors
 from .reservoir import ReservoirConfig, _decay_rates, decay_factors
-from .states import QubitPairConfig, XStateParams
+from .states import _MAX_ROWS, QubitPairConfig, XStateParams
 
 # either give both absolute frequencies, or a reference omega_b plus ratio
 _FREQ_ABSOLUTE = ("omega_a", "omega_b")
@@ -67,10 +68,6 @@ _FREQ_ABSOLUTE = ("omega_a", "omega_b")
 _FREQ_RELATIVE = ("omega", "ratio")
 
 _SPACINGS = ("linear", "log")
-
-# the most rows one table may have: an evolve row peaks at about 800 bytes
-# in memory, so 0.8 GB; the largest documented table has 40,000 rows
-_MAX_ROWS = 10**6
 
 # one parameter: its default, help text, the type a value is parsed into,
 # the short aliases of its flag and any further add_argument keywords
@@ -391,11 +388,7 @@ def cmd_discord(cfg: RunConfig, w: _CsvWriter):
     header, formats = _SERIES_HEADER, _SERIES_FORMATS
     if cfg.oracle:
         point = EvolvedXState(x.mu[0], x.nu[0], x.delta1[0], x.delta2[0], x.c3, x.t[0])
-        try:
-            rho = assemble_density(point)  # the first NumPy import
-        except ImportError:
-            raise ConfigError("--oracle needs NumPy: pip install 'xdiscord[oracle]'") from None
-        columns.append([discord_bruteforce(rho).discord])
+        columns.append([discord_bruteforce(assemble_density(point)).discord])
         header, formats = header + ("discord_bruteforce",), formats + _FLOAT
     w.table(header, formats, zip(*columns))
 
@@ -462,7 +455,7 @@ def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
 
 def cmd_amplification(cfg: RunConfig, w: _CsvWriter):
     """late/initial discord ratio over the c1 family"""
-    from .analysis import scan_amplification_rate
+    from .analysis import _scan_rows, scan_amplification_rate
 
     lo, hi, step = cfg.c1_min, cfg.c1_max, cfg.c1_step
     if not (0.0 < lo < hi <= 2.0 / 3.0):
@@ -471,8 +464,7 @@ def cmd_amplification(cfg: RunConfig, w: _CsvWriter):
         )
     if not (0.0 < step <= hi - lo):
         raise ConfigError(f"c1_step={step!r} out of range (0, c1_max - c1_min]")
-    span = (hi - lo) / step
-    _check_rows(math.floor(span) + 2 if span <= _MAX_ROWS else span, "c1_step")
+    _check_rows(_scan_rows(lo, hi, step), "c1_step")
     scan = scan_amplification_rate(lo, hi, step)
     w.table(("c1", "initial_discord", "asymptotic_discord", "rate"), _FLOAT * 4,
             zip(scan.c1, scan.initial, scan.asymptotic, scan.rate))

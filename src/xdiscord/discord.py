@@ -8,13 +8,12 @@ or at the pole (spread |c3|), whichever is larger. It writes I, C and D
 through phi(x) = (1 + x) log2(1 + x) + (1 - x) log2(1 - x) (Luo, PRA 77,
 042303 (2008), rearranged), which is x^2/ln 2 + O(x^4) and is evaluated
 without a difference of O(1) terms, so each quantity keeps its relative
-accuracy however small the correlations are. The brute-force route, the
-oracle for the analytic one, scans the rows 2 theta <= pi/2 of a (theta,
-phi) measurement grid, as n and -n are one basis, and refines locally.
-The analytic route runs on Python floats, at one time or over a list of
-times; the brute-force route works on dense matrices and imports NumPy
-when it runs. It reads each conditional state of qubit A off the Bloch
-components of the density's qubit-B blocks, which assumes no X structure.
+accuracy however small the correlations are; it runs at one time or over
+a list of times. The brute-force route, the oracle for the analytic one,
+assumes neither the X structure nor an optimal basis: it reads each
+conditional state of qubit A off the Bloch components of the density's
+qubit-B blocks, scans a coarse grid of measurement directions and polishes
+the best few by Newton steps, to about 1e-13 of the discord.
 
 All information quantities are in bits.
 """
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, InvalidStateError
 from .evolution import EvolvedXState
@@ -34,11 +32,7 @@ from .states import (
     _reject,
     partial_trace,
     von_neumann_entropy,
-    xlog2,
 )
-
-if TYPE_CHECKING:  # annotations only: the dense-matrix routes import NumPy themselves
-    import numpy as np
 
 REGIME_BEFORE = "before-critic"
 REGIME_AFTER = "after-critic"
@@ -52,15 +46,19 @@ _REGIME_ZERO = 1e-14
 _SPREAD_MAX = 1.0 - 4.0 * EIGENVALUE_FLOOR
 _LN2 = math.log(2.0)
 
-_MIN_GRID = (64, 128)
-_REFINE_ROUNDS = 3
-_REFINE_POINTS = 21
-_REFINE_SHRINK = 10.0
-_CONVERGENCE_TOL = 1e-6
+# the oracle's (theta, phi) grid, whose rows with 2 theta <= pi/2 are scanned: it only
+# has to put a start in the optimum's basin, and Newton steps do the rest (_polish)
+_BASIN_GRID = (16, 32)
+_STARTS = 3
+_START_SEPARATION = 0.4
+_STENCIL = 1e-4
+_TRUST = 0.1
+_POLISH_STEPS = 24
+_LINE_STEPS = 7
+_STEP_TOL = 1e-7
+_RISE = 2.0**-50
+_P_FLOOR = 1e-12
 _X_PATTERN_TOL = 1e-12
-# bases per scan block: a 270 kB budget at the 130 bytes one basis holds at the kernel's peak;
-# the default grid's coarse scan takes 2 blocks of 16 rows
-_SCAN_BASES = 270_000 // 130
 
 
 class DiscordBreakdown(_record(
@@ -202,207 +200,206 @@ def discord_analytic(x: EvolvedXState, tc_regime: str = "unknown") -> DiscordBre
     return DiscordBreakdown(*[column[0] for column in fields], t=x.t)
 
 
-def _bloch_blocks(r4: np.ndarray) -> np.ndarray:
-    """Real (4, 4) table of the B-blocks' halved Bloch components.
+def _bloch_table(m) -> tuple:
+    """Real 4 x 4 table of the B-blocks' halved Bloch components, rows of floats.
 
     Rows are Re R_00, Re R_11, Re R_01 and Im R_01, where R_ij is the 2x2
-    B-block r4[i, :, j, :]; columns are 1/2 Tr[R_ij s] for s = 1, sigma_x,
-    sigma_y, sigma_z. Projecting B onto (1 + n.sigma)/2 leaves the A-block
-    ij = column 0 + n . columns 1-3, and the outcome along -n flips the
-    sign of the n term.
+    B-block of m with A-indices i, j; columns are 1/2 Tr[R_ij s] for
+    s = 1, sigma_x, sigma_y, sigma_z. Projecting B onto (1 + n.sigma)/2
+    leaves the A-block ij = column 0 + n . columns 1-3, and the outcome
+    along -n flips the sign of the n term.
     """
-    import numpy as np
-
-    blocks = np.stack([r4[0, :, 0, :], r4[1, :, 1, :], r4[0, :, 1, :]])
-    comps = 0.5 * np.einsum("mbc,scb->ms", blocks, _pauli_table())
+    comps = []
+    for i, j in ((0, 0), (1, 1), (0, 1)):
+        (b00, b01), (b10, b11) = ((m[2 * i + b][2 * j], m[2 * i + b][2 * j + 1]) for b in (0, 1))
+        comps.append((0.5 * (b00 + b11), 0.5 * (b01 + b10), 0.5j * (b01 - b10),
+                      0.5 * (b00 - b11)))
     # R_00 and R_11 are hermitian, so their components are real
-    return np.concatenate([comps.real, comps[2:].imag])
+    return (*([c.real for c in row] for row in comps), [c.imag for c in comps[2]])
+
+
+def _conditional_states(table, nx: float, ny: float, nz: float) -> tuple:
+    """(p, 2 h) of the conditional A state for the outcomes along +n, then -n.
+
+    p is the outcome probability and p/2 +/- h the two eigenvalues of the
+    unnormalized conditional state; n = (nx, ny, nz) is a unit Bloch vector.
+    """
+    (a0, a1, a2, a3), (d0, d1, d2, d3), (r0, r1, r2, r3), (i0, i1, i2, i3) = table
+    da, dd = nx * a1 + ny * a2 + nz * a3, nx * d1 + ny * d2 + nz * d3
+    dr, di = nx * r1 + ny * r2 + nz * r3, nx * i1 + ny * i2 + nz * i3
+    a, d, b, e = a0 + da, d0 + dd, a0 - da, d0 - dd
+    return (a + d, math.hypot(a - d, 2.0 * (r0 + dr), 2.0 * (i0 + di)),
+            b + e, math.hypot(b - e, 2.0 * (r0 - dr), 2.0 * (i0 - di)))
+
+
+def _gain(table, n) -> float:
+    """Phi = sum over both outcomes of p phi(2 h/p) at the Bloch direction n, or nan where
+    an outcome probability is below _P_FLOOR, where Phi is not smooth. The conditional
+    entropy is p+ + p- - Phi/2, so the best basis maximizes Phi, which keeps its relative
+    accuracy for weak correlations. n and -n, one basis, give one value bit for bit."""
+    p_plus, g_plus, p_minus, g_minus = _conditional_states(table, *n)
+    if p_plus < _P_FLOOR or p_minus < _P_FLOOR:
+        return math.nan
+    return _phi(g_plus, p_plus) + _phi(g_minus, p_minus)
 
 
 @functools.cache
-def _pauli_table():
-    import numpy as np
-
-    return np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-@functools.lru_cache(maxsize=4)
-def _coarse_grid(n_theta: int, n_phi: int):
-    """thetas, phis and, for the default grid only, (nx, ny, nz) of the coarse scan (0.07 MB). It
-    keeps the rows with 2 theta <= pi/2: row n_theta - 1 - i at phi + pi is row i's mirror -n,
-    the same basis, for an even n_phi; for an odd one the mirrors fall between the phi samples."""
-    import numpy as np
-
-    thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)[:(n_theta + 1) // 2]
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    return thetas, phis, _directions(thetas, phis) if (n_theta, n_phi) == _MIN_GRID else None
+def _basin_directions() -> tuple:
+    """Bloch vectors of the basin grid's kept rows, row by row: 2 theta <= pi/2, as row
+    n_theta - 1 - i at phi + pi is row i's mirror -n, the same basis."""
+    n_theta, n_phi = _BASIN_GRID
+    return tuple((math.sin(two_t) * math.cos(phi), math.sin(two_t) * math.sin(phi),
+                  math.cos(two_t))
+                 for two_t in (i * math.pi / (n_theta - 1) for i in range((n_theta + 1) // 2))
+                 for phi in (j * 2.0 * math.pi / n_phi for j in range(n_phi)))
 
 
-def _directions(thetas: np.ndarray, phis: np.ndarray):
-    """Bloch vectors (nx, ny, nz) of the bases thetas x phis; nz is one column."""
-    import numpy as np
-
-    two_t = 2.0 * thetas[:, None]
-    sin2t = np.sin(two_t)
-    return sin2t * np.cos(phis), sin2t * np.sin(phis), np.cos(two_t)
-
-
-def _conditional_states(bloch: np.ndarray, nx, ny, nz):
-    """(p, h) of the conditional A state, stacked for the outcomes along +n and -n.
-
-    p is the outcome probability and p/2 +/- h the two eigenvalues of the
-    unnormalized conditional state; n = (nx, ny, nz) is a unit Bloch
-    vector, or arrays of them. One pass takes all four components' dot =
-    nx c1 + ny c2 + nz c3, and the outcomes are c0 + dot and c0 - dot.
-    """
-    import numpy as np
-
-    c0, c1, c2, c3 = bloch.T.reshape((4, 4) + (1,) * np.ndim(nx))
-    plus, minus = comps = np.empty((2, 4) + np.shape(nx))
-    np.multiply(nx, c1, out=minus)
-    minus += np.multiply(ny, c2, out=plus)
-    minus += np.multiply(nz, c3, out=plus)
-    np.add(c0, minus, out=plus)
-    np.subtract(c0, minus, out=minus)
-    a, d, re, im = comps.swapaxes(0, 1)
-    p = a + d
-    half_diff = np.multiply(np.subtract(a, d, out=a), 0.5, out=a)
-    return p, np.hypot(half_diff, np.hypot(re, im, out=re))
-
-
-def _conditional_entropies(bloch: np.ndarray, nx, ny, nz):
-    """p_k S(rho_A^k) summed over both outcomes, at Bloch directions n.
-
-    Returns (s_cond, p, s): p and the normalized conditional entropies s
-    stack the outcomes along +n and -n, whose four eigenvalue ratios go
-    through one xlog2 call.
-    """
-    import numpy as np
-
-    p, half_gap = _conditional_states(bloch, nx, ny, nz)
-    ratios = np.empty((2,) + p.shape)
-    np.add(np.multiply(0.5, p, out=ratios[0]), half_gap, out=ratios[1])
-    ratios[0] -= half_gap
-    ratios /= np.maximum(p, 1e-300, out=half_gap)
-    del half_gap  # freed before xlog2 allocates its result
-    ent = xlog2(ratios)
-    ent = np.negative(np.add(*ent, out=ent[0]), out=ent[0])
-    ent[~(p > 1e-15)] = 0.0
-    s_cond = np.multiply(p, ent, out=ratios[0])
-    return s_cond[0] + s_cond[1], p, ent
-
-
-def _looks_like_symmetric_x(m: np.ndarray) -> bool:
-    off = [(0, 1), (0, 2), (1, 0), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2)]
-    if any(abs(m[i, j]) > _X_PATTERN_TOL for i, j in off):
-        return False
-    return (
-        abs(m[0, 0] - m[3, 3]) <= _X_PATTERN_TOL
-        and abs(m[1, 1] - m[2, 2]) <= _X_PATTERN_TOL
-    )
-
-
-def _scan_minimum(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
-                  check_symmetry: bool = False, directions=None):
-    """(value, theta, phi) of the first conditional-entropy minimum on thetas x phis.
-
-    The grid is walked in blocks of whole theta rows, about _SCAN_BASES
-    bases each, so the working set does not grow with the grid; directions,
-    the whole grid's (nx, ny, nz), are sliced per block where given. A later
-    block must be strictly lower to take over, which keeps the first
-    minimum in row-major order, as one argmin over the whole grid would.
-    check_symmetry asserts, to 1e-12, the equal outcome probabilities and
-    entropies a symmetric X state has at every basis.
-    """
-    import numpy as np
-
-    rows = max(1, _SCAN_BASES // len(phis))
-    best = None
+def _scan(table, directions, check_symmetry: bool, named: str) -> list:
+    """Phi at each of the bases directions (see _gain). check_symmetry asserts, to 1e-12, the
+    equal outcome probabilities and conditional entropies a symmetric X state has at each."""
+    values = []
     worst_p = worst_s = 0.0
-    for lo in range(0, len(thetas), rows):
-        block = slice(lo, lo + rows)
-        n = [v[block] for v in directions] if directions else _directions(thetas[block], phis)
-        s_cond, p, ent = _conditional_entropies(bloch, *n)
+    for n in directions:
+        p_plus, g_plus, p_minus, g_minus = _conditional_states(table, *n)
+        phi_plus, phi_minus = _phi(g_plus, p_plus), _phi(g_minus, p_minus)
+        values.append(phi_plus + phi_minus)
         if check_symmetry:
-            worst_p = max(worst_p, np.abs(p - 0.5).max())
-            worst_s = max(worst_s, np.abs(ent[0] - ent[1]).max())
-        idx = int(np.argmin(s_cond))
-        val = float(s_cond.flat[idx])
-        if best is None or val < best[0]:
-            i, j = divmod(idx, len(phis))
-            best = val, float(thetas[lo + i]), float(phis[j])
-        del s_cond, p, ent  # before the next block allocates its own
+            worst_p = max(worst_p, abs(p_plus - 0.5), abs(p_minus - 0.5))
+            # each outcome's normalized entropy is 1 - phi/(2 p)
+            worst_s = max(worst_s, 0.5 * abs(phi_plus / max(p_plus, 1e-300)
+                                             - phi_minus / max(p_minus, 1e-300)))
     if worst_p > 1e-12 or worst_s > 1e-12:
         raise InvalidStateError(
             "symmetric X state lost its measurement symmetry: "
-            f"|p - 1/2| <= {worst_p:.3e}, |S_par - S_perp| <= {worst_s:.3e}"
-        )
-    return best
+            f"|p - 1/2| <= {worst_p:.3e}, |S_par - S_perp| <= {worst_s:.3e}; {named}")
+    return values
 
 
-def discord_bruteforce(rho: TwoQubitDensity, grid=_MIN_GRID) -> DiscordBreakdown:
+def _starts(values, directions) -> list:
+    """Indices of the best few grid maxima of values: first come first, each more than
+    _START_SEPARATION from every earlier start on the Bloch sphere up to sign."""
+    near = math.cos(_START_SEPARATION)
+    starts = []
+    for k in sorted(range(len(values)), key=values.__getitem__, reverse=True):
+        nx, ny, nz = directions[k]
+        for j in starts:
+            mx, my, mz = directions[j]
+            if abs(nx * mx + ny * my + nz * mz) >= near:
+                break
+        else:
+            starts.append(k)
+            if len(starts) == _STARTS:
+                break
+    return starts
+
+
+def _unit(x: float, y: float, z: float) -> tuple:
+    norm = math.hypot(x, y, z)
+    return x / norm, y / norm, z / norm
+
+
+def _polish(table, n, value: float) -> tuple:
+    """(Phi, n, settled): Newton steps for the maximum of Phi from the unit vector n, where
+    Phi(n) = value.
+
+    Each step takes the gradient and Hessian from a 3 x 3 stencil of spacing _STENCIL in
+    the plane tangent at n, whose points and the step's end are renormalized onto the
+    sphere, so the pole is no special point. A Hessian that is not negative definite gives
+    a step of length _TRUST along its direction of largest curvature instead. A step that
+    raises Phi by more than its rounding, _RISE, is doubled while Phi keeps rising, and
+    one that does not is halved until it does, in _LINE_STEPS tries at most. The polish
+    has settled when no try rises, when a taken step is shorter than _STEP_TOL, or when
+    _gain reads nan at a stencil point; n is then the best point seen. It has not
+    settled after _POLISH_STEPS steps.
+    """
+    h = _STENCIL
+    for _ in range(_POLISH_STEPS):
+        nx, ny, nz = n
+        # the tangent pair: n crossed with the axis farthest from it, then with that
+        u = _unit(-ny, nx, 0.0) if abs(nz) < 0.9 else _unit(0.0, -nz, ny)
+        v = (ny * u[2] - nz * u[1], nz * u[0] - nx * u[2], nx * u[1] - ny * u[0])
+
+        def at(a, b):
+            return _unit(nx + a * u[0] + b * v[0], ny + a * u[1] + b * v[1],
+                         nz + a * u[2] + b * v[2])
+
+        f = {(a, b): _gain(table, at(a, b)) for a in (-h, 0.0, h) for b in (-h, 0.0, h)
+             if a or b}
+        if math.isnan(sum(f.values())):
+            return value, n, True
+        ga, gb = (f[h, 0.0] - f[-h, 0.0]) / (2.0 * h), (f[0.0, h] - f[0.0, -h]) / (2.0 * h)
+        haa = (f[h, 0.0] - 2.0 * value + f[-h, 0.0]) / (h * h)
+        hbb = (f[0.0, h] - 2.0 * value + f[0.0, -h]) / (h * h)
+        hab = (f[h, h] - f[h, -h] - f[-h, h] + f[-h, -h]) / (4.0 * h * h)
+        det = haa * hbb - hab * hab
+        if haa < 0.0 and det > 0.0:
+            wa, wb = (hab * gb - hbb * ga) / det, (hab * ga - haa * gb) / det
+        else:
+            # a saddle or a ridge, as at the pole between near-equal branches: the
+            # eigenvector of largest curvature, turned uphill, is an ascent
+            top = 0.5 * (haa + hbb) + math.hypot(0.5 * (haa - hbb), hab)
+            wa, wb = (hab, top - haa) if abs(top - haa) >= abs(top - hbb) else (top - hbb, hab)
+            size = math.copysign(_TRUST, wa * ga + wb * gb) / (math.hypot(wa, wb) or math.inf)
+            wa, wb = size * wa, size * wb
+        best, factor = None, 2.0
+        for _ in range(_LINE_STEPS):
+            got = _gain(table, at(wa, wb))
+            if got - (value if best is None else best[0]) > _RISE * abs(value):
+                best = got, wa, wb
+            elif best is not None:
+                break
+            else:
+                factor = 0.5
+            wa, wb = factor * wa, factor * wb
+        if best is None:
+            return value, n, True
+        value, n = best[0], at(best[1], best[2])
+        if math.hypot(best[1], best[2]) < _STEP_TOL:
+            return value, n, True
+    return value, n, False
+
+
+def _optimum(table, directions, values) -> tuple:
+    """(Phi, n, settled) at the best basis, polished from each start _starts picks among
+    the scanned directions and their values; a later one must be higher to take over."""
+    return max((_polish(table, directions[k], values[k]) for k in _starts(values, directions)),
+               key=lambda polished: polished[0])
+
+
+def discord_bruteforce(rho: TwoQubitDensity) -> DiscordBreakdown:
     """Discord by explicit minimization over measurement bases on qubit B.
 
-    A coarse scan of the (theta, phi) grid's rows with 2 theta <= pi/2 (see _coarse_grid)
-    is followed by up to three rounds of 10x local refinement around the running optimum;
-    convergence means the minimum moved by less than 1e-6 between rounds. For symmetric X
-    input the two outcome probabilities must both be 1/2 and the two conditional entropies
-    equal, to 1e-12. Refusals name grid and (c3, 4 rho_03, 4 rho_12).
+    The conditional entropy is p+ + p- - Phi/2 (see _gain). Newton steps from the best few
+    maxima of Phi on the basin grid's kept rows give the optimum (_optimum); where those of
+    the winning start have not settled, ConvergenceError carries the best breakdown found.
+    For symmetric X input both outcome probabilities must be 1/2 and both conditional
+    entropies equal, to 1e-12, at every grid basis. Refusals name (c3, 4 rho_03, 4 rho_12).
     """
-    import numpy as np
-
-    n_theta, n_phi = grid
-    if n_theta < _MIN_GRID[0] or n_phi < _MIN_GRID[1]:
-        raise DomainError(f"grid {grid!r} is coarser than the required minimum {_MIN_GRID}")
     m = rho.entries
     s_a = von_neumann_entropy(partial_trace(rho, "A"))
     info = s_a + von_neumann_entropy(partial_trace(rho, "B")) - von_neumann_entropy(m)
-    bloch = _bloch_blocks(m.reshape(2, 2, 2, 2))
-    thetas, phis, directions = _coarse_grid(n_theta, n_phi)
+    table = _bloch_table(m)
+    directions = _basin_directions()
     # the X parameters c3, mu, nu read off the matrix entries
-    x_params = (float((m[0, 0] + m[3, 3] - m[1, 1] - m[2, 2]).real), complex(4.0 * m[0, 3]),
-                complex(4.0 * m[1, 2]))
-    try:
-        best_val, best_theta, best_phi = _scan_minimum(
-            bloch, thetas, phis, _looks_like_symmetric_x(m), directions)
-    except InvalidStateError as exc:
-        raise InvalidStateError(f"{exc}; {_oracle_inputs(grid, *x_params)}") from None
-
-    spacing_theta, spacing_phi = 0.5 * math.pi / (n_theta - 1), 2.0 * math.pi / n_phi
-    for _ in range(_REFINE_ROUNDS):
-        sub_t = np.linspace(max(best_theta - spacing_theta, 0.0),
-                            min(best_theta + spacing_theta, 0.5 * math.pi), _REFINE_POINTS)
-        sub_p = np.linspace(best_phi - spacing_phi, best_phi + spacing_phi, _REFINE_POINTS)
-        new_val, new_theta, new_phi = _scan_minimum(bloch, sub_t, sub_p)
-        if new_val < best_val:
-            best_theta, best_phi = new_theta, new_phi
-        change = best_val - min(new_val, best_val)
-        best_val = min(new_val, best_val)
-        spacing_theta, spacing_phi = spacing_theta / _REFINE_SHRINK, spacing_phi / _REFINE_SHRINK
-        if change < _CONVERGENCE_TOL:
-            break
-
-    cc = s_a - best_val
-    # chi is the spread of the conditional state at the optimum; D is clamped as in
-    # discord_analytic: a negative I - C is rounding, -4.4e-16 once the coherences have decayed
-    breakdown = DiscordBreakdown(info, cc, max(info - cc, 0.0),
-                                 _conditional_spread(bloch, best_theta, best_phi),
+    x_params = ((m[0][0] + m[3][3] - m[1][1] - m[2][2]).real, 4.0 * m[0][3], 4.0 * m[1][2])
+    named = "(c3, 4 rho_03, 4 rho_12) = (%r, %r, %r)" % x_params
+    symmetric_x = max(map(abs, (m[0][1], m[0][2], m[1][0], m[2][0], m[1][3], m[3][1], m[2][3],
+                                m[3][2], m[0][0] - m[3][3], m[1][1] - m[2][2]))) <= _X_PATTERN_TOL
+    values = _scan(table, directions, symmetric_x, named)
+    gain, n, settled = _optimum(table, directions, values)
+    total = 2.0 * (table[0][0] + table[1][0])  # p+ + p-, the trace of rho
+    cc = (s_a - total) + 0.5 * gain
+    # D is clamped as in discord_analytic: a negative I - C is rounding
+    breakdown = DiscordBreakdown(info, cc, max(info - cc, 0.0), _conditional_spread(table, n),
                                  _measurement_branch(*x_params)[1])
-    if not change < _CONVERGENCE_TOL:
-        raise ConvergenceError(f"measurement grid refinement stalled: last change {change:.3e} "
-                               f"above {_CONVERGENCE_TOL:.0e}; {_oracle_inputs(grid, *x_params)}",
+    if not settled:
+        raise ConvergenceError(f"Newton polish did not settle in {_POLISH_STEPS} steps; {named}",
                                best_so_far=breakdown)
     return breakdown
 
 
-def _oracle_inputs(grid, c3, mu, nu) -> str:
-    return f"grid {tuple(grid)!r}, (c3, 4 rho_03, 4 rho_12) = ({c3!r}, {mu!r}, {nu!r})"
-
-
-def _conditional_spread(bloch: np.ndarray, theta: float, phi: float) -> float:
-    """Spread L of the conditional A state, p-weighted over both outcomes of the basis
-    (theta, phi), 2 (h+ + h-)/(p+ + p-), so n and -n give one L; eigenvalues (1 +/- L)/2."""
-    sin2t = math.sin(2.0 * theta)
-    p, half_gap = _conditional_states(
-        bloch, sin2t * math.cos(phi), sin2t * math.sin(phi), math.cos(2.0 * theta))
-    return float(2.0 * (half_gap[0] + half_gap[1]) / (p[0] + p[1]))
+def _conditional_spread(table, n) -> float:
+    """Spread L of the conditional A state, p-weighted over both outcomes of the basis n,
+    (2 h+ + 2 h-)/(p+ + p-), so n and -n give one L; eigenvalues (1 +/- L)/2."""
+    p_plus, g_plus, p_minus, g_minus = _conditional_states(table, *n)
+    return (g_plus + g_minus) / (p_plus + p_minus)

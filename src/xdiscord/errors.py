@@ -24,7 +24,7 @@ class RootFindError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Measurement-grid refinement stalled above its convergence threshold."""
+    """The brute-force oracle's Newton steps did not settle at the optimal basis."""
 
     def __init__(self, message, best_so_far=None):
         super().__init__(message)

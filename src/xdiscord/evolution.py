@@ -17,6 +17,7 @@ out of the fast path and the decays are the factors gamma1, gamma2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import partial
 from operator import mul
@@ -119,8 +120,6 @@ def x_state_from_factors(
 
 
 def _coherence(amplitude: float, phase: float) -> complex:
-    import cmath
-
     # a zero amplitude is a zero entry at every phase, where 0 * e^{-i inf} is nan
     return 0.0 if amplitude == 0.0 else 0.25 * amplitude * cmath.exp(-1j * phase)
 
@@ -144,35 +143,29 @@ def evolve_density(
 ) -> TwoQubitDensity:
     """Evolution of an arbitrary initial density matrix by the one-mask map.
 
-    rho(t) = rho(0) * exp(-i dE t - i d(E^2) P(t) - dE^2 Q(t)) elementwise,
-    with dE_{ll'} = E_l - E_l'. With large_detuning_limit set, every
-    off-diagonal element decays by the limit gamma1 instead, even one a
-    degeneracy would otherwise freeze; the limit mode is only meaningful
-    for the X antidiagonals.
+    rho(t) = rho(0) * exp(-i dE t - i d(E^2) P(t) - dE^2 Q(t)) entry by
+    entry, with dE_{ll'} = E_l - E_l'; the diagonal is frozen. With
+    large_detuning_limit set, every off-diagonal element decays by the limit
+    gamma1 instead, even one a degeneracy would otherwise freeze; the limit
+    mode is only meaningful for the X antidiagonals.
     """
-    import numpy as np
-
     if not t >= 0.0:  # a nan t fails here too
         raise InvalidStateError(f"t={t!r} must be nonnegative")
-    s = 0.5 * (qubits.omega_a + qubits.omega_b)
-    d = 0.5 * (qubits.omega_a - qubits.omega_b)
-    energy = np.array([s, d, -d, -s])
-    gap = energy[:, None] - energy[None, :]
-    sq_gap = (energy * energy)[:, None] - (energy * energy)[None, :]
-    # a zero gap neither precesses nor decays, at t = inf too, where 0 * inf is nan
-    moving = gap != 0.0
-    phase = sq_gap * phase_exponent(t, res)
-    phase[moving] += gap[moving] * t
-    # an entry that has decayed to 0 is 0 whatever its phase, where 0 * e^{-i inf} is nan
-    mask = np.zeros((4, 4), dtype=complex)
-    if large_detuning_limit:
-        gamma1 = decay_factors(t, qubits, res, large_detuning_limit).gamma1
-        if gamma1 > 0.0:
-            mask = np.exp(-1j * phase) * gamma1
-        np.fill_diagonal(mask, 1.0)
-    else:
-        exponent = np.zeros((4, 4))
-        exponent[moving] = gap[moving] * gap[moving] * dephasing_exponent(t, res)
-        live = exponent < math.inf
-        mask[live] = np.exp(-1j * phase[live] - exponent[live])
-    return TwoQubitDensity(rho0.entries * mask)
+    s, d = 0.5 * (qubits.omega_a + qubits.omega_b), 0.5 * (qubits.omega_a - qubits.omega_b)
+    energy = (s, d, -d, -s)
+    p, q = phase_exponent(t, res), dephasing_exponent(t, res)
+    gamma1 = decay_factors(t, qubits, res, True).gamma1 if large_detuning_limit else None
+
+    def mask(e: float, f: float) -> complex:
+        gap = e - f
+        # a zero gap neither precesses nor decays, at t = inf too, where 0 * inf is nan
+        phase = (e * e - f * f) * p + (gap * t if gap != 0.0 else 0.0)
+        # an entry that has decayed to 0 is 0 whatever its phase, where 0 * e^{-i inf} is nan
+        if gamma1 is not None:
+            return cmath.exp(-1j * phase) * gamma1 if gamma1 > 0.0 else 0.0
+        exponent = gap * gap * q if gap != 0.0 else 0.0
+        return cmath.exp(-1j * phase - exponent) if exponent < math.inf else 0.0
+
+    return TwoQubitDensity([[v if i == j else v * mask(e, f)
+                             for j, (v, f) in enumerate(zip(row, energy))]
+                            for i, (row, e) in enumerate(zip(rho0.entries, energy))])

@@ -6,26 +6,26 @@ level, so the bare energy of |l_A l_B> is ((-1)^l_A w_A + (-1)^l_B w_B)/2.
 Entropies are in bits (log base 2) throughout.
 
 The X-state pipeline runs on Python floats: a quantity at one time is a
-float, over a time grid a list of floats, one per time. Only the dense
-matrices (TwoQubitDensity and what works on it) need NumPy, and import it
-where they use it.
+float, over a time grid a list of floats, one per time. A dense matrix is
+a tuple of rows of complex numbers; the 4x4 spectrum is taken by cyclic
+Jacobi rotations, a 2x2 one in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .errors import InvalidStateError
-
-if TYPE_CHECKING:  # annotations only: the dense-matrix routes import NumPy themselves
-    import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 # eigenvalues this far below zero are treated as roundoff and clipped
 EIGENVALUE_FLOOR = -1e-10
+# the most rows one table may have: an evolve row peaks at about 800 bytes
+# in memory, so 0.8 GB; the largest documented table has 40,000 rows
+_MAX_ROWS = 10**6
+_MAX_SWEEPS = 32  # of the Jacobi eigensolver; a 4x4 hermitian matrix needs about 6
 
 
 def _record(name: str, fields: str, defaults=()):
@@ -39,24 +39,12 @@ def _record(name: str, fields: str, defaults=()):
     return base
 
 
-def xlog2(x):
-    """x * log2(x) with the 0 * log(0) = 0 convention, for a float or a NumPy array.
+def xlog2(x: float) -> float:
+    """x * log2(x) with the 0 * log(0) = 0 convention.
 
     Small negative inputs (roundoff from eigensolvers) are clipped to zero;
-    anything below EIGENVALUE_FLOOR raises. Floats go through math.log2,
-    arrays (the brute-force oracle) elementwise through np.log2.
+    anything below EIGENVALUE_FLOOR raises.
     """
-    # type() is the fast path for floats; isinstance admits np.float64 and ints
-    if type(x) is not float and not isinstance(x, (float, int)):
-        import numpy as np
-
-        low = np.fmin.reduce(x, axis=None, initial=math.inf)  # nan is no weight below it
-        if low < EIGENVALUE_FLOOR:
-            raise InvalidStateError(f"weight {low:.6e} is negative beyond tolerance")
-        out = np.maximum(x, 1e-300, out=np.empty(np.shape(x)))
-        np.multiply(np.log2(out, out=out), x, out=out)
-        out[~(x > 0.0)] = 0.0
-        return out
     if x > 0.0:
         return x * math.log2(x)
     if x >= EIGENVALUE_FLOOR:
@@ -169,7 +157,8 @@ class QubitPairConfig(_record("QubitPairConfig", "omega_a omega_b")):
 class TwoQubitDensity(_record("TwoQubitDensity", "entries")):
     """Validated 4x4 density matrix in the product basis.
 
-    The stored array entries is a read-only complex copy of the input.
+    entries is a copy of the input as four tuples of four complex numbers;
+    any 4x4 nested sequence is accepted, a NumPy array included.
     Construction checks hermiticity and unit trace to 1e-12 and positivity
     to the shared eigenvalue floor.
     """
@@ -177,22 +166,21 @@ class TwoQubitDensity(_record("TwoQubitDensity", "entries")):
     __slots__ = ()
 
     def __new__(cls, entries):
-        import numpy as np
-
-        m = np.array(entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
-        # written as not (x <= tol), so a nan entry fails here, not in eigvalsh
-        herm = np.max(np.abs(m - m.conj().T))
+        m = tuple(tuple(complex(v) for v in row) for row in entries)
+        if [len(row) for row in m] != [4] * 4:
+            shape = (len(m), *sorted({len(row) for row in m}))
+            raise InvalidStateError(f"expected a 4x4 matrix, got shape {shape}")
+        gaps = [abs(m[i][j] - m[j][i].conjugate()) for i in range(4) for j in range(i + 1)]
+        # a nan entry fails here, not in the eigensolver; max() would skip it
+        herm = math.nan if math.isnan(sum(gaps)) else max(gaps)
         if not herm <= HERMITICITY_TOL:
             raise InvalidStateError(f"matrix is not hermitian: max deviation {herm:.3e}")
-        tr = m.trace()
+        tr = m[0][0] + m[1][1] + m[2][2] + m[3][3]
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise InvalidStateError(f"trace {tr!r} differs from 1 beyond tolerance")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < EIGENVALUE_FLOOR:
-            raise InvalidStateError(f"negative eigenvalue {w[0]:.6e} beyond tolerance")
-        m.setflags(write=False)
+        low = min(_eigvalsh(m))
+        if low < EIGENVALUE_FLOOR:
+            raise InvalidStateError(f"negative eigenvalue {low:.6e} beyond tolerance")
         return super().__new__(cls, m)
 
 
@@ -203,20 +191,9 @@ def _x_form_density(c3: float, outer: complex, inner: complex) -> TwoQubitDensit
     (|00>, |11>) is outer and entry (|01>, |10>) is inner, with their
     conjugates below the diagonal.
     """
-    import numpy as np
-
-    dp = (1.0 + c3) / 4.0
-    dm = (1.0 - c3) / 4.0
-    m = np.array(
-        [
-            [dp, 0.0, 0.0, outer],
-            [0.0, dm, inner, 0.0],
-            [0.0, np.conj(inner), dm, 0.0],
-            [np.conj(outer), 0.0, 0.0, dp],
-        ],
-        dtype=complex,
-    )
-    return TwoQubitDensity(m)
+    dp, dm = (1.0 + c3) / 4.0, (1.0 - c3) / 4.0
+    return TwoQubitDensity(((dp, 0.0, 0.0, outer), (0.0, dm, inner, 0.0),
+                            (0.0, inner.conjugate(), dm, 0.0), (outer.conjugate(), 0.0, 0.0, dp)))
 
 
 def x_state_density(params: XStateParams) -> TwoQubitDensity:
@@ -229,47 +206,67 @@ def x_state_density(params: XStateParams) -> TwoQubitDensity:
     return _x_form_density(params.c3, (c1 - c2) / 4.0, (c1 + c2) / 4.0)
 
 
-def partial_trace(rho: TwoQubitDensity, keep: str) -> np.ndarray:
-    """Reduced 2x2 matrix of one qubit.
-
-    Parameters
-    ----------
-    rho : TwoQubitDensity
-    keep : {"A", "B"}
-        Which qubit's reduced state to return.
-    """
-    import numpy as np
-
-    r4 = rho.entries.reshape(2, 2, 2, 2)
+def partial_trace(rho: TwoQubitDensity, keep: str) -> tuple:
+    """Reduced 2x2 matrix of qubit keep, "A" or "B", as two tuples of two complex numbers."""
+    m = rho.entries
     if keep == "A":
-        return np.einsum("ibjb->ij", r4)
+        return tuple(tuple(m[2 * i][2 * j] + m[2 * i + 1][2 * j + 1] for j in (0, 1))
+                     for i in (0, 1))
     if keep == "B":
-        return np.einsum("aiaj->ij", r4)
+        return tuple(tuple(m[i][j] + m[2 + i][2 + j] for j in (0, 1)) for i in (0, 1))
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _eigvals_2x2(m: np.ndarray):
-    # closed form for a hermitian 2x2; cheaper and exact enough for entropies
-    a = m[0, 0].real
-    d = m[1, 1].real
-    off = abs(m[0, 1])
-    mid = 0.5 * (a + d)
-    h = math.hypot(0.5 * (a - d), off)
-    return (mid - h, mid + h)
+def _eigvalsh(m) -> list:
+    """Eigenvalues of a hermitian matrix, rows m of complex numbers, by cyclic Jacobi.
+
+    Each rotation zeroes one off-diagonal entry a_pq = r e^{i alpha}: the
+    phase e^{-i alpha} on column q makes it real, and the real rotation of
+    Golub & Van Loan, Matrix Computations, section 8.5, removes it. Sweeps
+    over all pairs stop once the off-diagonal part is below 1e-17 of the
+    matrix's norm, where it moves no eigenvalue of a unit-trace matrix by a
+    rounding.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    diag = [a[i][i].real for i in range(n)]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    scale = 1e-34 * sum(abs(v) ** 2 for row in a for v in row)
+    for _ in range(_MAX_SWEEPS):
+        if not sum(abs(a[p][q]) ** 2 for p, q in pairs) > scale:
+            break
+        for p, q in pairs:
+            r = abs(a[p][q])
+            if r == 0.0:
+                continue
+            phase = a[p][q].conjugate() / r
+            tau = (diag[q] - diag[p]) / (2.0 * r)
+            t = math.copysign(1.0 / (abs(tau) + math.hypot(1.0, tau)), tau)
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            diag[p], diag[q] = diag[p] - t * r, diag[q] + t * r
+            a[p][q] = a[q][p] = 0j
+            for k in range(n):
+                if k != p and k != q:
+                    kp, kq = a[k][p], a[k][q] * phase
+                    a[k][p] = c * kp - s * kq
+                    a[k][q] = s * kp + c * kq
+                    a[p][k], a[q][k] = a[k][p].conjugate(), a[k][q].conjugate()
+    return diag
 
 
-def von_neumann_entropy(matrix: np.ndarray) -> float:
+def von_neumann_entropy(matrix) -> float:
     """Entropy -Tr[rho log2 rho] of a hermitian positive unit-trace matrix.
 
-    2x2 inputs use the closed-form spectrum, larger ones the dense
-    eigensolver. Eigenvalues below the shared floor raise; values in
-    [floor, 0) are clipped to zero.
+    matrix is any square nested sequence of numbers. A 2x2 one uses the
+    closed-form spectrum, a larger one the Jacobi eigensolver. Eigenvalues
+    below the shared floor raise; values in [floor, 0) are clipped to zero.
     """
-    import numpy as np
-
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape == (2, 2):
-        eigs = _eigvals_2x2(m)
-    else:
-        eigs = np.linalg.eigvalsh(m)
-    return entropy_bits(eigs)
+    m = [[complex(v) for v in row] for row in matrix]
+    if len(m) == 2:
+        # closed form for a hermitian 2x2
+        a, d = m[0][0].real, m[1][1].real
+        mid = 0.5 * (a + d)
+        h = math.hypot(0.5 * (a - d), abs(m[0][1]))
+        return entropy_bits((mid - h, mid + h))
+    return entropy_bits(_eigvalsh(m))

@@ -36,10 +36,11 @@ conditional_entropies_reference is the brute-force oracle's conditional
 entropy as the package computed it before its Bloch-form kernel: each
 basis ket is contracted with the full density by einsum, so the tests can
 check the Bloch-vector route against a route that does not share it.
-bloch_states_reference, bloch_entropies_reference and
-scan_minimum_reference are that Bloch-vector scan as the package ran it
-before its stacked kernel, a pass per component and outcome over blocks
-of about 1,024 bases: the tests pin the oracle to it bit for bit.
+bloch_gain_reference is the oracle's objective Phi over a dense grid in
+NumPy, to rank its bases. general_discord_reference is I, C and D of any
+two-qubit density at 50 digits, the conditional entropy from the
+measurement projectors and its minimum by mpmath Newton steps from the
+oracle's optimum: the referee of the oracle off the X family.
 
 critic_time_reference is omega_c t_c to 40 digits: mpmath's findroot of
 the crossing condition (|mu| + |nu|)/2 = |c3|, with Q(t) from mpmath's
@@ -57,7 +58,6 @@ import math
 
 from xdiscord import (
     DomainError,
-    InvalidStateError,
     ReservoirConfig,
     classical_correlation_value,
     dephasing_exponent,
@@ -399,7 +399,7 @@ def conditional_entropies_reference(r4, thetas, phis):
         safe = np.maximum(p, 1e-300)
         z1 = (mid - half_gap) / safe
         z2 = (mid + half_gap) / safe
-        ent = -(xlog2(z1) + xlog2(z2))
+        ent = -(_xlog2_array(z1) + _xlog2_array(z2))
         ent = np.where(p > 1e-15, ent, 0.0)
         out.append((p, ent))
     (p_par, s_par), (p_perp, s_perp) = out
@@ -407,75 +407,127 @@ def conditional_entropies_reference(r4, thetas, phis):
     return s_cond, p_par, s_par, p_perp, s_perp
 
 
-# bases per block of scan_minimum_reference's walk over the grid
-_SCAN_CHUNK = 1024
+def bloch_gain_reference(table, n):
+    """The oracle's Phi = sum over both outcomes of p phi(2 h/p) at Bloch directions n.
 
-
-def bloch_states_reference(bloch, nx, ny, nz):
-    """(p, h) of the conditional A state, stacked for the outcomes along +n and -n.
-
-    p is the outcome probability and p/2 +/- h the two eigenvalues of the
-    unnormalized conditional state; n = (nx, ny, nz) is a unit Bloch
-    vector, or arrays of them, and both outcomes share its dot products.
+    table is the oracle's 4 x 4 Bloch table; n is a 3 x N NumPy array of
+    unit vectors. phi(x) = (1 + x) log2(1 + x) + (1 - x) log2(1 - x) is
+    taken as written, which is enough to rank the bases of a dense grid.
     """
     import numpy as np
 
-    signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(nx))
-    a, d, re, im = (c[0] + signs * (nx * c[1] + ny * c[2] + nz * c[3]) for c in bloch)
-    return a + d, np.hypot(0.5 * (a - d), np.hypot(re, im))
+    t = np.array(table)
+    base, along = t[:, :1], t[:, 1:] @ n
+    total = 0.0
+    for a, d, re, im in (base + along, base - along):
+        p = a + d
+        x = np.sqrt((a - d) ** 2 + 4.0 * (re * re + im * im)) / np.maximum(p, 1e-300)
+        x = np.minimum(x, 1.0)
+        total = total + p * ((1.0 + x) * np.log2(1.0 + x) + _xlog2_array(1.0 - x))
+    return total
 
 
-def bloch_entropies_reference(bloch, nx, ny, nz):
-    """p_k S(rho_A^k) summed over both outcomes, at Bloch directions n.
-
-    Returns (s_cond, p_par, s_par, p_perp, s_perp) where s_* are the
-    normalized conditional entropies; par is the outcome along +n.
-    """
+def _xlog2_array(x):
     import numpy as np
 
-    p, half_gap = bloch_states_reference(bloch, nx, ny, nz)
-    mid = 0.5 * p
-    safe = np.maximum(p, 1e-300)
-    ent = -(xlog2((mid - half_gap) / safe) + xlog2((mid + half_gap) / safe))
-    ent = np.where(p > 1e-15, ent, 0.0)
-    return p[0] * ent[0] + p[1] * ent[1], p[0], ent[0], p[1], ent[1]
+    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
-def scan_minimum_reference(bloch, thetas, phis, check_symmetry: bool = False):
-    """(value, theta, phi) of the first conditional-entropy minimum on thetas x phis.
+def entropy_rounding(weights) -> float:
+    """How far a sum of +/- w log2 w moves when each weight w is off by 2^-52.
 
-    The grid is walked in blocks of whole theta rows, about _SCAN_CHUNK
-    bases each, so the working set does not grow with the grid. A later
-    block must be strictly lower to take over, which keeps the first
-    minimum in row-major order, as one argmin over the whole grid would.
-    check_symmetry asserts, to 1e-12, the equal outcome probabilities and
-    entropies a symmetric X state has at every basis.
+    That is sum_w 2^-52 |log2 w + 1/ln 2|, with w floored at 2^-52, where
+    the slope of w log2 w grows without bound: the rounding a float route
+    that takes D from spectra cannot beat, computed in mpmath.
     """
-    import numpy as np
+    import mpmath
 
-    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
-    rows = max(1, _SCAN_CHUNK // len(phis))
-    best = None
-    worst_p = worst_s = 0.0
-    for lo in range(0, len(thetas), rows):
-        two_t = 2.0 * thetas[lo:lo + rows, None]
-        sin2t = np.sin(two_t)
-        s_cond, p_par, s_par, p_perp, s_perp = bloch_entropies_reference(
-            bloch, sin2t * cos_phi, sin2t * sin_phi, np.cos(two_t))
-        if check_symmetry:
-            worst_p = max(worst_p, np.abs(p_par - 0.5).max(), np.abs(p_perp - 0.5).max())
-            worst_s = max(worst_s, np.abs(s_par - s_perp).max())
-        idx = int(np.argmin(s_cond))
-        val = float(s_cond.flat[idx])
-        if best is None or val < best[0]:
-            i, j = divmod(idx, len(phis))
-            best = val, float(thetas[lo + i]), float(phis[j])
-    if worst_p > 1e-12 or worst_s > 1e-12:
-        raise InvalidStateError(
-            "symmetric X state lost its measurement symmetry: "
-            f"|p - 1/2| <= {worst_p:.3e}, |S_par - S_perp| <= {worst_s:.3e}"
-        )
-    return best
+    eps = mpmath.mpf(2) ** -52
+    return float(sum(eps * abs(mpmath.log(max(w, eps), 2) + 1 / mpmath.log(2))
+                     for w in weights))
+
+
+def general_discord_reference(entries, n0):
+    """(I, C, D, weights) of a 4x4 density to about 40 digits.
+
+    Every entry is taken exactly. S_A, S_B and S_AB come from mpmath's
+    hermitian eigensolver; the conditional entropy S_cond(n) of a
+    measurement of B along the unit Bloch vector n from the projectors
+    (1 +/- n.sigma)/2, contracted with the full matrix. Its minimum is
+    found by Newton steps at 50 digits from n0, the oracle's optimum, on a
+    3 x 3 stencil of spacing 1e-20 in the plane tangent at n0. D = S_B -
+    S_AB + S_cond is a difference of O(1) entropies: weights are the
+    eigenvalues and outcome probabilities they are taken from, for
+    entropy_rounding.
+    """
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    m = [[mp.mpc(complex(v)) for v in row] for row in entries]
+
+    def entropy(weights):
+        return -sum(w * mp.log(w, 2) for w in weights if w > 0)
+
+    def spectrum2(b):
+        mid = (b[0][0].real + b[1][1].real) / 2
+        h = mp.sqrt(((b[0][0].real - b[1][1].real) / 2) ** 2 + abs(b[0][1]) ** 2)
+        return mid - h, mid + h
+
+    spectrum = list(mp.eigh(mp.matrix(m), eigvals_only=True))
+    marginal_b = spectrum2([[m[i][j] + m[2 + i][2 + j] for j in (0, 1)] for i in (0, 1)])
+    s_ab, s_b = entropy(spectrum), entropy(marginal_b)
+    s_a = entropy(spectrum2([[m[2 * i][2 * j] + m[2 * i + 1][2 * j + 1] for j in (0, 1)]
+                             for i in (0, 1)]))
+
+    def s_cond(n, weights=None):
+        nx, ny, nz = n
+        total = mp.mpf(0)
+        for sign in (1, -1):
+            proj = [[(1 + sign * nz) / 2, sign * mp.mpc(nx, -ny) / 2],
+                    [sign * mp.mpc(nx, ny) / 2, (1 - sign * nz) / 2]]
+            block = [[sum(m[2 * i + b][2 * j + c] * proj[c][b] for b in (0, 1) for c in (0, 1))
+                      for j in (0, 1)] for i in (0, 1)]
+            p = block[0][0].real + block[1][1].real
+            total += entropy(spectrum2(block)) + (p * mp.log(p, 2) if p > 0 else 0)
+            if weights is not None:
+                weights += [*spectrum2(block), p]
+        return total
+
+    def unit(v):
+        norm = mp.sqrt(sum(c * c for c in v))
+        return [c / norm for c in v]
+
+    n = unit([mp.mpf(c) for c in n0])
+    best = s_cond(n)
+    h = mp.mpf(10) ** -20
+    for _ in range(6):
+        axis = [0, 0, 1] if abs(n[2]) < 0.9 else [1, 0, 0]
+        u = unit([axis[1] * n[2] - axis[2] * n[1], axis[2] * n[0] - axis[0] * n[2],
+                  axis[0] * n[1] - axis[1] * n[0]])
+        v = [n[1] * u[2] - n[2] * u[1], n[2] * u[0] - n[0] * u[2], n[0] * u[1] - n[1] * u[0]]
+
+        def f(a, b):
+            return s_cond(unit([n[k] + a * u[k] + b * v[k] for k in range(3)]))
+
+        ga, gb = (f(h, 0) - f(-h, 0)) / (2 * h), (f(0, h) - f(0, -h)) / (2 * h)
+        haa = (f(h, 0) - 2 * best + f(-h, 0)) / h**2
+        hbb = (f(0, h) - 2 * best + f(0, -h)) / h**2
+        hab = (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h**2)
+        det = haa * hbb - hab * hab
+        if not (haa > 0 and det > 0):
+            break  # flat to 50 digits: every direction is optimal
+        wa, wb = (hab * gb - hbb * ga) / det, (hab * ga - haa * gb) / det
+        moved = unit([n[k] + wa * u[k] + wb * v[k] for k in range(3)])
+        value = s_cond(moved)
+        if not value < best:
+            break
+        n, best = moved, value
+    info = s_a + s_b - s_ab
+    cc = s_a - best
+    weights = spectrum + list(marginal_b)
+    s_cond(n, weights)
+    return info, cc, info - cc, weights
 
 
 def _check_family_parameter(c1):
@@ -598,11 +650,14 @@ def critic_time_reference(params, qubits, res, large_detuning_limit: bool, guess
 
     Every input float is taken exactly; the root is bracketed between
     guess/2 and 2 guess, so a guess off by more than that fails loudly.
+    The thermal part ln Gamma(w) - Re ln Gamma(w + i y), w = 1 + T/omega_c,
+    cancels about log10(w) digits, so those are added to the 50.
     """
     import mpmath
 
     mp = mpmath.mp.clone()
-    mp.dps = 50
+    digits = math.log10(res.temperature) - math.log10(res.omega_c) if res.temperature else 0.0
+    mp.dps = 50 + max(0, math.ceil(digits))
     f = mp.mpf
     c1, c2, c3 = (f(v) for v in params)
     wa, wb = f(qubits.omega_a), f(qubits.omega_b)

@@ -327,7 +327,7 @@ def test_criterion_9_structural_invariants(capsys, rng):
         )
         t = float(rng.uniform(0.0, 5.0))
         x = evolve_x_state(params, t, qubits, res)
-        rho = assemble_density(x).entries
+        rho = np.array(assemble_density(x).entries)
         worst_trace = max(worst_trace, abs(complex(np.trace(rho)) - 1.0))
         worst_herm = max(
             worst_herm, float(np.max(np.abs(rho - rho.conj().T)))
@@ -353,9 +353,9 @@ def test_criterion_9_structural_invariants(capsys, rng):
             float(rng.uniform(0.3, 1.2)), 1.0, 0.0 if i % 3 else 0.25
         )
         t = float(rng.uniform(0.0, 3.0))
-        fast = assemble_density(
+        fast = np.array(assemble_density(
             evolve_x_state(params, t, qubits, res)
-        ).entries
+        ).entries)
         general = evolve_density(x_state_density(params), t, qubits, res)
         worst_path = max(
             worst_path, float(np.max(np.abs(fast - general.entries)))

@@ -145,13 +145,24 @@ def test_critic_time_refuses_past_the_horizon_when_warm():
 
 def test_critic_time_refuses_where_the_lower_bracket_underflows():
     # |c3| one ulp below the start and (omega_a + omega_b)^2 = 9e298 put
-    # Q(t_c) = 3.7e-315 below the normal floats; the bracket's lower end
-    # sqrt(Q(t_c)/(eta omega_c (omega_c/2 + T))) then rounds to 0, where Q = 0
+    # Q(t_c) = 2.2e-315 below the normal floats, where the lower bracket end
+    # once rounded to 0. Taken in logs it answers 4.71e-163, 22.5 % off a
+    # small-y mpmath referee (6.08e-163): too few digits are left for t_c
     params = XStateParams(0.3, 0.0, math.nextafter(0.3, 0.0))
-    with pytest.raises(RootFindError, match=r"^Q\(t\) leaves the float range on \[0\.0, "
-                       r"6\.66\d*e-158\]: Q = 0\.0 and \S+ at the ends; .*"
+    with pytest.raises(RootFindError, match=r"^Q\(t_c\) = -ln\(gamma1\)/a1 = 2\.2\d*e-315 at "
+                       r"a1 = 9e\+298 is below the normal floats, too few digits for t_c; .*"
                        r"\(eta, omega_c, T\)=\(1\.0, 1\.0, 10000000000\.0\)$"):
         critic_time(params, QubitPairConfig(2e149, 1e149), ReservoirConfig(1.0, 1.0, 1e10))
+
+
+def test_critic_time_where_the_bracket_product_underflows():
+    # eta omega_c (omega_c/2 + T) = 1e-460 underflows to 0: the lower bracket end is
+    # taken in logs. The referee's thermal part cancels 300 digits at w = 1e300
+    params, res = XStateParams(0.6, 0.0, 0.3), ReservoirConfig(1e-160, 1e-300, 1.0)
+    tau = res.omega_c * critic_time(params, DETUNED, res).tc
+    assert tau == pytest.approx(4.3956803157280046e-71, rel=1e-15)
+    want = critic_time_reference(params, DETUNED, res, False, tau)
+    assert abs(tau - want) <= 1e-13 * want
 
 
 def _crossing_draw(rng):
@@ -380,6 +391,35 @@ def test_amplification_scan_domain():
         scan_amplification_rate(0.5, 0.3)
     with pytest.raises(DomainError):
         scan_amplification_rate(0.1, 0.7)
+
+
+@pytest.mark.parametrize(
+    "step, shown",
+    [
+        (0.0, r"^step=0\.0 must be a positive finite float$"),  # was a ZeroDivisionError
+        (math.nan, r"^step=nan must be a positive finite float$"),  # was a bare ValueError
+        (math.inf, r"^step=inf must be a positive finite float$"),
+        (-1e-3, r"^step=-0\.001 must be a positive finite float$"),  # was a one-row scan
+        # was a list grown until memory ran out
+        (1e-300, r"^step=1e-300 gives a scan of 5\.999e\+299 rows, more than the 1000000 "
+                 r"allowed$"),
+    ],
+    ids=["zero", "nan", "inf", "negative", "tiny"],
+)
+def test_amplification_scan_refuses_a_bad_step(step, shown):
+    with pytest.raises(DomainError, match=shown):
+        scan_amplification_rate(1e-4, 0.6, step)
+
+
+def test_amplification_scan_shares_the_command_line_row_limit(monkeypatch):
+    # one limit, which the command line refuses its tables by before the scan runs
+    from xdiscord import cli
+
+    assert analysis._MAX_ROWS is cli._MAX_ROWS
+    monkeypatch.setattr(analysis, "_MAX_ROWS", 40)
+    with pytest.raises(DomainError, match=r"^step=0\.01 gives a scan of 42 rows"):
+        scan_amplification_rate(0.1, 0.5, 0.01)
+    assert len(scan_amplification_rate(0.1, 0.5, 0.0105).c1) <= 40
 
 
 @pytest.mark.parametrize("c1_min", [5e-324])

@@ -596,6 +596,26 @@ def test_tiny_frequencies_name_the_underflowing_decay_rate(args, rate, capsys):
             "Q(t_c) = -ln(gamma1)/a1;") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, code, shown",
+    [
+        # eta omega_c (omega_c/2 + T) underflows to 0: this was a ZeroDivisionError, exit 1
+        (["critic-time", "--ratio", "2", "--eta", "1e-160", "--omega-c", "1e-300", "-T", "1"],
+         0, "\n4.3956803157280046e-71,finite,root-find\n"),
+        # one ulp of c3 and (omega_a + omega_b)^2 = 9e298 give a subnormal Q(t_c)
+        (["critic-time", "--c1", "0.3", "--c3", "0.29999999999999993", "--omega-a", "2e149",
+          "--omega-b", "1e149", "-T", "1e10"],
+         3, "numeric failure: Q(t_c) = -ln(gamma1)/a1 = 2.22044605e-315 at a1 = 9e+298 is "
+            "below the normal floats"),
+    ],
+    ids=["bracket-product", "subnormal-q"],
+)
+def test_critic_time_at_the_ends_of_the_float_range(args, code, shown, capsys):
+    assert run(args) == code
+    captured = capsys.readouterr()
+    assert shown in (captured.err if code else captured.out)
+
+
 # ------------------------------------------------------------- failure paths
 
 
@@ -657,11 +677,9 @@ def test_failed_run_writes_only_the_stamp(error, code, monkeypatch, tmp_path, ca
     assert rows == []
 
 
-# SciPy is a test dependency only; NumPy serves the brute-force oracle
-# (discord --oracle) alone, and no other run may load it. No run loads
-# dataclasses, and only critic-time, critic-surface and amplification load
-# the analysis layer
-SCIPY = ("scipy", "dataclasses")
+# SciPy and NumPy are test dependencies only, and no run may load them. No
+# run loads dataclasses, and only critic-time, critic-surface and
+# amplification load the analysis layer
 BOTH = ("scipy", "numpy", "dataclasses")
 ANALYSIS = ("xdiscord.analysis",)
 
@@ -673,7 +691,7 @@ ANALYSIS = ("xdiscord.analysis",)
         pytest.param(["evolve", "--points", "50"], BOTH + ANALYSIS, id="evolve-vacuum"),
         pytest.param(["evolve", "--spacing", "log", "--t-min", "0.1"], BOTH + ANALYSIS,
                      id="evolve-log"),
-        pytest.param(["discord", "--oracle"], SCIPY + ANALYSIS, id="discord"),
+        pytest.param(["discord", "--oracle"], BOTH + ANALYSIS, id="discord"),
         pytest.param(["discord", "--time", "1.5"], BOTH + ANALYSIS, id="discord-analytic"),
         pytest.param(["critic-time", "-T", "0.3"], BOTH, id="critic-time"),
         pytest.param(["critic-surface"], BOTH, id="critic-surface"),
@@ -706,17 +724,30 @@ def run_blocked(argv, blocked):
     return run_fresh(["-c", code])
 
 
-def test_oracle_without_numpy_names_the_extra(tmp_path):
-    # NumPy is no runtime dependency: the oracle alone needs it, from the oracle extra
+def test_oracle_without_numpy_matches_the_in_process_run(tmp_path, capsys):
+    # NumPy is no dependency: the oracle runs without it, byte for byte as in a
+    # process that has it loaded
+    args = ["discord", "--time", "1.5", "--ratio", "2", "--oracle"]
     out = tmp_path / "out.csv"
-    done = run_blocked(["discord", "--oracle", "-o", str(out)], ("numpy",))
-    assert done.returncode == 2
-    assert done.stderr == "error: --oracle needs NumPy: pip install 'xdiscord[oracle]'\n"
-    # a configuration error: no stamp, no table
-    assert not out.exists()
-    # the analytic discord runs as before
-    done = run_blocked(["discord", "-o", str(out)], ("numpy",))
+    done = run_blocked(args + ["-o", str(out)], ("numpy",))
     assert done.returncode == 0, done.stderr
+    assert run(args) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert "discord_bruteforce" in out.read_text()
+
+
+def test_no_source_module_imports_numpy():
+    import ast
+
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "numpy"], path.name
 
 
 def test_cli_import_loads_no_numpy():

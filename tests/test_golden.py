@@ -22,7 +22,11 @@ hi exp(-(n - 1 - i) r): no pure-math grid has the bits of NumPy's SIMD
 log10 and power, and this one is nearer to a 40-digit grid (6.3 ulp at
 worst against 16.0). Its omega_c t moved in 56 of 60 rows, and every
 other cell of those rows is what the np.geomspace build gave at the new
-time. A changed byte anywhere (a digit, a label, the stamp or a line
+time. discord_oracle_readme was re-captured when the brute-force oracle
+moved to a basin scan with Newton steps in plain Python: only its
+discord_bruteforce cell changed, 0.059448374252465186 ->
+0.059448374252465422, from 2.2e-16 to 1.5e-17 of the 60-digit referee.
+A changed byte anywhere (a digit, a label, the stamp or a line
 ending) fails the test.
 
 DIGESTS pins tables of the size the benchmark runs, 1,000 rows and more, by

@@ -37,10 +37,8 @@ RECORDS = [
     (QubitPairConfig(omega_a=2.0, omega_b=1.0),
      "QubitPairConfig(omega_a=2.0, omega_b=1.0)"),
     (TwoQubitDensity(entries=np.eye(4) / 4.0),
-     "TwoQubitDensity(entries=array([[0.25+0.j, 0.  +0.j, 0.  +0.j, 0.  +0.j],\n"
-     "       [0.  +0.j, 0.25+0.j, 0.  +0.j, 0.  +0.j],\n"
-     "       [0.  +0.j, 0.  +0.j, 0.25+0.j, 0.  +0.j],\n"
-     "       [0.  +0.j, 0.  +0.j, 0.  +0.j, 0.25+0.j]]))"),
+     "TwoQubitDensity(entries=(((0.25+0j), 0j, 0j, 0j), (0j, (0.25+0j), 0j, 0j), "
+     "(0j, 0j, (0.25+0j), 0j), (0j, 0j, 0j, (0.25+0j))))"),
     (ReservoirConfig(eta=1.0, omega_c=2.0, temperature=0.5),
      "ReservoirConfig(eta=1.0, omega_c=2.0, temperature=0.5)"),
     (DecayFactors(gamma1=0.25, gamma2=0.5, t=1.0),
@@ -99,8 +97,7 @@ def test_positional_keyword_and_replayed_construction(record):
         assert repr(again) == repr(record)
 
 
-@pytest.mark.parametrize("record", [r for r, _ in RECORDS if type(r) is not TwoQubitDensity],
-                         ids=[i for i in IDS if i != "TwoQubitDensity"])
+@pytest.mark.parametrize("record", [r for r, _ in RECORDS], ids=IDS)
 def test_records_pickle(record):
     assert pickle.loads(pickle.dumps(record)) == record
 
@@ -118,9 +115,10 @@ def test_density_entries_are_a_read_only_copy():
     given = np.eye(4) / 4.0
     rho = TwoQubitDensity(given)
     given[0, 0] = 1.0
-    assert rho.entries[0, 0] == 0.25 and rho.entries.dtype == complex
-    with pytest.raises(ValueError):
-        rho.entries[0, 0] = 1.0
+    assert rho.entries[0][0] == 0.25
+    assert {type(v) for row in rho.entries for v in row} == {complex}
+    with pytest.raises(TypeError):
+        rho.entries[0][0] = 1.0
 
 
 def _not_hermitian():
@@ -144,7 +142,6 @@ INVALID = [
      r"^expected a 4x4 matrix, got shape \(2, 2\)$"),
     (lambda: TwoQubitDensity(_not_hermitian()),
      r"^matrix is not hermitian: max deviation 1\.000e-01$"),
-    # NumPy 2 prints the trace as np.complex128(2+0j)
     (lambda: TwoQubitDensity(np.eye(4) / 2.0),
      r"^trace (np\.complex128)?\(2\+0j\) differs from 1 beyond tolerance$"),
     (lambda: TwoQubitDensity(np.diag([1.5, -0.5, 0.0, 0.0])),

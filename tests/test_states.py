@@ -15,6 +15,8 @@ from xdiscord import (
     xlog2,
 )
 
+from xdiscord.states import _eigvalsh
+
 from helpers import sample_x_params
 
 
@@ -87,7 +89,7 @@ def test_qubit_pair_config_rejects_overflowing_sum():
 
 
 def test_x_state_density_entries():
-    rho = x_state_density(XStateParams(0.6, 0.2, 0.1)).entries
+    rho = np.array(x_state_density(XStateParams(0.6, 0.2, 0.1)).entries)
     assert rho[0, 0] == pytest.approx((1 + 0.1) / 4)
     assert rho[1, 1] == pytest.approx((1 - 0.1) / 4)
     assert rho[2, 2] == pytest.approx((1 - 0.1) / 4)
@@ -129,8 +131,8 @@ def test_density_validation_rejects_negative_eigenvalue():
 
 def test_density_entries_are_read_only():
     rho = x_state_density(XStateParams(0.6, 0.0, 0.3))
-    with pytest.raises(ValueError):
-        rho.entries[0, 0] = 9.0
+    with pytest.raises(TypeError):
+        rho.entries[0][0] = 9.0
 
 
 def test_partial_trace_product_state():
@@ -162,3 +164,37 @@ def test_von_neumann_entropy_anchors():
     assert von_neumann_entropy(plus) == pytest.approx(0.0, abs=1e-12)
     m4 = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
     assert von_neumann_entropy(m4) == pytest.approx(1.75, abs=1e-14)
+
+
+def test_partial_trace_is_a_tuple_of_complex_rows():
+    reduced = partial_trace(x_state_density(XStateParams(0.6, 0.2, 0.1)), "B")
+    assert type(reduced) is tuple and [type(row) for row in reduced] == [tuple, tuple]
+    assert {type(v) for row in reduced for v in row} == {complex}
+    assert von_neumann_entropy(reduced) == 1.0
+
+
+def spectrum_cases(rng):
+    """Full-rank, rank-1, X-form and degenerate 4x4 densities, as NumPy arrays."""
+    for rank in (4, 1, 2):
+        for _ in range(100):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            m = g @ g.conj().T
+            yield 0.5 * (m + m.conj().T) / m.trace().real
+    for _ in range(100):
+        yield np.array(x_state_density(sample_x_params(rng)).entries)
+    yield np.eye(4, dtype=complex) / 4.0
+    yield np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+
+
+def test_jacobi_spectrum_matches_lapack(rng):
+    # the Jacobi sweeps stop where no eigenvalue of a unit-trace matrix moves by a rounding
+    for m in spectrum_cases(rng):
+        got = sorted(_eigvalsh(TwoQubitDensity(m).entries))
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-15)
+
+
+def test_von_neumann_entropy_takes_nested_sequences(rng):
+    for m in spectrum_cases(rng):
+        want = von_neumann_entropy(m)
+        assert von_neumann_entropy(m.tolist()) == want
+        assert von_neumann_entropy(TwoQubitDensity(m).entries) == want
