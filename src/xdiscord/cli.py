@@ -10,17 +10,20 @@ default, help text, type, flag aliases and further argparse keywords.
 Each key is both a config-file key and a flag. RunConfig, the named tuple
 a run reads its parameters from, takes its fields and defaults from that
 table, all but omega and ratio, which resolve into omega_a and omega_b.
-_COMMAND_KEYS names the keys that belong to one subcommand, and the rest
-are shared. A config file accepts the shared keys plus those of the
-subcommand it runs. The time grid keys are shared but flags of evolve only.
+_COMMANDS is the one table of subcommands: for each, its handler (a
+function of the RunConfig that returns the CSV text after the stamp), the
+keys it adds to the shared ones, in stamp order, and its gnuplot body. A
+config file accepts the shared keys plus those of the subcommand it runs.
+The time grid keys are shared but flags of evolve only.
 
 Output contract: a leading `#` comment block with the fully resolved
 configuration, one header row, then comma-separated values with 17
 significant digits and LF line endings. Infinite values are emitted as
 `inf`. A surface cell is critic-time's omega_c t_c for c1 = 1/2, c2 = 0,
-c3 = c1 c3/c1 at eta = the coupling and T = 0, with no horizon: `nan`
-where the pole branch already wins at t = 0 (|c3/c1| > 1, no crossing),
-`inf` where the branches meet only as t -> inf (|c3/c1| <= 1/2) or where
+c3 = c1 c3/c1 at eta = the coupling, T = 0 and the run's large_detuning,
+with no horizon: `nan` where the pole branch already wins at t = 0
+(|c3/c1| > 1, no crossing), `inf` where the branches meet only as
+t -> inf (|c3/c1| <= 1/2, or only c3 = 0 under large_detuning) or where
 omega_c t_c overflows a float, `0` on the tie |c3/c1| = 1. Runs with
 identical configuration produce byte-identical output, and the comment
 block minus its `command` line, read back with --config, replays the
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
 import os
 import sys
@@ -158,22 +160,8 @@ def _linspace(lo: float, hi: float, n: int) -> list:
     return grid
 
 
-# the keys each subcommand adds to the shared ones, in stamp order
-_COMMAND_KEYS = {
-    "evolve": (),
-    "discord": ("time", "oracle"),
-    "critic-time": (),
-    "critic-surface": tuple(
-        f"{axis}_{end}" for axis in ("coupling", "fraction") for end in ("min", "max", "points")
-    ),
-    "amplification": ("c1_min", "c1_max", "c1_step"),
-}
-_SHARED_KEYS = tuple(
-    key for key in _KEYS if not any(key in own for own in _COMMAND_KEYS.values())
-)
 # shared keys, and so in every stamp and config file, but flags of evolve only
 _GRID_KEYS = ("t_min", "t_max", "points", "spacing")
-_STAMP_FIELDS = tuple(k for k in _SHARED_KEYS if k not in (*_FREQ_RELATIVE, "output"))
 
 
 def _parse_bool(text: str) -> bool:
@@ -237,9 +225,9 @@ def _resolve_frequencies(given: dict) -> tuple:
                 f"absolute frequencies need both omega_a and omega_b "
                 f"(missing {missing})"
             )
-        return float(given["omega_a"]), float(given["omega_b"])
-    omega_b = float(given.get("omega", _KEYS["omega"].default))
-    ratio = float(given.get("ratio", _KEYS["ratio"].default))
+        return given["omega_a"], given["omega_b"]
+    omega_b = given.get("omega", _KEYS["omega"].default)
+    ratio = given.get("ratio", _KEYS["ratio"].default)
     try:
         QubitPairConfig.from_ratio(omega_b, ratio)
     except InvalidStateError as exc:
@@ -248,8 +236,12 @@ def _resolve_frequencies(given: dict) -> tuple:
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config-file values, and flags (flags win)."""
-    keys = _SHARED_KEYS + _COMMAND_KEYS[args.command]
+    """Merge defaults, config-file values, and flags (flags win).
+
+    Each value is typed where it is read: by argparse, by _convert or as
+    the default.
+    """
+    keys = _SHARED_KEYS + _COMMANDS[args.command].keys
     given = read_config_file(args.config, keys) if args.config else {}
     for key in keys:
         flag_value = getattr(args, key, None)
@@ -257,22 +249,13 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             given[key] = flag_value
 
     omega_a, omega_b = _resolve_frequencies(given)
-    # omega_a and omega_b come from _resolve_frequencies
-    merged = {key: given.get(key, default) for key, default in RunConfig._field_defaults.items()
-              if key not in _FREQ_ABSOLUTE}
-
-    if merged["spacing"] not in _SPACINGS:
+    fields = {key: given.get(key, default) for key, default in RunConfig._field_defaults.items()}
+    fields.update(omega_a=omega_a, omega_b=omega_b)
+    if fields["spacing"] not in _SPACINGS:
         raise ConfigError(
-            f"spacing={merged['spacing']!r}; expected one of {_SPACINGS}"
+            f"spacing={fields['spacing']!r}; expected one of {_SPACINGS}"
         )
-    cfg = RunConfig(
-        omega_a=omega_a,
-        omega_b=omega_b,
-        **{
-            key: value if value is None else _KEYS[key].type(value)
-            for key, value in merged.items()
-        },
-    )
+    cfg = RunConfig(**fields)
     # re-run the module-level validations now so bad values exit with code 2
     try:
         cfg.state_params()
@@ -304,21 +287,14 @@ def _format_value(v) -> str:
     return format(v, ".17g")
 
 
-class _CsvWriter:
-    def __init__(self, stream):
-        self.stream = stream
+def _table(header, formats, rows) -> str:
+    """The header line, then each row through one %-format per column.
 
-    def comment(self, text: str):
-        self.stream.write(f"# {text}\n")
-
-    def table(self, header, formats, rows):
-        """The header line, then each row through one %-format per column.
-
-        '%.17g' prints a float as format(x, '.17g') does, nan, inf and -0
-        included; labels use '%s'.
-        """
-        line = ",".join(formats) + "\n"
-        self.stream.write(",".join(header) + "\n" + "".join([line % row for row in rows]))
+    '%.17g' prints a float as format(x, '.17g') does, nan, inf and -0
+    included; labels use '%s'.
+    """
+    line = ",".join(formats) + "\n"
+    return ",".join(header) + "\n" + "".join([line % row for row in rows])
 
 
 def _check_rows(rows: float, keys: str):
@@ -328,10 +304,12 @@ def _check_rows(rows: float, keys: str):
                           f"{_MAX_ROWS} allowed")
 
 
-def _stamp(w: _CsvWriter, command: str, cfg: RunConfig):
-    w.comment(f"command = {command}")
-    for name in _STAMP_FIELDS + _COMMAND_KEYS[command]:
-        w.comment(f"{name} = {_format_value(getattr(cfg, name))}")
+def _stamp(command: str, cfg: RunConfig) -> str:
+    """The comment block: the command, then each resolved key of its stamp."""
+    lines = [f"command = {command}"]
+    lines += [f"{name} = {_format_value(getattr(cfg, name))}"
+              for name in _STAMP_FIELDS + _COMMANDS[command].keys]
+    return "".join(f"# {line}\n" for line in lines)
 
 
 _SERIES_HEADER = (
@@ -373,14 +351,14 @@ def _series(cfg: RunConfig, tau: list):
     return x, columns
 
 
-def cmd_evolve(cfg: RunConfig, w: _CsvWriter):
+def cmd_evolve(cfg: RunConfig) -> str:
     """time series of decay factors, correlations and discord"""
     _check_rows(cfg.points, "points")
     _, columns = _series(cfg, cfg.time_grid())
-    w.table(_SERIES_HEADER, _SERIES_FORMATS, zip(*columns))
+    return _table(_SERIES_HEADER, _SERIES_FORMATS, zip(*columns))
 
 
-def cmd_discord(cfg: RunConfig, w: _CsvWriter):
+def cmd_discord(cfg: RunConfig) -> str:
     """single-point discord query"""
     if not cfg.time >= 0.0:
         raise ConfigError(f"--time {cfg.time!r} must be nonnegative")
@@ -390,10 +368,10 @@ def cmd_discord(cfg: RunConfig, w: _CsvWriter):
         point = EvolvedXState(x.mu[0], x.nu[0], x.delta1[0], x.delta2[0], x.c3, x.t[0])
         columns.append([discord_bruteforce(assemble_density(point)).discord])
         header, formats = header + ("discord_bruteforce",), formats + _FLOAT
-    w.table(header, formats, zip(*columns))
+    return _table(header, formats, zip(*columns))
 
 
-def cmd_critic_time(cfg: RunConfig, w: _CsvWriter):
+def cmd_critic_time(cfg: RunConfig) -> str:
     """crossing time of the two branches"""
     from .analysis import critic_time
 
@@ -407,10 +385,11 @@ def cmd_critic_time(cfg: RunConfig, w: _CsvWriter):
         row = (math.inf, "infinite")
     else:
         row = (cfg.omega_c * result.tc, "finite")
-    w.table(("omega_c_tc", "status", "method"), _FLOAT + ("%s", "%s"), [row + ("root-find",)])
+    return _table(("omega_c_tc", "status", "method"), _FLOAT + ("%s", "%s"),
+                  [row + ("root-find",)])
 
 
-def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
+def cmd_critic_surface(cfg: RunConfig) -> str:
     """scaled critic time over coupling strength and c3/c1"""
     from .analysis import _zero_temperature_crossing
 
@@ -444,16 +423,16 @@ def cmd_critic_surface(cfg: RunConfig, w: _CsvWriter):
         )
     # only c3/c1 and eta*omega^2 enter: c1 = 1/2 keeps 2 c3 - c1 exact, and at
     # omega = omega_c = 1 the cell is omega_c t_c itself, as critic-time prints it
-    a1, _, kappa = _decay_rates(QubitPairConfig(1.0, 1.0), False)
+    a1, _, kappa = _decay_rates(QubitPairConfig(1.0, 1.0), cfg.large_detuning)
     rows = [
         (coupling, fraction,
          _zero_temperature_crossing(0.5, 0.0, 0.5 * fraction, a1, kappa, coupling)[1])
         for coupling in axes[0] for fraction in axes[1]
     ]
-    w.table(("eta_omega_sq", "c3_over_c1", "omega_c_tc"), _FLOAT * 3, rows)
+    return _table(("eta_omega_sq", "c3_over_c1", "omega_c_tc"), _FLOAT * 3, rows)
 
 
-def cmd_amplification(cfg: RunConfig, w: _CsvWriter):
+def cmd_amplification(cfg: RunConfig) -> str:
     """late/initial discord ratio over the c1 family"""
     from .analysis import _scan_rows, scan_amplification_rate
 
@@ -466,46 +445,54 @@ def cmd_amplification(cfg: RunConfig, w: _CsvWriter):
         raise ConfigError(f"c1_step={step!r} out of range (0, c1_max - c1_min]")
     _check_rows(_scan_rows(lo, hi, step), "c1_step")
     scan = scan_amplification_rate(lo, hi, step)
-    w.table(("c1", "initial_discord", "asymptotic_discord", "rate"), _FLOAT * 4,
-            zip(scan.c1, scan.initial, scan.asymptotic, scan.rate))
-    w.comment(
-        f"rate_max = {_format_value(scan.rate_max)} "
-        f"at c1 = {_format_value(scan.c1_at_max)}"
-    )
+    footer = (f"# rate_max = {_format_value(scan.rate_max)} "
+              f"at c1 = {_format_value(scan.c1_at_max)}\n")
+    return _table(("c1", "initial_discord", "asymptotic_discord", "rate"), _FLOAT * 4,
+                  zip(scan.c1, scan.initial, scan.asymptotic, scan.rate)) + footer
 
 
-_GNUPLOT_BODY = {
-    "evolve": (
+# one subcommand: its handler, the keys it adds to the shared ones, in stamp
+# order, and the body of its gnuplot script (None: --gnuplot is refused)
+_Command = namedtuple("_Command", "handler keys gnuplot")
+
+_COMMANDS = {
+    "evolve": _Command(cmd_evolve, (), (
         'set xlabel "omega_c t"\n'
         'set ylabel "correlations"\n'
         'plot datafile skip 1 using 1:9 with lines title "discord", \\\n'
         '     datafile skip 1 using 1:8 with lines title "classical"\n'
-    ),
-    "discord": (
+    )),
+    "discord": _Command(cmd_discord, ("time", "oracle"), (
         'set xlabel "omega_c t"\n'
         'set ylabel "discord"\n'
         'plot datafile skip 1 using 1:9 with points title "discord"\n'
-    ),
-    "amplification": (
-        'set xlabel "c1"\n'
-        'set ylabel "rate"\n'
-        'plot datafile skip 1 using 1:4 with lines title "late/initial discord"\n'
-    ),
-    "critic-surface": (
+    )),
+    "critic-time": _Command(cmd_critic_time, (), None),
+    "critic-surface": _Command(cmd_critic_surface, tuple(
+        f"{axis}_{end}" for axis in ("coupling", "fraction") for end in ("min", "max", "points")
+    ), (
         'set xlabel "eta omega^2"\n'
         'set ylabel "c3/c1"\n'
         "set view map\n"
         'splot datafile skip 1 using 1:2:3 with pm3d title "omega_c t_c"\n'
-    ),
-    "critic-time": None,
+    )),
+    "amplification": _Command(cmd_amplification, ("c1_min", "c1_max", "c1_step"), (
+        'set xlabel "c1"\n'
+        'set ylabel "rate"\n'
+        'plot datafile skip 1 using 1:4 with lines title "late/initial discord"\n'
+    )),
 }
+_SHARED_KEYS = tuple(
+    key for key in _KEYS if not any(key in command.keys for command in _COMMANDS.values())
+)
+_STAMP_FIELDS = tuple(k for k in _SHARED_KEYS if k not in (*_FREQ_RELATIVE, "output"))
 
 
 def _check_gnuplot(path: str, command: str, csv_path: str | None):
     """Refuse, before any work, a gnuplot script that cannot follow the CSV."""
     if not csv_path:
         raise ConfigError("--gnuplot needs --output so the script has a file to read")
-    if _GNUPLOT_BODY[command] is None:
+    if _COMMANDS[command].gnuplot is None:
         raise ConfigError(f"--gnuplot is not available for {command!r}")
     if os.path.realpath(path) == os.path.realpath(csv_path):
         raise ConfigError(f"--gnuplot {path!r} and --output {csv_path!r} name the same file")
@@ -516,7 +503,7 @@ def _write_gnuplot(path: str, command: str, csv_path: str):
         fh.write("set datafile separator comma\n")
         fh.write("set datafile commentschars '#'\n")
         fh.write(f'datafile = "{csv_path}"\n')
-        fh.write(_GNUPLOT_BODY[command])
+        fh.write(_COMMANDS[command].gnuplot)
 
 
 @functools.cache
@@ -530,14 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, own in _COMMAND_KEYS.items():
-        # looked up by name as the parser is built, so a rebound cmd_* runs
-        func = globals()["cmd_" + command.replace("-", "_")]
-        p = sub.add_parser(command, help=func.__doc__)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.handler.__doc__)
         p.add_argument("--config", "-c", metavar="FILE",
                        help="key=value config file; flags override it")
-        for key in _SHARED_KEYS + own:
-            if key in _GRID_KEYS and command != "evolve":
+        for key in _SHARED_KEYS + command.keys:
+            if key in _GRID_KEYS and name != "evolve":
                 continue
             spec = _KEYS[key]
             shown = "" if spec.default is None else f" (default {spec.default})"
@@ -548,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=spec.help + shown, **how, **spec.kw)
         p.add_argument("--gnuplot", metavar="FILE",
                        help="also write a gnuplot script reading the CSV (needs --output)")
-        p.set_defaults(func=func)
     return parser
 
 
@@ -567,17 +551,15 @@ def main(argv=None) -> int:
         cfg = parse_config(args)
         if args.gnuplot:
             _check_gnuplot(args.gnuplot, args.command, cfg.output)
-        buffer = io.StringIO()
-        w = _CsvWriter(buffer)
-        _stamp(w, args.command, cfg)
+        stamp = _stamp(args.command, cfg)
         try:
-            args.func(cfg, w)
+            text = stamp + _COMMANDS[args.command].handler(cfg)
         except (RootFindError, ConvergenceError, DomainError, InvalidStateError):
-            # tables are written once computed, so this is the stamp alone: the
-            # inputs are on record, but no header row lets it pass for an empty result
-            _emit(cfg.output, buffer.getvalue())
+            # the stamp alone: the inputs are on record, but no header row
+            # lets it pass for an empty result
+            _emit(cfg.output, stamp)
             raise
-        _emit(cfg.output, buffer.getvalue())
+        _emit(cfg.output, text)
         if args.gnuplot:
             _write_gnuplot(args.gnuplot, args.command, cfg.output)
         return 0

@@ -38,9 +38,6 @@ REGIME_BEFORE = "before-critic"
 REGIME_AFTER = "after-critic"
 REGIME_NONE = "no-critic"
 
-# population asymmetry below this is treated as exactly zero when labeling
-# the regime; the pole branch can then never take over
-_REGIME_ZERO = 1e-14
 # the largest spread, |c3| or (|mu| + |nu|)/2, whose state passes the
 # spectrum check: every eigenvalue (1 +/- c3 -/+ mu or nu)/4 >= EIGENVALUE_FLOOR
 _SPREAD_MAX = 1.0 - 4.0 * EIGENVALUE_FLOOR
@@ -116,11 +113,12 @@ def _branch_rule(pole, tc_regime: str):
 
     The equatorial spread (|mu| + |nu|)/2 is taken where it exceeds the
     threshold, the pole spread |c3| elsewhere. Under "unknown" the threshold
-    is |c3|, so a tie is after-critic, and a vanishing pole means there is
-    no critic time; "before" and "after" force a branch with -inf or inf.
+    is |c3|, so a tie is after-critic, and only c3 = 0 exactly means there
+    is no critic time: a detuned pair crosses at any other |c3| below the
+    start; "before" and "after" force a branch with -inf or inf.
     """
     if tc_regime == "unknown":
-        if pole <= _REGIME_ZERO:
+        if pole == 0.0:
             return pole, REGIME_NONE, REGIME_NONE
         return pole, REGIME_BEFORE, REGIME_AFTER
     if tc_regime not in ("before", "after"):

@@ -154,11 +154,19 @@ class QubitPairConfig(_record("QubitPairConfig", "omega_a omega_b")):
         return self.omega_a == self.omega_b
 
 
+def _entry(i: int, j: int, v) -> complex:
+    try:
+        return complex(v)
+    except (TypeError, ValueError):
+        raise InvalidStateError(f"entry ({i}, {j}) = {v!r} is not a number") from None
+
+
 class TwoQubitDensity(_record("TwoQubitDensity", "entries")):
     """Validated 4x4 density matrix in the product basis.
 
     entries is a copy of the input as four tuples of four complex numbers;
-    any 4x4 nested sequence is accepted, a NumPy array included.
+    any 4x4 nested sequence is accepted, a NumPy array included. Another
+    shape, or an entry complex() refuses, raises InvalidStateError.
     Construction checks hermiticity and unit trace to 1e-12 and positivity
     to the shared eigenvalue floor.
     """
@@ -166,7 +174,13 @@ class TwoQubitDensity(_record("TwoQubitDensity", "entries")):
     __slots__ = ()
 
     def __new__(cls, entries):
-        m = tuple(tuple(complex(v) for v in row) for row in entries)
+        try:
+            rows = [tuple(row) for row in entries]
+        except TypeError:
+            # not a sequence, or a flat sequence of numbers
+            got = f"shape ({len(entries)},)" if hasattr(entries, "__len__") else repr(entries)
+            raise InvalidStateError(f"expected a 4x4 matrix, got {got}") from None
+        m = tuple(tuple(_entry(i, j, v) for j, v in enumerate(row)) for i, row in enumerate(rows))
         if [len(row) for row in m] != [4] * 4:
             shape = (len(m), *sorted({len(row) for row in m}))
             raise InvalidStateError(f"expected a 4x4 matrix, got shape {shape}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ def test_critic_time_refuses_where_the_lower_bracket_underflows():
                        r"a1 = 9e\+298 is below the normal floats, too few digits for t_c; .*"
                        r"\(eta, omega_c, T\)=\(1\.0, 1\.0, 10000000000\.0\)$"):
         critic_time(params, QubitPairConfig(2e149, 1e149), ReservoirConfig(1.0, 1.0, 1e10))
+
+
+def test_critic_time_refuses_a_bare_time_below_the_float_range():
+    # omega_c t_c is an ordinary number; t_c = (omega_c t_c)/omega_c underflows
+    with pytest.raises(RootFindError, match=r"^t_c = \S+ falls below the float range: at "
+                       r"omega_c=1e\+300 the bare time underflows; \(c1, c2, c3\)="):
+        critic_time(XStateParams(0.6, 0.0, 0.3), DETUNED, ReservoirConfig(1e300, 1e300, 0.0))
 
 
 def test_critic_time_where_the_bracket_product_underflows():
@@ -371,6 +379,12 @@ def test_amplification_rate_report():
     assert rep.rate == pytest.approx(2.1768496156926975, rel=1e-12)
     assert rep.rate == pytest.approx(rep.asymptotic / rep.initial, rel=1e-15)
     assert rep.initial > 0.0 and rep.asymptotic > rep.initial
+
+
+@pytest.mark.parametrize("c1", [0.0, -0.1, 0.67, math.nan])
+def test_amplification_rate_refuses_c1_off_the_family(c1):
+    with pytest.raises(DomainError, match=rf"^c1={re.escape(repr(c1))} outside \(0, 2/3\]; "):
+        amplification_rate(c1)
 
 
 def test_amplification_scan_default():

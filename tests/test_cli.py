@@ -121,6 +121,33 @@ def test_evolve_rows_match_library(tmp_path):
         assert row[col["regime"]] == b.regime
 
 
+def test_evolve_regime_switches_at_the_critic_time(capsys):
+    # detuned T = 0 states with |c3| down to 1e-16: a pole that small still
+    # takes over at t_c, so only c3 = 0 reads no-critic
+    from xdiscord.analysis import _zero_temperature_crossing
+    from xdiscord.reservoir import _decay_rates
+
+    rng = random.Random(8)
+    for _ in range(40):
+        c1 = rng.choice((-1, 1)) * rng.uniform(0.2, 0.6)
+        c2 = rng.uniform(-0.3, 0.3)
+        c3 = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-16, math.log10(0.1 * abs(c1)))
+        ratio, eta = rng.uniform(1.2, 4.0), rng.uniform(0.3, 2.0)
+        a1, _, kappa = _decay_rates(QubitPairConfig(ratio, 1.0), False)
+        tc = _zero_temperature_crossing(c1, c2, c3, a1, kappa, eta)[1]
+        assert 0.0 < tc < math.inf
+        assert run(["evolve", f"--c1={c1!r}", f"--c2={c2!r}", f"--c3={c3!r}",
+                    "--ratio", repr(ratio), "--eta", repr(eta), "--spacing", "log",
+                    "--t-min", repr(tc / 1e4), "--t-max", repr(tc * 1e4), "--points", "41"]) == 0
+        rows = parse_rows(capsys.readouterr().out)[2]
+        for row in rows:
+            tau = float(row[0])
+            if tau < tc * (1 - 1e-9):
+                assert row[-1] == "before-critic", (c1, c2, c3, ratio, eta, tau, tc)
+            elif tau > tc * (1 + 1e-9):
+                assert row[-1] == "after-critic", (c1, c2, c3, ratio, eta, tau, tc)
+
+
 def test_evolve_writes_to_stdout_by_default(capsys):
     assert run(["evolve", "--points", "3", "--t-max", "1"]) == 0
     captured = capsys.readouterr()
@@ -201,7 +228,7 @@ def test_configuration_errors_exit_2(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", sorted(cli._COMMAND_KEYS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_help_shows_every_default(command, capsys):
     with pytest.raises(SystemExit) as done:
         run([command, "--help"])
@@ -209,12 +236,30 @@ def test_help_shows_every_default(command, capsys):
     # one entry per option, from its "  -" line through its wrapped help
     entries = re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]
     by_flag = {e.split()[0]: " ".join(e.split()) for e in entries}
-    for name in cli._COMMAND_KEYS[command]:
+    for name in cli._COMMANDS[command].keys:
         assert "--" + name.replace("_", "-") in by_flag
     for name, default in cli.RunConfig._field_defaults.items():
         entry = by_flag.get("--" + name.replace("_", "-"))
         if entry is not None and default is not None:
             assert entry.endswith(f"(default {default})"), entry
+
+
+@pytest.mark.parametrize("command", ["xdiscord", *sorted(cli._COMMANDS)])
+def test_help_is_byte_identical_to_its_pin(command, monkeypatch, capsys):
+    # tests/golden/help_<command>.txt; argparse wraps to the width in COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        run(["--help"] if command == "xdiscord" else [command, "--help"])
+    assert done.value.code == 0
+    pin = Path(__file__).resolve().parent / "golden" / f"help_{command}.txt"
+    assert capsys.readouterr().out.encode() == pin.read_bytes()
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("c1 = 0.5\nc3 0.2\n")
+    assert run(["critic-time", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:2: expected key=value, got 'c3 0.2'\n"
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):
@@ -412,17 +457,23 @@ def test_critic_surface_cells_match_a_50_digit_referee(capsys):
         (["--coupling-min", "1", "--coupling-max", "1", "--coupling-points", "1",
           "--fraction-min", "1.0000000002", "--fraction-max", "1.25", "--fraction-points", "3"],
          {"no-crossing", "not-a-state"}),
+        # the flag reaches every cell, as it reaches critic-time
+        (["--large-detuning", "--coupling-min", "0.5", "--coupling-max", "2",
+          "--coupling-points", "4", "--fraction-min", "-1", "--fraction-max", "1",
+          "--fraction-points", "9"],
+         {"finite", "infinite", "tie"}),
     ],
-    ids=["default-range", "statuses", "no-crossing"],
+    ids=["default-range", "statuses", "no-crossing", "large-detuning"],
 )
 def test_critic_surface_cells_are_what_critic_time_prints(axes, statuses, capsys):
     # a cell is critic-time at c1 = 1/2, c2 = 0, c3 = c1 * c3/c1, eta = the coupling
     assert run(["critic-surface", *axes]) == 0
+    flags = ["--large-detuning"] if "--large-detuning" in axes else []
     seen = set()
     for coupling, fraction, cell in parse_rows(capsys.readouterr().out)[2]:
         c3 = 0.5 * float(fraction)
         code = run(["critic-time", "--c1", "0.5", "--c2", "0", "--c3", repr(c3),
-                    "--eta", coupling])
+                    "--eta", coupling, *flags])
         out = capsys.readouterr().out
         if code == 2:
             # no state: |c3| > c1 past the spectrum's tolerance
@@ -844,6 +895,7 @@ def test_critic_time_below_the_float_range_ends():
         (["critic-surface", "--fraction-min", "nan"], "fraction_min"),
         (["critic-surface", "--coupling-min", "0"], "coupling_min"),
         (["amplification", "--c1-max", "0.8"], "c1_max"),
+        (["critic-surface", "--c2", "0.1"], "c2"),
     ],
 )
 def test_configuration_errors_name_the_key(args, key, capsys):

@@ -43,7 +43,7 @@ MAY_BE_INFINITE = {"omega_c_t", "omega_c_tc"}
 
 def keys_of(command):
     # every key but output: each run writes to a file of its own
-    return [key for key in cli._SHARED_KEYS + cli._COMMAND_KEYS[command] if key != "output"]
+    return [key for key in cli._SHARED_KEYS + cli._COMMANDS[command].keys if key != "output"]
 
 
 def names_a_key(message, command):
@@ -53,7 +53,7 @@ def names_a_key(message, command):
 
 @st.composite
 def runs(draw):
-    command = draw(st.sampled_from(sorted(cli._COMMAND_KEYS)))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     keys = draw(st.lists(st.sampled_from(keys_of(command)), unique=True, max_size=6))
     flags, config = [], []
     for key in keys:

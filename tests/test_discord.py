@@ -429,6 +429,25 @@ def test_oracle_refusals_name_the_state(monkeypatch):
         discord_bruteforce(TwoQubitDensity(m))
 
 
+def test_oracle_stops_at_the_best_point_where_an_outcome_is_improbable(monkeypatch):
+    # a stencil point with an outcome probability below _P_FLOOR reads nan, and the
+    # polish stops at the best point seen. An X state has p = 1/2 at every basis, so
+    # the floor is raised above it: each start then ends where the scan put it
+    rho = x_state_density(XStateParams(0.6, 0.1, -0.25))
+    table, directions = _bloch_table(rho.entries), _basin_directions()
+    values = _scan(table, directions, True, "")
+    polished_gain = _optimum(table, directions, values)[0]
+    polished = discord_bruteforce(rho)
+    monkeypatch.setattr(xdiscord.discord, "_P_FLOOR", 1.0)
+    assert math.isnan(xdiscord.discord._gain(table, directions[0]))
+    best = max(values)
+    assert _optimum(table, directions, values) == (best, directions[values.index(best)], True)
+    stopped = discord_bruteforce(rho)
+    assert stopped.classical_correlation == pytest.approx(
+        polished.classical_correlation - 0.5 * (polished_gain - best), rel=0.0, abs=1e-15)
+    assert stopped.discord > polished.discord
+
+
 def test_oracle_matches_the_60_digit_referee_on_x_states(rng):
     # X states at random phases, scaled by 10^-9 ... 1. D = S_B - S_AB + S_cond is
     # taken from O(1) entropies, so it owes 1e-13 relative or the rounding of their

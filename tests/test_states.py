@@ -122,6 +122,21 @@ def test_density_validation_rejects_nan(entry):
         TwoQubitDensity(np.full((4, 4), np.nan))
 
 
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        (np.eye(4).ravel() / 4.0, r"got shape \(16,\)"),
+        ([[0.25, 0, 0, 0], ["a", "b", "c", "d"], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+         r"entry \(1, 0\) = 'a' is not a number"),
+        (None, "got None"),
+    ],
+    ids=["flat", "strings", "none"],
+)
+def test_density_validation_names_a_malformed_input(entries, named):
+    with pytest.raises(InvalidStateError, match=named):
+        TwoQubitDensity(entries)
+
+
 def test_density_validation_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
     with pytest.raises(InvalidStateError) as exc:
