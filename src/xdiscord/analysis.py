@@ -16,13 +16,12 @@ from .discord import (
     REGIME_AFTER,
     _discord_columns,
     _dphi,
-    _measurement_branch,
     classical_correlation_value,
 )
 from .errors import DomainError, RootFindError
 from .evolution import EvolvedXState
 from .reservoir import ReservoirConfig, _decay_rates, _exponent_kernel, decay_factors
-from .states import _MAX_ROWS, QubitPairConfig, XStateParams
+from .states import _MAX_ROWS, QubitPairConfig, XStateParams, _x_spectrum
 
 # the search horizon for the critic time, in omega_c t units
 _HORIZON_TAU = 1e6
@@ -196,7 +195,7 @@ def _crossing_log_gamma1(k_outer: float, k_inner: float, pole: float, kappa: flo
 
 
 def _root_of_log_q(q, q_star: float, lo: float, hi: float, q_lo: float, q_hi: float) -> float:
-    """The t in (lo, hi) with q(t) = q_star, where q_lo = q(lo) <= q_star < q_hi = q(hi).
+    """The t <= hi with q(t) = q_star, where q_lo = q(lo), lo <= hi and q_star < q_hi = q(hi).
 
     Illinois steps on f(s) = ln q(hi e^s) - ln q_star over s = ln(t/hi) <= 0.
     Q grows like t^2 at small t and like t at large T t, so f is close to
@@ -207,6 +206,8 @@ def _root_of_log_q(q, q_star: float, lo: float, hi: float, q_lo: float, q_hi: fl
     log_target = math.log(q_star)
     a, b = math.log(lo / hi), 0.0
     fa = math.log(q_lo) - log_target
+    if fa >= 0.0:  # the bound that gave lo is tight there, and Q grows like t^2 below it
+        return lo * math.sqrt(q_star / q_lo)
     fb = math.log(q_hi) - log_target
     best, best_f = (a, abs(fa)) if abs(fa) < abs(fb) else (b, abs(fb))
     side = 0
@@ -369,16 +370,14 @@ def amplification_indicator(
     mu, nu, c3 = x.mu, x.nu, x.c3
     equator = 0.5 * (abs(mu) + abs(nu))
     # each > 0 puts the phi' argument it guards strictly inside (-1, 1), rounding included
-    args = (1.0 - equator, 1.0 + c3 - mu, 1.0 + c3 + mu, 1.0 - c3 - nu, 1.0 - c3 + nu)
+    args = (1.0 - equator, *_x_spectrum(mu, nu, c3))
     if min(args) <= 0.0:
-        raise DomainError(
-            "slope undefined: the evolved spectrum touches zero "
-            f"(log arguments {args!r})"
-        )
+        raise DomainError("slope undefined: the evolved spectrum touches zero "
+                          f"(1 - (|mu| + |nu|)/2 and the spectrum: {args!r})")
     f_value = -0.25 * (abs(params.c1 - params.c2) + abs(h)) * _dphi(equator)
     g_value = (0.25 * (params.c1 - params.c2) * _dphi(mu / (1.0 + c3))
                + 0.25 * h * _dphi(nu / (1.0 - c3)))
-    _, regime = _measurement_branch(c3, mu, nu, tc_regime)
+    regime = _discord_columns((mu,), (nu,), c3, tc_regime)[4][0]
     slope = f_value + g_value if regime != REGIME_AFTER else g_value
     if x.t == 0.0:
         time_sign = 0

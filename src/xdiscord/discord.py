@@ -13,7 +13,8 @@ a list of times. The brute-force route, the oracle for the analytic one,
 assumes neither the X structure nor an optimal basis: it reads each
 conditional state of qubit A off the Bloch components of the density's
 qubit-B blocks, scans a coarse grid of measurement directions and polishes
-the best few by Newton steps, to about 1e-13 of the discord.
+the best few by Newton steps, to about 1e-13 of the discord (1e-10 within
+1e-8 relative of a tie of the two spreads, where a flat ridge joins them).
 
 All information quantities are in bits.
 """
@@ -108,32 +109,6 @@ def _dphi(x: float) -> float:
     return 2.0 * math.atanh(x) / _LN2
 
 
-def _branch_rule(pole, tc_regime: str):
-    """Threshold and the equatorial and pole regime labels of the branch rule.
-
-    The equatorial spread (|mu| + |nu|)/2 is taken where it exceeds the
-    threshold, the pole spread |c3| elsewhere. Under "unknown" the threshold
-    is |c3|, so a tie is after-critic, and only c3 = 0 exactly means there
-    is no critic time: a detuned pair crosses at any other |c3| below the
-    start; "before" and "after" force a branch with -inf or inf.
-    """
-    if tc_regime == "unknown":
-        if pole == 0.0:
-            return pole, REGIME_NONE, REGIME_NONE
-        return pole, REGIME_BEFORE, REGIME_AFTER
-    if tc_regime not in ("before", "after"):
-        raise DomainError(f"tc_regime={tc_regime!r}; expected 'before', 'after' or 'unknown'")
-    return -math.inf if tc_regime == "before" else math.inf, REGIME_BEFORE, REGIME_AFTER
-
-
-def _measurement_branch(c3, mu, nu, tc_regime: str = "unknown"):
-    """Spread chi and regime label of the measurement branch tc_regime picks."""
-    pole = abs(c3)
-    threshold, equator_label, pole_label = _branch_rule(pole, tc_regime)
-    equator = 0.5 * (abs(mu) + abs(nu))
-    return (equator, equator_label) if equator > threshold else (pole, pole_label)
-
-
 def classical_correlation_value(chi: float) -> float:
     """C at a given optimal spread: phi(chi)/2, with
     phi(x) = (1 + x) log2(1 + x) + (1 - x) log2(1 - x).
@@ -154,10 +129,19 @@ def _discord_columns(mus, nus, c3, tc_regime: str = "unknown"):
     I = phi(c3)/2 + T, C = phi(chi)/2 and D = T + [phi(c3) - phi(chi)]/2,
     so no O(1) terms cancel for small correlations. On the pole branch
     chi = |c3| and D is T exactly.
+
+    The one branch rule of the package: the equatorial spread (|mu| + |nu|)/2
+    where it exceeds the threshold, the pole spread |c3| elsewhere. Under
+    "unknown" the threshold is |c3|, so a tie is after-critic, and only c3 = 0
+    has no critic time (a detuned pair crosses at any other |c3| below the
+    start); "before" and "after" force a branch with -inf or inf.
     """
+    if tc_regime not in ("unknown", "before", "after"):
+        raise DomainError(f"tc_regime={tc_regime!r}; expected 'before', 'after' or 'unknown'")
     pole = abs(c3)
     # EvolvedXState has refused a nan, so a forced branch is never missed
-    threshold, equator_label, pole_label = _branch_rule(pole, tc_regime)
+    threshold = {"unknown": pole, "before": -math.inf, "after": math.inf}[tc_regime]
+    labels = (REGIME_NONE,) * 2 if threshold == 0.0 else (REGIME_BEFORE, REGIME_AFTER)
     plus, minus = 1.0 + c3, 1.0 - c3
     cc_pole = 0.5 * _phi(c3)
     fields = infos, ccs, ds, chis, regimes = [], [], [], [], []
@@ -166,19 +150,20 @@ def _discord_columns(mus, nus, c3, tc_regime: str = "unknown"):
         infos.append(cc_pole + excess)
         equator = 0.5 * (abs(mu) + abs(nu))
         if equator > threshold:
-            cc = classical_correlation_value(equator)
+            # unchecked, as the pole's C: an oracle density's slack can pass _SPREAD_MAX
+            cc = 0.5 * _phi(equator)
             # D >= 0 on either branch, so a negative one is rounding: -5.6e-16
             # at worst in a search near mu = nu, c3 = 0
             d = excess + (cc_pole - cc)
             ccs.append(cc)
             ds.append(0.0 if d < 0.0 else d)
             chis.append(equator)
-            regimes.append(equator_label)
+            regimes.append(labels[0])
         else:
             ccs.append(cc_pole)
             ds.append(excess)
             chis.append(pole)
-            regimes.append(pole_label)
+            regimes.append(labels[1])
     return fields
 
 
@@ -387,9 +372,10 @@ def discord_bruteforce(rho: TwoQubitDensity) -> DiscordBreakdown:
     gain, n, settled = _optimum(table, directions, values)
     total = 2.0 * (table[0][0] + table[1][0])  # p+ + p-, the trace of rho
     cc = (s_a - total) + 0.5 * gain
+    c3, mu, nu = map(abs, x_params)
     # D is clamped as in discord_analytic: a negative I - C is rounding
     breakdown = DiscordBreakdown(info, cc, max(info - cc, 0.0), _conditional_spread(table, n),
-                                 _measurement_branch(*x_params)[1])
+                                 _discord_columns((mu,), (nu,), c3)[4][0])
     if not settled:
         raise ConvergenceError(f"Newton polish did not settle in {_POLISH_STEPS} steps; {named}",
                                best_so_far=breakdown)

@@ -37,6 +37,7 @@ from .states import QubitPairConfig, _record, _reject
 # thermal exponent
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 _STIRLING_MIN_W = 12.0
+_SQUARE_MIN = 2.0**-511  # below it a square is subnormal, or 0, and short of digits
 
 
 class ReservoirConfig(_record("ReservoirConfig", "eta omega_c temperature", (0.0,))):
@@ -99,9 +100,9 @@ def _exponent_kernel(res: ReservoirConfig):
 
     Everything that does not depend on t is bound once: eta/2, omega_c, T,
     and for the thermal term ln |G(w)/G(w + i y)|^2 (w = 1 + T/omega_c,
-    y = T t) the Gamma-recurrence ladder w, w+1, ... < 12, the shifted w - 1/2
-    and the Stirling products c_k w^(1-2k). Each term of the thermal sum
-    vanishes with y on its own, so no two large values cancel.
+    y = T t) the Gamma-recurrence ladder w, w+1, ... < 12, the shifted w - 1/2,
+    the Stirling products c_k w^(1-2k) and the trigamma terms of a tiny y. Each
+    term of the thermal sum vanishes with y on its own, so no two large values cancel.
     """
     eta, omega_c, temperature = res
     half_eta = 0.5 * eta
@@ -110,13 +111,14 @@ def _exponent_kernel(res: ReservoirConfig):
     def vacuum(t):
         if t < 0.0:
             raise DomainError(f"t={t!r} must be nonnegative")
-        if t == 0.0:
-            return 0.0
+        u = omega_c * t
+        if u < _SQUARE_MIN:
+            return half_eta * u * u  # = eta/2 log1p(u^2), with no subnormal u^2 formed
         try:
-            return half_eta * log1p((omega_c * t) ** 2)
+            return half_eta * log1p(u ** 2)
         except OverflowError:
             # (w_c t)^2 > 1.8e308, where log1p(u^2) = 2 ln u to double precision
-            return eta * log(omega_c * t)
+            return eta * log(u)
 
     if temperature == 0.0:
         return vacuum
@@ -132,25 +134,33 @@ def _exponent_kernel(res: ReservoirConfig):
     series = []
     w_pow = 1.0 / w
     inv_w2 = w_pow * w_pow
+    # w psi'(w) = 1 + 1/(2 w) + sum_k 2k (2k - 1) c_k w^(-2k), psi' the trigamma function
+    slope = 1.0 + 0.5 / w
     for m, c in zip(range(1, 2 * len(_STIRLING), 2), _STIRLING):
         series.append((-m, 0.5 * m, c * w_pow))
+        slope += m * (m + 1) * c * w_pow / w
         w_pow *= inv_w2
+    rungs = sum(1.0 / (v * v) for v in ladder)
     atan, expm1, sin, inf = math.atan, math.expm1, math.sin, math.inf
 
     def thermal(t):
         cold = vacuum(t)
-        if t == 0.0:
-            return 0.0
         y = temperature * t
         if y == inf:
             # the thermal series would read inf - inf
             return inf
+        s = y / w
+        if s < _SQUARE_MIN:
+            # every square below would be subnormal, and y^4 terms are below the rounding:
+            # the term is y g, g = y psi'(1 + T/omega_c); eta y g is ordered to stay in range
+            g = s * slope + y * rungs
+            head = eta * y
+            return cold + (head * g if head < inf else eta * g * y)
         total = 0.0
         for v in ladder:
             # _log1p_square inlined: this loop runs once per rung and time
-            s = y / v
-            total += log1p(s * s) if s < 1e150 else 2.0 * log(s)
-        s = y / w
+            x = y / v
+            total += log1p(x * x) if x < 1e150 else 2.0 * log(x)
         log_mod = 0.5 * _log1p_square(s)
         theta = atan(s)
         inner = w_half * log_mod - y * theta
@@ -170,7 +180,7 @@ def dephasing_exponent(t: float, res: ReservoirConfig) -> float:
     thermal term 2 ln G(1+x) - 2 Re ln G(1+x+iy), x = T/omega_c and y = T t,
     is added. That term is summed as sum_n<N ln(1 + y^2/(1+x+n)^2) plus
     Stirling's series at 1+x+N >= 12, without a difference of log-Gamma
-    values, to about 1e-15 relative for every y. Q(inf) = inf.
+    values, within 1e-14 of a 90-digit referee where tested (README). Q(inf) = inf.
     """
     return _exponent_kernel(res)(t)
 

@@ -6,9 +6,18 @@ draw inside that region with a margin so numerical noise never lands a
 case on the boundary.
 """
 
+import math
+
 import numpy as np
 
 from xdiscord import XStateParams
+
+# zero, tiny, huge, negative, infinite and nan values for the contract properties
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, -1.5, -1e300,
+                  math.inf, -math.inf, math.nan]
+# magnitudes whose products in pairs and triples, eta omega_c T say, under- or overflow
+EXTREME_MAGNITUDES = [1e-160, 1e154, 1e200]
+EXTREME_FLOATS = SPECIAL_FLOATS + [s * v for v in EXTREME_MAGNITUDES for s in (1.0, -1.0)]
 
 
 def sample_x_params(rng: np.random.Generator, margin: float = 0.98) -> XStateParams:

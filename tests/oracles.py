@@ -17,9 +17,12 @@ bit.
 
 discord_point_reference is the closed-form discord at one point, composed
 call by call from phi as the package did before its per-table kernel: the
-tests pin that kernel to it bit for bit. discord_entropy_reference is the
-composition before phi, I = 2 - S(spectrum) less C = 1 - h2, which the
-tests hold the kernel to within its rounding, 1e-15 absolute.
+tests pin that kernel to it bit for bit. Its branch comes from
+branch_reference, a branch rule of its own, so the kernel's rule, the only
+one in the package, is checked against one that does not share its code.
+discord_entropy_reference is the composition before phi, I = 2 -
+S(spectrum) less C = 1 - h2, which the tests hold the kernel to within its
+rounding, 1e-15 absolute.
 
 discord_reference is I, C and D of an X state to 60 digits with mpmath,
 from the spectrum and the binary entropy, and family_rate_reference the
@@ -64,7 +67,7 @@ from xdiscord import (
     entropy_bits,
     xlog2,
 )
-from xdiscord.discord import _measurement_branch, _phi
+from xdiscord.discord import _phi
 from xdiscord.reservoir import _STIRLING, _STIRLING_MIN_W, _log1p_square
 from xdiscord.states import _x_spectrum
 
@@ -230,14 +233,17 @@ def bath_dephasing_low_temperature(t: float, res: ReservoirConfig) -> float:
     return vacuum + res.eta * _log_sinhc(math.pi * t * res.temperature)
 
 
-def _thermal_exponent(w: float, y: float) -> float:
-    """ln |G(w)/G(w + i y)|^2 = 2 [ln G(w) - Re ln G(w + i y)] for w >= 1, 0 <= y < inf.
+def _thermal_exponent(w: float, y: float, eta: float) -> float:
+    """eta ln |G(w)/G(w + i y)|^2 = 2 eta [ln G(w) - Re ln G(w + i y)] for w >= 1, 0 <= y < inf.
 
     Each term vanishes with y on its own, so no two large values cancel.
+    Where y/w is below 2^-511 after the ladder, every square would be
+    subnormal, and the term is eta y^2 psi'(w), psi' the trigamma function.
     """
-    total = 0.0
+    total = rungs = 0.0
     while w < _STIRLING_MIN_W:
         total += _log1p_square(y / w)
+        rungs += 1.0 / (w * w)
         w += 1.0
     # with z = w (1 + i s): Re ln G(z) - ln G(w) = (w - 1/2) ln|1 + i s| - y atan(s)
     # + sum_k c_k w^(-m) [Re (1 + i s)^(-m) - 1], m = 2k - 1, where
@@ -248,25 +254,34 @@ def _thermal_exponent(w: float, y: float) -> float:
     inner = (w - 0.5) * log_mod - y * theta
     w_pow = 1.0 / w
     inv_w2 = w_pow * w_pow
+    # w psi'(w) = 1 + 1/(2 w) + sum_k B_2k w^(-2k), B_2k = 2k (2k - 1) c_k
+    slope = 1.0 + 0.5 / w
     for m, c in zip(range(1, 2 * len(_STIRLING), 2), _STIRLING):
         r_minus_1 = math.expm1(-m * log_mod)
         h = math.sin(0.5 * m * theta)
         inner += c * w_pow * (r_minus_1 - 2.0 * h * h * (r_minus_1 + 1.0))
+        slope += m * (m + 1) * c * w_pow / w
         w_pow *= inv_w2
-    return total - 2.0 * inner
+    if s < 2.0**-511:
+        g = s * slope + y * rungs
+        return eta * y * g if eta * y < math.inf else eta * g * y
+    return eta * (total - 2.0 * inner)
 
 
 def dephasing_exponent_reference(t: float, res: ReservoirConfig) -> float:
     """Q(t) with the thermal loop run from scratch at every call."""
     if t < 0.0:
         raise DomainError(f"t={t!r} must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    try:
-        vacuum = 0.5 * res.eta * math.log1p((res.omega_c * t) ** 2)
-    except OverflowError:
-        # (w_c t)^2 > 1.8e308, where log1p(u^2) = 2 ln u to double precision
-        vacuum = res.eta * math.log(res.omega_c * t)
+    u = res.omega_c * t
+    if u < 2.0**-511:
+        # u^2 would be subnormal
+        vacuum = 0.5 * res.eta * u * u
+    else:
+        try:
+            vacuum = 0.5 * res.eta * math.log1p(u ** 2)
+        except OverflowError:
+            # (w_c t)^2 > 1.8e308, where log1p(u^2) = 2 ln u to double precision
+            vacuum = res.eta * math.log(u)
     temperature = res.temperature
     if temperature == 0.0:
         return vacuum
@@ -274,20 +289,36 @@ def dephasing_exponent_reference(t: float, res: ReservoirConfig) -> float:
     if y == math.inf:
         # the thermal series would read inf - inf
         return math.inf
-    return vacuum + res.eta * _thermal_exponent(1.0 + temperature / res.omega_c, y)
+    return vacuum + _thermal_exponent(1.0 + temperature / res.omega_c, y, res.eta)
+
+
+def branch_reference(mu: float, nu: float, c3: float, tc_regime: str = "unknown"):
+    """(chi, regime) of the measurement branch, written apart from the package's kernel.
+
+    "before" takes the equatorial spread (|mu| + |nu|)/2 and "after" the pole
+    spread |c3|; "unknown" takes the larger, the pole on a tie. Its label says
+    no-critic where c3 is 0, else the side of the critic time the branch is on.
+    """
+    equator, pole = (abs(mu) + abs(nu)) / 2.0, abs(c3)
+    on_equator = {"before": True, "after": False, "unknown": equator > pole}[tc_regime]
+    if tc_regime == "unknown" and c3 == 0.0:
+        regime = "no-critic"
+    else:
+        regime = "before-critic" if on_equator else "after-critic"
+    return (equator if on_equator else pole), regime
 
 
 def discord_point_reference(mu: float, nu: float, c3: float, tc_regime: str = "unknown"):
     """(I, C, D, chi, regime) at one (mu, nu, c3), one call per quantity.
 
     T = [(1 + c3) phi(mu/(1 + c3)) + (1 - c3) phi(nu/(1 - c3))]/4, I =
-    phi(c3)/2 + T, the branch from _measurement_branch, C from
+    phi(c3)/2 + T, the branch from branch_reference, C from
     classical_correlation_value, and D = T + [phi(c3)/2 - C] with a
     negative rounding residue clamped to 0.
     """
     excess = (_phi(mu, 1.0 + c3) + _phi(nu, 1.0 - c3)) / 4.0
     half_c3 = 0.5 * _phi(c3)
-    chi, regime = _measurement_branch(c3, mu, nu, tc_regime)
+    chi, regime = branch_reference(mu, nu, c3, tc_regime)
     cc = classical_correlation_value(chi)
     d = excess + (half_c3 - cc)
     return half_c3 + excess, cc, 0.0 if d < 0.0 else d, chi, regime
@@ -301,7 +332,7 @@ def discord_entropy_reference(mu: float, nu: float, c3: float, tc_regime: str = 
     is no relative accuracy at all for a small discord.
     """
     info = 2.0 - entropy_bits(_x_spectrum(mu, nu, c3))
-    chi, _ = _measurement_branch(c3, mu, nu, tc_regime)
+    chi, _ = branch_reference(mu, nu, c3, tc_regime)
     cc = 0.5 * (xlog2(1.0 + chi) + xlog2(1.0 - chi))
     d = info - cc
     return info, cc, 0.0 if d < 0.0 else d

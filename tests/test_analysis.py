@@ -173,6 +173,32 @@ def test_critic_time_where_the_bracket_product_underflows():
     assert abs(tau - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("params, qubits, res", [
+    (XStateParams(0.6, 0.0, 0.3), QubitPairConfig(1.5, 1.0),
+     ReservoirConfig(1.311836112231675e+35, 38.25143337376783, 1.4243413229540312e-15)),
+    (XStateParams(0.5, -0.2, 0.25), QubitPairConfig(3.0, 1.0),
+     ReservoirConfig(7.048103215388493e+26, 0.0016112205074779546, 4.031945104627772e-20)),
+    (XStateParams(0.5, -0.2, 0.25), QubitPairConfig(3.0, 1.0),
+     ReservoirConfig(5.116786429092218e+28, 0.010269889770677, 1.5441469452075859e-19)),
+])
+def test_critic_time_where_the_lower_bracket_end_reaches_q_star(params, qubits, res):
+    # at a tiny omega_c t_c and T << omega_c the bound Q <= eta omega_c t^2 (omega_c/2 + T)
+    # is tight: lo rounds onto hi, or Q(lo) rounds onto q* or past it, and the first
+    # secant step divided by zero; 159 of 3,000 strong-coupling draws crashed so
+    tau = res.omega_c * critic_time(params, qubits, res).tc
+    want = critic_time_reference(params, qubits, res, False, tau)
+    assert abs(tau - want) <= 1e-13 * want
+
+
+def test_critic_time_near_a_tie_at_a_tiny_temperature():
+    # xdiscord critic-time --c1 0.11 --c2 0.09 --c3 0.11 --ratio 3 -T 1e-16 crashed the
+    # same way; a thermal part (T/omega_c)^2 ~ 1e-32 the size of Q leaves the T = 0 answer
+    params, qubits = XStateParams(0.11, 0.09, 0.11), QubitPairConfig(3.0, 1.0)
+    warm = critic_time(params, qubits, ReservoirConfig(1.0, 1.0, 1e-16)).tc
+    cold = critic_time(params, qubits, ReservoirConfig(1.0, 1.0, 0.0)).tc
+    assert abs(warm - cold) <= 1e-13 * cold
+
+
 def _crossing_draw(rng):
     """A state, a qubit pair and a limit flag whose branches cross at a finite time."""
     while True:

@@ -20,12 +20,12 @@ import pytest
 
 from xdiscord import cli
 
+from helpers import EXTREME_MAGNITUDES, SPECIAL_FLOATS
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, -1.5, -1e300,
-                  math.inf, -math.inf, math.nan]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(0.05, 3.0)).map(repr)
 # ordinary sizes stay small: the test must never build a large table
 INTS = st.one_of(st.sampled_from(["0", "-3", "10" + "0" * 12, "inf", "nan", "1e3"]),
@@ -36,6 +36,10 @@ VALUES = {
     int: INTS,
     float: FLOATS,
 }
+# the keys that scale the bath and the qubits, drawn jointly at extreme magnitudes so
+# that their products under- or overflow
+SCALE_KEYS = ("eta", "omega_c", "temperature", "omega", "ratio")
+SCALES = st.sampled_from(EXTREME_MAGNITUDES + [1e-300, 1e300, 1.0]).map(repr)
 # cells that may read nan or inf, by column: the time of a `--time inf` row, a
 # critic time without a crossing, and the surface cells the docs name
 MAY_BE_INFINITE = {"omega_c_t", "omega_c_tc"}
@@ -52,13 +56,18 @@ def names_a_key(message, command):
 
 
 @st.composite
-def runs(draw):
+def runs(draw, scales=False):
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    keys = draw(st.lists(st.sampled_from(keys_of(command)), unique=True, max_size=6))
+    if scales:
+        # omega_a and omega_b would clash with omega and ratio
+        others = [k for k in keys_of(command) if k not in SCALE_KEYS + cli._FREQ_ABSOLUTE]
+        keys = [*draw(st.lists(st.sampled_from(others), unique=True, max_size=3)), *SCALE_KEYS]
+    else:
+        keys = draw(st.lists(st.sampled_from(keys_of(command)), unique=True, max_size=6))
     flags, config = [], []
     for key in keys:
         kind = cli._KEYS[key].type
-        value = draw(VALUES[kind])
+        value = draw(SCALES if scales and key in SCALE_KEYS else VALUES[kind])
         is_flag = key not in cli._GRID_KEYS or command == "evolve"
         if is_flag and draw(st.booleans()):
             if kind is bool:
@@ -114,13 +123,24 @@ def check_table(command, text):
         assert footer and all(math.isfinite(float(v)) for v in footer.groups()), text
 
 
-@settings(max_examples=200)
-@given(runs())
-def test_every_input_answers_or_names_its_error(run_args):
-    command = run_args[0]
-    code, err, text = run(*run_args)
+def check_run(command, flags, config):
+    code, err, text = run(command, flags, config)
     assert code in (0, 2, 3, 4), (code, err)
     if code == 0:
         check_table(command, text)
     else:
         assert names_a_key(err, command), err
+
+
+@settings(max_examples=200)
+@given(runs())
+def test_every_input_answers_or_names_its_error(run_args):
+    check_run(*run_args)
+
+
+@settings(max_examples=100)
+@given(runs(scales=True))
+def test_every_extreme_scale_answers_or_names_its_error(run_args):
+    # eta, omega_c, T, omega and ratio at once, each tiny, huge or 1, so that products
+    # such as eta omega_c (omega_c/2 + T) and (omega_a + omega_b)^2 Q(t) leave the floats
+    check_run(*run_args)

@@ -172,6 +172,40 @@ def test_dephasing_exponent_matches_high_precision_referee(rng):
     assert worst <= 1e-14
 
 
+# (reservoir, t) where (omega_c t)^2 or (T t/w)^2 is subnormal or 0, w = 1 + T/omega_c,
+# while eta, up to 1.8e308, scales it back up. Q read 0 at the first and 2x at the
+# second, and was 6e-3, 1e-5 and 5e-14 relative off at the next three, as the squares
+# were formed first; the last two straddle the switch at y/w = 2^-511
+SUBNORMAL_SQUARES = [
+    (ReservoirConfig(1e300, 1.0), 3.1622776601683797e-163),
+    (ReservoirConfig(1e200, 1e10, 1e154), 4.88127547991068e-183),
+    (ReservoirConfig(1e300, 1.0, 0.5), 1e-160),
+    (ReservoirConfig(1e300, 1.0, 1e200), 1e-160),
+    (ReservoirConfig(1e-170, 1.0, 1e255), 1e-155),
+    (ReservoirConfig(1.0, 1.0, 1e100), 2.0**-511 * (1.0 - 1e-3)),
+    (ReservoirConfig(1.0, 1.0, 1e100), 2.0**-511 * (1.0 + 1e-3)),
+]
+
+
+@pytest.mark.parametrize("res, t", SUBNORMAL_SQUARES)
+def test_dephasing_exponent_keeps_its_digits_where_a_square_underflows(res, t):
+    # the log-Gamma difference is about y^2/w, below O(w ln w) terms: the referee
+    # works at 90 digits plus those it cancels
+    mpmath = pytest.importorskip("mpmath")
+    eta, omega_c, temperature = res
+    w, y = 1.0 + temperature / omega_c, temperature * t
+    mp = mpmath.mp.clone()
+    mp.dps = 90
+    if temperature:
+        mp.dps += math.ceil(math.log10(w * max(1.0, math.log(w))) - math.log10(y * y / w))
+    f = mp.mpf
+    want = f(eta) * mp.log1p((f(omega_c) * f(t)) ** 2) / 2
+    if temperature:
+        big_w, big_y = 1 + f(temperature) / f(omega_c), f(temperature) * f(t)
+        want += 2 * f(eta) * (mp.loggamma(big_w) - mp.re(mp.loggamma(mp.mpc(big_w, big_y))))
+    assert abs(dephasing_exponent(t, res) - want) <= 1e-13 * want
+
+
 def test_exponent_kernel_is_the_reference_bit_for_bit(rng):
     # 200 reservoirs, a fifth at T = 0, times log-uniform over the whole float
     # range plus the edges; y/w passes the 1e150 split of ln(1 + s^2) from
