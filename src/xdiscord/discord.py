@@ -237,25 +237,11 @@ def _basin_directions() -> tuple:
                  for phi in (j * 2.0 * math.pi / n_phi for j in range(n_phi)))
 
 
-def _scan(table, directions, check_symmetry: bool, named: str) -> list:
-    """Phi at each of the bases directions (see _gain). check_symmetry asserts, to 1e-12, the
-    equal outcome probabilities and conditional entropies a symmetric X state has at each."""
-    values = []
-    worst_p = worst_s = 0.0
-    for n in directions:
-        p_plus, g_plus, p_minus, g_minus = _conditional_states(table, *n)
-        phi_plus, phi_minus = _phi(g_plus, p_plus), _phi(g_minus, p_minus)
-        values.append(phi_plus + phi_minus)
-        if check_symmetry:
-            worst_p = max(worst_p, abs(p_plus - 0.5), abs(p_minus - 0.5))
-            # each outcome's normalized entropy is 1 - phi/(2 p)
-            worst_s = max(worst_s, 0.5 * abs(phi_plus / max(p_plus, 1e-300)
-                                             - phi_minus / max(p_minus, 1e-300)))
-    if worst_p > 1e-12 or worst_s > 1e-12:
-        raise InvalidStateError(
-            "symmetric X state lost its measurement symmetry: "
-            f"|p - 1/2| <= {worst_p:.3e}, |S_par - S_perp| <= {worst_s:.3e}; {named}")
-    return values
+def _scan(table, directions) -> list:
+    """Phi at each of the bases directions, as _gain reads it but with no _P_FLOOR."""
+    return [_phi(g_plus, p_plus) + _phi(g_minus, p_minus)
+            for p_plus, g_plus, p_minus, g_minus in (_conditional_states(table, *n)
+                                                      for n in directions)]
 
 
 def _starts(values, directions) -> list:
@@ -355,20 +341,32 @@ def discord_bruteforce(rho: TwoQubitDensity) -> DiscordBreakdown:
     The conditional entropy is p+ + p- - Phi/2 (see _gain). Newton steps from the best few
     maxima of Phi on the basin grid's kept rows give the optimum (_optimum); where those of
     the winning start have not settled, ConvergenceError carries the best breakdown found.
-    For symmetric X input both outcome probabilities must be 1/2 and both conditional
-    entropies equal, to 1e-12, at every grid basis. Refusals name (c3, 4 rho_03, 4 rho_12).
+    A symmetric X state has p = 1/2 for both outcomes and one conditional entropy at every
+    basis, which is checked once, on the table (_bloch_table): with its rows (a0, a), (d0, d),
+    (r0, r) and (i0, i), p+- = (a0 + d0) +- n.(a + d) and g+^2 - g-^2 = 4 n.w at every unit n
+    (_conditional_states), w = (a0 - d0)(a - d) + 4 r0 r + 4 i0 i, so the largest |p - 1/2|
+    and |g+^2 - g-^2|/4 are |a0 + d0 - 1/2| + |a + d| and |w|, and either above 1e-12 is
+    refused. Refusals name (c3, 4 rho_03, 4 rho_12).
     """
     m = rho.entries
     s_a = von_neumann_entropy(partial_trace(rho, "A"))
     info = s_a + von_neumann_entropy(partial_trace(rho, "B")) - von_neumann_entropy(m)
     table = _bloch_table(m)
     directions = _basin_directions()
-    # the X parameters c3, mu, nu read off the matrix entries
+    # the X parameters c3, mu, nu read off the matrix entries, which the refusals name
     x_params = ((m[0][0] + m[3][3] - m[1][1] - m[2][2]).real, 4.0 * m[0][3], 4.0 * m[1][2])
-    named = "(c3, 4 rho_03, 4 rho_12) = (%r, %r, %r)" % x_params
-    symmetric_x = max(map(abs, (m[0][1], m[0][2], m[1][0], m[2][0], m[1][3], m[3][1], m[2][3],
-                                m[3][2], m[0][0] - m[3][3], m[1][1] - m[2][2]))) <= _X_PATTERN_TOL
-    values = _scan(table, directions, symmetric_x, named)
+    named = "(c3, 4 rho_03, 4 rho_12) = (%r, %r, %r)"
+    if max(map(abs, (m[0][1], m[0][2], m[1][0], m[2][0], m[1][3], m[3][1], m[2][3], m[3][2],
+                     m[0][0] - m[3][3], m[1][1] - m[2][2]))) <= _X_PATTERN_TOL:
+        (a0, *a), (d0, *d), (r0, *r), (i0, *i) = table
+        p_gap = abs(a0 + d0 - 0.5) + math.hypot(*(x + y for x, y in zip(a, d)))
+        w_gap = math.hypot(*((a0 - d0) * (x - y) + 4.0 * (r0 * u + i0 * v)
+                             for x, y, u, v in zip(a, d, r, i)))
+        if p_gap > 1e-12 or w_gap > 1e-12:
+            raise InvalidStateError(
+                "symmetric X state lost its measurement symmetry: "
+                f"|p - 1/2| <= {p_gap:.3e}, |g+^2 - g-^2|/4 <= {w_gap:.3e}; " + named % x_params)
+    values = _scan(table, directions)
     gain, n, settled = _optimum(table, directions, values)
     total = 2.0 * (table[0][0] + table[1][0])  # p+ + p-, the trace of rho
     cc = (s_a - total) + 0.5 * gain
@@ -377,8 +375,8 @@ def discord_bruteforce(rho: TwoQubitDensity) -> DiscordBreakdown:
     breakdown = DiscordBreakdown(info, cc, max(info - cc, 0.0), _conditional_spread(table, n),
                                  _discord_columns((mu,), (nu,), c3)[4][0])
     if not settled:
-        raise ConvergenceError(f"Newton polish did not settle in {_POLISH_STEPS} steps; {named}",
-                               best_so_far=breakdown)
+        raise ConvergenceError(f"Newton polish did not settle in {_POLISH_STEPS} steps; "
+                               + named % x_params, best_so_far=breakdown)
     return breakdown
 
 

@@ -139,30 +139,23 @@ def evolve_density(
     t: float,
     qubits: QubitPairConfig,
     res: ReservoirConfig,
-    large_detuning_limit: bool = False,
 ) -> TwoQubitDensity:
     """Evolution of an arbitrary initial density matrix by the one-mask map.
 
     rho(t) = rho(0) * exp(-i dE t - i d(E^2) P(t) - dE^2 Q(t)) entry by
-    entry, with dE_{ll'} = E_l - E_l'; the diagonal is frozen. With
-    large_detuning_limit set, every off-diagonal element decays by the limit
-    gamma1 instead, even one a degeneracy would otherwise freeze; the limit
-    mode is only meaningful for the X antidiagonals.
+    entry, with dE_{ll'} = E_l - E_l'; the diagonal is frozen.
     """
     if not t >= 0.0:  # a nan t fails here too
         raise InvalidStateError(f"t={t!r} must be nonnegative")
     s, d = 0.5 * (qubits.omega_a + qubits.omega_b), 0.5 * (qubits.omega_a - qubits.omega_b)
     energy = (s, d, -d, -s)
     p, q = phase_exponent(t, res), dephasing_exponent(t, res)
-    gamma1 = decay_factors(t, qubits, res, True).gamma1 if large_detuning_limit else None
 
     def mask(e: float, f: float) -> complex:
         gap = e - f
         # a zero gap neither precesses nor decays, at t = inf too, where 0 * inf is nan
         phase = (e * e - f * f) * p + (gap * t if gap != 0.0 else 0.0)
         # an entry that has decayed to 0 is 0 whatever its phase, where 0 * e^{-i inf} is nan
-        if gamma1 is not None:
-            return cmath.exp(-1j * phase) * gamma1 if gamma1 > 0.0 else 0.0
         exponent = gap * gap * q if gap != 0.0 else 0.0
         return cmath.exp(-1j * phase - exponent) if exponent < math.inf else 0.0
 

@@ -682,28 +682,46 @@ def critic_time_reference(params, qubits, res, large_detuning_limit: bool, guess
     Every input float is taken exactly; the root is bracketed between
     guess/2 and 2 guess, so a guess off by more than that fails loudly.
     The thermal part ln Gamma(w) - Re ln Gamma(w + i y), w = 1 + T/omega_c,
-    cancels about log10(w) digits, so those are added to the 50.
+    cancels about log10(w) digits, so those are added to the 50. The root is
+    found at that precision and again 20 digits finer, and two roots that
+    differ by more than 1e-20 relative raise ArithmeticError naming the inputs.
     """
+    digits = math.log10(res.temperature) - math.log10(res.omega_c) if res.temperature else 0.0
+    dps = 50 + max(0, math.ceil(digits))
+    coarse, fine = (_critic_time_root(params, qubits, res, large_detuning_limit, guess, p)
+                    for p in (dps, dps + 20))
+    if not abs(coarse - fine) <= 1e-20 * fine:
+        raise ArithmeticError(
+            f"critic-time referee: roots at {dps} and {dps + 20} digits differ by "
+            f"{float(abs(coarse - fine) / fine):.3e} relative; (c1, c2, c3)={tuple(params)!r}, "
+            f"qubits={tuple(qubits)!r}, res={tuple(res)!r}, "
+            f"large_detuning_limit={large_detuning_limit!r}, guess={guess!r}")
+    return fine
+
+
+def _critic_time_root(params, qubits, res, large_detuning_limit: bool, guess: float, dps: int):
     import mpmath
 
     mp = mpmath.mp.clone()
-    digits = math.log10(res.temperature) - math.log10(res.omega_c) if res.temperature else 0.0
-    mp.dps = 50 + max(0, math.ceil(digits))
+    mp.dps = dps
     f = mp.mpf
     c1, c2, c3 = (f(v) for v in params)
     wa, wb = f(qubits.omega_a), f(qubits.omega_b)
     a1, a2 = (wa * wa, wa * wa) if large_detuning_limit else ((wa + wb) ** 2, (wa - wb) ** 2)
     eta, omega_c, temperature = (f(v) for v in res)
     w = 1 + temperature / omega_c
+    log_gamma_w = mp.loggamma(w)
 
-    def gap(tau):
+    def log_gap(tau):
         q = eta * mp.log1p(tau * tau) / 2
         if temperature:
             y = temperature * tau / omega_c
-            q += 2 * eta * (mp.loggamma(w) - mp.re(mp.loggamma(mp.mpc(w, y))))
-        return (abs(c1 - c2) * mp.exp(-a1 * q) + abs(c1 + c2) * mp.exp(-a2 * q)) / 2 - abs(c3)
+            q += 2 * eta * (log_gamma_w - mp.re(mp.loggamma(mp.mpc(w, y))))
+        spread = (abs(c1 - c2) * mp.exp(-a1 * q) + abs(c1 + c2) * mp.exp(-a2 * q)) / 2
+        return mp.log(spread) - mp.log(abs(c3))
 
-    # over s = ln(omega_c t) the gap is smooth and far from flat
-    s = mp.findroot(lambda s: gap(mp.exp(s)), (mp.log(f(guess) / 2), mp.log(2 * f(guess))),
+    # over s = ln(omega_c t) the gap is smooth and far from flat; taken as the log of
+    # spread/|c3|, so that findroot's absolute tolerances hold at any scale of |c3|
+    s = mp.findroot(lambda s: log_gap(mp.exp(s)), (mp.log(f(guess) / 2), mp.log(2 * f(guess))),
                     solver="illinois", tol=mp.mpf(10) ** -80)
     return mp.exp(s)

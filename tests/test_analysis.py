@@ -173,6 +173,40 @@ def test_critic_time_where_the_bracket_product_underflows():
     assert abs(tau - want) <= 1e-13 * want
 
 
+def test_critic_time_referee_never_returns_a_wrong_root_silently():
+    # at w = 1 + T/omega_c = 1e140 the spread and |c3| are about 1e-300, below the
+    # referee's absolute root tolerance, and it once returned its bracket end, 0.5 off:
+    # it must raise by name or hold a 260-digit bisection of the crossing to 1e-13
+    mpmath = pytest.importorskip("mpmath")
+    params, qubits = XStateParams(0.6, 1e-300, 1e-300), QubitPairConfig(1e154, 1.0)
+    res = ReservoirConfig(1e-300, 1e-300, 1e-160)
+    tau = res.omega_c * critic_time(params, qubits, res).tc
+    mp = mpmath.mp.clone()
+    mp.dps = 260
+    f = mp.mpf
+    c1, c2, c3 = (f(v) for v in params)
+    a1, a2 = ((f(qubits.omega_a) + s * f(qubits.omega_b)) ** 2 for s in (1, -1))
+    eta, omega_c, temperature = (f(v) for v in res)
+    w = 1 + temperature / omega_c
+
+    def above(tau):
+        q = eta * (mp.log1p(tau * tau) / 2 + 2 * mp.loggamma(w)
+                   - 2 * mp.re(mp.loggamma(mp.mpc(w, temperature * tau / omega_c))))
+        return abs(c1 - c2) * mp.exp(-a1 * q) + abs(c1 + c2) * mp.exp(-a2 * q) > 2 * abs(c3)
+
+    lo, hi = f(tau) / 2, 2 * f(tau)
+    assert above(lo) and not above(hi)
+    while hi - lo > 1e-30 * hi:
+        lo, hi = ((lo + hi) / 2, hi) if above((lo + hi) / 2) else (lo, (lo + hi) / 2)
+    assert abs(tau - hi) <= 1e-13 * hi
+    try:
+        got = critic_time_reference(params, qubits, res, False, tau)
+    except ArithmeticError as exc:
+        assert "(c1, c2, c3)=(0.6, 1e-300, 1e-300)" in str(exc)
+    else:
+        assert abs(got - hi) <= 1e-13 * hi
+
+
 @pytest.mark.parametrize("params, qubits, res", [
     (XStateParams(0.6, 0.0, 0.3), QubitPairConfig(1.5, 1.0),
      ReservoirConfig(1.311836112231675e+35, 38.25143337376783, 1.4243413229540312e-15)),

@@ -184,6 +184,9 @@ def test_classical_correlation_value_takes_what_the_spectrum_check_admits():
     assert b.classical_correlation == 1.0
     assert b.discord == pytest.approx(0.0, abs=1e-9)
     assert classical_correlation_value(1.0 - 4.0 * EIGENVALUE_FLOOR) == 1.0
+    # at c3 = -1, phi(c3) sits on the edge m = -a of _phi
+    b = discord_analytic(frozen_state(0.0, 0.0, -1.0))
+    assert (b.mutual_information, b.classical_correlation, b.discord) == (1.0, 1.0, 0.0)
     with pytest.raises(InvalidStateError):
         classical_correlation_value(1.0 - 5.0 * EIGENVALUE_FLOOR)
 
@@ -301,7 +304,7 @@ def test_scan_keeps_the_first_optimum():
     basin = _basin_directions()
     for rho in (np.eye(4) / 4.0, np.diag([0.4, 0.1, 0.1, 0.4])):
         table = _bloch_table(TwoQubitDensity(rho).entries)
-        values = _scan(table, basin, False, None)
+        values = _scan(table, basin)
         assert values[0] == max(values) and _starts(values, basin)[0] == 0
     values = [0.0] * len(basin)
     values[40] = values[200] = 1.0
@@ -316,9 +319,9 @@ def test_bruteforce_working_set_stays_bounded(monkeypatch):
     rho = x_state_density(XStateParams(0.6, 0.1, -0.25))
     scans = []
 
-    def counted_scan(table, directions, *args):
+    def counted_scan(table, directions):
         scans.append(len(directions))
-        return _scan(table, directions, *args)
+        return _scan(table, directions)
 
     with monkeypatch.context() as patch:
         patch.setattr(xdiscord.discord, "_scan", counted_scan)
@@ -401,7 +404,7 @@ def test_coarse_scan_drops_only_mirror_bases(rng):
     assert kept == tuple(full[:(n_theta + 1) // 2 * n_phi])
     for rho in referee_densities(rng):
         table = _bloch_table(rho.entries)
-        values = _scan(table, full, False, None)
+        values = _scan(table, full)
         for i in range(n_theta):
             for j in range(n_phi):
                 mirror = (n_theta - 1 - i) * n_phi + (j + n_phi // 2) % n_phi
@@ -425,8 +428,45 @@ def test_oracle_refusals_name_the_state(monkeypatch):
     m[[0, 1, 2, 3], [1, 0, 3, 2]] = 0.01
     with pytest.raises(InvalidStateError,
                        match=r"^symmetric X state lost its measurement symmetry: "
-                       r"\|p - 1/2\| <= \S+, \|S_par - S_perp\| <= \S+" + named):
+                       r"\|p - 1/2\| <= \S+, \|g\+\^2 - g-\^2\|/4 <= \S+" + named):
         discord_bruteforce(TwoQubitDensity(m))
+
+
+def test_oracle_symmetry_check_covers_bases_the_grid_misses(monkeypatch):
+    # rho_01 = rho_10 = 1.003e-12 puts a + d along x, 6 degrees from the nearest grid row,
+    # where |p - 1/2| reads 0.9975e-12; read off the table, it is 1.003e-12 at n = x
+    monkeypatch.setattr(xdiscord.discord, "_X_PATTERN_TOL", 1e-11)
+    m = np.array(x_state_density(XStateParams(0.1, 0.0, 0.05)).entries)
+    m[0, 1] = m[1, 0] = 1.003e-12
+    assert max(abs(nx) for nx, _, _ in _basin_directions()) * 1.003e-12 < 1e-12
+    with pytest.raises(InvalidStateError, match=r"^symmetric X state lost its measurement "
+                       r"symmetry: \|p - 1/2\| <= 1\.003e-12, \|g\+\^2 - g-\^2\|/4 <= 0\.000e\+00"):
+        discord_bruteforce(TwoQubitDensity(m))
+
+
+def test_oracle_symmetry_check_refuses_only_past_its_bounds(monkeypatch):
+    # the pattern test takes off-X entries up to _X_PATTERN_TOL = 1e-12 for a symmetric X
+    # state, and then either gap may reach 1e-12, no more
+    def perturbed(params, value, *entries):
+        m = np.array(x_state_density(params).entries)
+        for i, j in entries:
+            m[i, j] = m[j, i] = value
+        return TwoQubitDensity(m)
+
+    refusal = (r"^symmetric X state lost its measurement symmetry: "
+               r"\|p - 1/2\| <= %s, \|g\+\^2 - g-\^2\|/4 <= %s; ")
+    near = XStateParams(0.1, 0.0, 0.05)
+    # rho_01 and rho_23 put a + d along x: 1e-12 each is a symmetric X state, 2e-12 is not
+    with pytest.raises(InvalidStateError, match=refusal % (r"2\.000e-12", r"0\.000e\+00")):
+        discord_bruteforce(perturbed(near, 1e-12, (0, 1), (2, 3)))
+    discord_bruteforce(perturbed(near, 2e-12, (0, 1), (2, 3)))
+    discord_bruteforce(perturbed(near, 1e-12, (0, 1)))  # |p - 1/2| = 1e-12
+    # at mu = nu = 1, rho_02 = rho_13 = r0 gives w = 4 r0 r1 along x, with r1 = 1/4
+    pure = XStateParams(1.0, 0.0, 0.0)
+    discord_bruteforce(perturbed(pure, 1e-12, (0, 2), (1, 3)))  # |w| = 1e-12
+    monkeypatch.setattr(xdiscord.discord, "_X_PATTERN_TOL", 1e-11)
+    with pytest.raises(InvalidStateError, match=refusal % (r"0\.000e\+00", r"2\.000e-12")):
+        discord_bruteforce(perturbed(pure, 2e-12, (0, 2), (1, 3)))
 
 
 def test_oracle_stops_at_the_best_point_where_an_outcome_is_improbable(monkeypatch):
@@ -435,7 +475,7 @@ def test_oracle_stops_at_the_best_point_where_an_outcome_is_improbable(monkeypat
     # the floor is raised above it: each start then ends where the scan put it
     rho = x_state_density(XStateParams(0.6, 0.1, -0.25))
     table, directions = _bloch_table(rho.entries), _basin_directions()
-    values = _scan(table, directions, True, "")
+    values = _scan(table, directions)
     polished_gain = _optimum(table, directions, values)[0]
     polished = discord_bruteforce(rho)
     monkeypatch.setattr(xdiscord.discord, "_P_FLOOR", 1.0)
@@ -507,7 +547,7 @@ def test_oracle_matches_an_mpmath_minimiser_off_the_x_family(rng):
     for i in range(48):
         rho = makers[i % 3](rng)
         table = _bloch_table(rho.entries)
-        _, n, settled = _optimum(table, basin, _scan(table, basin, False, None))
+        _, n, settled = _optimum(table, basin, _scan(table, basin))
         assert settled
         got = discord_bruteforce(rho).discord
         _, _, want, weights = general_discord_reference(rho.entries, n)
@@ -555,7 +595,7 @@ def test_basin_grid_finds_the_optimum_of_a_64_by_128_grid(rng):
               random_low_rank_density, werner_density, product_density, pole_optimum_density)
     for i in range(3010):
         table = _bloch_table(makers[i % 7](rng).entries)
-        got = _optimum(table, basin, _scan(table, basin, False, None))
+        got = _optimum(table, basin, _scan(table, basin))
         values = bloch_gain_reference(table, dense)
         # the best 256, ranked as _starts ranks a whole grid: the first of equal values first
         top = np.argpartition(-values, 255)[:256]

@@ -87,24 +87,31 @@ def test_evolve_density_rejects_nan_time():
         evolve_density(product_density(), math.nan, QubitPairConfig(1, 1), RES0)
 
 
+def dephased(rho: TwoQubitDensity, degenerate: bool) -> np.ndarray:
+    """rho at infinite time: its diagonal, and its |01><10| pair if those levels are degenerate."""
+    m = np.array(rho.entries)
+    kept = np.diag(np.diag(m))
+    if degenerate:
+        kept[1, 2], kept[2, 1] = m[1, 2], m[2, 1]
+    return kept
+
+
 @pytest.mark.parametrize("limit", [False, True], ids=["exact", "large-detuning"])
 @pytest.mark.parametrize("temperature", [0.0, 0.5])
 @pytest.mark.parametrize("ratio", [1.0, 2.0])
 def test_general_path_reaches_the_dephased_state_at_infinite_time(ratio, temperature, limit):
     # a zero gap keeps its entry and a fully decayed entry is 0, with no
-    # 0 * inf = nan from the phase or the decay
+    # 0 * inf = nan from the phase or the decay; the large-detuning limit decays
+    # the degenerate pair too
     params = XStateParams(0.6, 0.1, 0.3)
     q = QubitPairConfig(ratio, 1.0)
     res = ReservoirConfig(1.0, 1.0, temperature)
     fast = assemble_density(evolve_x_state(params, math.inf, q, res, limit)).entries
-    general = evolve_density(x_state_density(params), math.inf, q, res, limit).entries
-    np.testing.assert_array_equal(general, fast)
-    rho0 = np.array(product_density().entries)
-    kept = np.diag(np.diag(rho0))
-    if ratio == 1.0 and not limit:  # |01> and |10> are degenerate
-        kept[1, 2], kept[2, 1] = rho0[1, 2], rho0[2, 1]
-    out = evolve_density(product_density(), math.inf, q, res, limit).entries
-    np.testing.assert_array_equal(out, kept)
+    np.testing.assert_array_equal(fast, dephased(x_state_density(params),
+                                                 ratio == 1.0 and not limit))
+    for rho0 in (x_state_density(params), product_density()):
+        out = evolve_density(rho0, math.inf, q, res).entries
+        np.testing.assert_array_equal(out, dephased(rho0, ratio == 1.0))
 
 
 def test_evolved_x_state_validation():
@@ -112,6 +119,18 @@ def test_evolved_x_state_validation():
         EvolvedXState(mu=0.0, nu=0.0, delta1=0.0, delta2=0.0, c3=0.0, t=-1.0)
     with pytest.raises(InvalidStateError):
         EvolvedXState(mu=1.8, nu=0.0, delta1=0.0, delta2=0.0, c3=0.0, t=0.0)
+    with pytest.raises(InvalidStateError,
+                       match=r"\(mu, nu, c3\)=\(nan, 0\.0, 0\.0\) include a nan"):
+        EvolvedXState(mu=math.nan, nu=0.0, delta1=0.0, delta2=0.0, c3=0.0, t=0.0)
+    # an eigenvalue (1 + c3 - mu)/4 exactly at EIGENVALUE_FLOOR = -1e-10 passes
+    EvolvedXState(mu=4e-10, nu=0.0, delta1=0.0, delta2=0.0, c3=-1.0, t=0.0)
+    # over a grid, one bad amplitude or time is found beside good ones
+    zeros, good = [0.0, 0.0], [0.0, 1.0]
+    for mu, nu, t, shown in (([0.0, 1.5], zeros, good, r"\(mu, nu, c3\)=\(1\.5, 0\.0, 0\.0\)"),
+                             (zeros, [0.0, 1.5], good, r"\(mu, nu, c3\)=\(0\.0, 1\.5, 0\.0\)"),
+                             (zeros, zeros, [1.0, -1.0], r"t=-1\.0 must be nonnegative")):
+        with pytest.raises(InvalidStateError, match=shown):
+            EvolvedXState(mu=mu, nu=nu, delta1=zeros, delta2=zeros, c3=0.0, t=t)
 
 
 def test_fast_path_parameters():
@@ -166,16 +185,3 @@ def test_large_detuning_locks_both_corners_together():
         x = evolve_x_state(params, t, q, RES0, large_detuning_limit=True)
         # mu/nu should keep the initial 1.5 : 0.5 ratio at all times
         assert x.mu == pytest.approx(3.0 * x.nu, rel=1e-13)
-
-
-def test_general_path_in_large_detuning_mode_matches_fast_path():
-    params = XStateParams(1.0, -0.5, 0.5)
-    q = QubitPairConfig(1.0, 1.0)
-    t = 1.7
-    fast = assemble_density(
-        evolve_x_state(params, t, q, RES0, large_detuning_limit=True)
-    ).entries
-    general = evolve_density(
-        x_state_density(params), t, q, RES0, large_detuning_limit=True
-    ).entries
-    np.testing.assert_allclose(fast, general, atol=1e-14)

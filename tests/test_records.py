@@ -161,6 +161,13 @@ INVALID = [
      r"^discord 0\.5 must equal I - C = 0\.5 - 0\.25$"),
     (lambda: DiscordBreakdown(0.25, 0.5, -0.25, 0.6, "before-critic"),
      r"^classical correlation 0\.5 outside \[0, I=0\.25\]$"),
+    # just past the tolerances that test_breakdown_tolerances_are_inclusive reaches
+    (lambda: DiscordBreakdown(0.0, 0.0, 1.1e-12, 0.0, "no-critic"),
+     r"^discord 1\.1e-12 must equal I - C = 0\.0 - 0\.0$"),
+    (lambda: DiscordBreakdown(0.0, -1.1e-10, 1.1e-10, 0.0, "no-critic"),
+     r"^classical correlation -1\.1e-10 outside \[0, I=0\.0\]$"),
+    (lambda: DiscordBreakdown(0.0, 1.1e-10, -1.1e-10, 0.0, "no-critic"),
+     r"^classical correlation 1\.1e-10 outside \[0, I=0\.0\]$"),
 ]
 
 
@@ -168,6 +175,12 @@ INVALID = [
 def test_validation_messages(build, message):
     with pytest.raises(InvalidStateError, match=message):
         build()
+
+
+def test_breakdown_tolerances_are_inclusive():
+    # D may miss I - C by 1e-12, and C leave [0, I] by 1e-10
+    for fields in ((0.0, 0.0, 1e-12), (0.0, -1e-10, 1e-10), (0.0, 1e-10, -1e-10)):
+        assert DiscordBreakdown(*fields, 0.0, "no-critic")[:3] == fields
 
 
 def test_replace_and_make_validate():
